@@ -14,32 +14,37 @@ import (
 )
 
 func main() {
-	sys := llmbench.System{Model: "Mistral-7B", Device: "H100", Framework: "vLLM"}
+	cfg := llmbench.ServeSweepConfig{
+		System:   llmbench.System{Model: "Mistral-7B", Device: "H100", Framework: "vLLM"},
+		Replicas: 1, MaxBatch: 32,
+		Seed: 42, Requests: 200, InputMean: 512, OutputMean: 128,
+	}
 	fmt.Println("Chat serving: Mistral-7B on one H100 via vLLM")
 	fmt.Println("200 requests, prompts ~512 tokens, replies ~128 tokens")
 	fmt.Println()
 	fmt.Printf("%-10s %-12s %9s %9s %9s %9s %9s %9s %7s\n",
 		"load", "scheduler", "tok/s", "p50 lat", "p95 lat", "p99 lat", "p99 queue", "mean TTFT", "preempt")
 
+	// One sweep per load level: a sweep seeds each rate of its Rates
+	// axis separately, and every load level here replays the one
+	// seed-42 trace shape.
 	for _, rate := range []float64{2, 8, 20} {
-		for _, continuous := range []bool{true, false} {
-			name := "static"
-			if continuous {
-				name = "continuous"
+		pts, err := llmbench.ServeSweep(cfg, llmbench.ServeGrid{
+			Rates:    []float64{rate},
+			Policies: []llmbench.ServePolicy{{}, {Static: true}},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range pts {
+			if p.Err != nil {
+				log.Fatal(p.Err)
 			}
-			stats, err := llmbench.Serve(llmbench.ServeConfig{
-				System:     sys,
-				Continuous: continuous,
-				MaxBatch:   32,
-				Seed:       42,
-				Requests:   200,
-				RatePerSec: rate,
-				InputMean:  512,
-				OutputMean: 128,
-			})
-			if err != nil {
-				log.Fatal(err)
+			name := "continuous"
+			if p.Policy.Static {
+				name = "static"
 			}
+			stats := p.Stats
 			fmt.Printf("%-10s %-12s %9.0f %8.2fs %8.2fs %8.2fs %8.2fs %8.2fs %7d\n",
 				fmt.Sprintf("%.0f req/s", rate), name,
 				stats.Throughput, stats.P50Latency, stats.P95Latency, stats.P99Latency,

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"llmbench/internal/des"
-	"llmbench/internal/sched"
 	"llmbench/internal/workload"
 )
 
@@ -69,124 +68,94 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 	if err := as.validate(); err != nil {
 		return AutoStats{}, err
 	}
-	if cfg.MaxBatch < 1 {
-		return AutoStats{}, errors.New("cluster: MaxBatch must be ≥ 1")
-	}
-	if len(reqs) == 0 {
-		return AutoStats{}, errors.New("cluster: empty trace")
-	}
-	if cfg.ChunkedPrefill && cfg.Static {
-		return AutoStats{}, errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
-	}
-
-	k := des.New(des.Config{
-		MaxBatch:       cfg.MaxBatch,
-		ChunkedPrefill: cfg.ChunkedPrefill,
-		PrefillChunk:   cfg.PrefillChunk,
-		Static:         cfg.Static,
-		Stepped:        cfg.Stepped,
-		Parallelism:    cfg.Parallelism,
-	})
-	k.Reuse(cfg.Scratch)
-	defer k.Release()
-	var agg sched.Aggregator
-	if cfg.Streaming {
-		stream := sched.NewStreamAggregator()
-		agg = stream
-		k.Sink = stream.Observe
+	if err := cfg.validate(reqs); err != nil {
+		return AutoStats{}, err
 	}
 	var events []ScaleEvent
 	peak := 0
 	lastScaleUp := -1e18
 	lastScaleDown := -1e18
-
-	active := func() int {
-		n := 0
-		for _, s := range k.Stations() {
-			if !s.Retired {
-				n++
-			}
-		}
-		return n
-	}
-	addReplica := func(now float64, initial bool) error {
-		rep, err := as.Factory()
-		if err != nil {
-			return err
-		}
-		if rep.Engine == nil || rep.Alloc == nil {
-			return errors.New("cluster: factory produced an incomplete replica")
-		}
-		k.NewStation(rep.Engine, rep.Alloc)
-		if !initial {
-			events = append(events, ScaleEvent{TimeS: now, Replicas: active(), Up: true})
-		}
-		if a := active(); a > peak {
-			peak = a
-		}
-		return nil
-	}
-	for i := 0; i < as.Min; i++ {
-		if err := addReplica(0, true); err != nil {
-			return AutoStats{}, err
-		}
-	}
-	peak = as.Min
-
-	// The scale-tick handler: fired by the kernel immediately before
-	// each arrival is routed, with every replica synchronised at the
-	// arrival barrier.
-	k.ScaleTick = func(now float64) error {
-		// Scale up on queue pressure.
-		outstanding := 0
-		for _, s := range k.Stations() {
-			if !s.Retired {
-				outstanding += s.Outstanding()
-			}
-		}
-		act := active()
-		if act < as.Max && now-lastScaleUp >= as.CooldownS &&
-			outstanding > as.UpOutstanding*act {
-			if err := addReplica(now, false); err != nil {
-				return err
-			}
-			lastScaleUp = now
-		}
-		// Retire one empty replica when the rest run comfortably.
-		if act > as.Min && now-lastScaleDown >= as.DownIdleS &&
-			outstanding <= as.UpOutstanding*(act-1)/2 {
+	stats, err := run(cfg, reqs, func(k *des.Kernel) error {
+		active := func() int {
+			n := 0
 			for _, s := range k.Stations() {
-				if !s.Retired && s.Outstanding() == 0 {
-					s.Retired = true
-					lastScaleDown = now
-					events = append(events, ScaleEvent{TimeS: now, Replicas: active(), Up: false})
-					break
+				if !s.Retired {
+					n++
 				}
 			}
+			return n
+		}
+		addReplica := func(now float64, initial bool) error {
+			rep, err := as.Factory()
+			if err != nil {
+				return err
+			}
+			if rep.Engine == nil || rep.Alloc == nil {
+				return errors.New("cluster: factory produced an incomplete replica")
+			}
+			k.NewStation(rep.Engine, rep.Alloc)
+			if !initial {
+				events = append(events, ScaleEvent{TimeS: now, Replicas: active(), Up: true})
+			}
+			if a := active(); a > peak {
+				peak = a
+			}
+			return nil
+		}
+		for i := 0; i < as.Min; i++ {
+			if err := addReplica(0, true); err != nil {
+				return err
+			}
+		}
+		peak = as.Min
+
+		// The scale-tick handler: fired by the kernel immediately before
+		// each arrival is routed, with every replica synchronised at the
+		// arrival barrier.
+		k.ScaleTick = func(now float64) error {
+			// Scale up on queue pressure.
+			outstanding := 0
+			for _, s := range k.Stations() {
+				if !s.Retired {
+					outstanding += s.Outstanding()
+				}
+			}
+			act := active()
+			if act < as.Max && now-lastScaleUp >= as.CooldownS &&
+				outstanding > as.UpOutstanding*act {
+				if err := addReplica(now, false); err != nil {
+					return err
+				}
+				lastScaleUp = now
+			}
+			// Retire one empty replica when the rest run comfortably.
+			if act > as.Min && now-lastScaleDown >= as.DownIdleS &&
+				outstanding <= as.UpOutstanding*(act-1)/2 {
+				for _, s := range k.Stations() {
+					if !s.Retired && s.Outstanding() == 0 {
+						s.Retired = true
+						lastScaleDown = now
+						events = append(events, ScaleEvent{TimeS: now, Replicas: active(), Up: false})
+						break
+					}
+				}
+			}
+			return nil
+		}
+		k.Route = func(now float64) *des.Station {
+			var best *des.Station
+			for _, s := range k.Stations() {
+				if s.Retired {
+					continue
+				}
+				if best == nil || s.Outstanding() < best.Outstanding() {
+					best = s
+				}
+			}
+			return best
 		}
 		return nil
-	}
-	k.Route = func(now float64) *des.Station {
-		var best *des.Station
-		for _, s := range k.Stations() {
-			if s.Retired {
-				continue
-			}
-			if best == nil || s.Outstanding() < best.Outstanding() {
-				best = s
-			}
-		}
-		return best
-	}
-
-	res, err := k.Run(reqs)
-	if err != nil {
-		return AutoStats{}, fmt.Errorf("cluster: %w", err)
-	}
-	if res.Completed != len(reqs) {
-		return AutoStats{}, fmt.Errorf("cluster: only %d of %d requests completed", res.Completed, len(reqs))
-	}
-	stats, err := assemble(res, agg)
+	})
 	if err != nil {
 		return AutoStats{}, err
 	}

@@ -162,26 +162,18 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	if len(cfg.Replicas) == 0 {
 		return Stats{}, errors.New("cluster: no replicas")
 	}
-	if cfg.MaxBatch < 1 {
-		return Stats{}, errors.New("cluster: MaxBatch must be ≥ 1")
-	}
-	if len(reqs) == 0 {
-		return Stats{}, errors.New("cluster: empty trace")
+	if err := cfg.validate(reqs); err != nil {
+		return Stats{}, err
 	}
 	for i, r := range cfg.Replicas {
 		if r.Engine == nil || r.Alloc == nil {
 			return Stats{}, fmt.Errorf("cluster: replica %d incomplete", i)
 		}
 	}
-	if cfg.ChunkedPrefill {
-		if cfg.Static {
-			return Stats{}, errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
-		}
-		if cfg.PrefillReplicas > 0 {
+	if cfg.PrefillReplicas > 0 {
+		if cfg.ChunkedPrefill {
 			return Stats{}, errors.New("cluster: chunked prefill does not compose with disaggregation (the prefill pool hands off whole prompts)")
 		}
-	}
-	if cfg.PrefillReplicas > 0 {
 		if cfg.PrefillReplicas >= len(cfg.Replicas) {
 			return Stats{}, fmt.Errorf("cluster: PrefillReplicas %d leaves no decode replicas (fleet of %d)",
 				cfg.PrefillReplicas, len(cfg.Replicas))
@@ -193,7 +185,50 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 			return Stats{}, fmt.Errorf("cluster: %w", err)
 		}
 	}
+	return run(cfg, reqs, func(k *des.Kernel) error {
+		stations := make([]*des.Station, len(cfg.Replicas))
+		if cfg.PrefillReplicas > 0 {
+			for i, r := range cfg.Replicas {
+				role := des.RolePrefill
+				if i >= cfg.PrefillReplicas {
+					role = des.RoleDecode
+				}
+				stations[i] = k.NewPoolStation(r.Engine, r.Alloc, role)
+			}
+			// Arrivals route within the prefill pool, kv-transfer
+			// deliveries within the decode pool — each with its own router
+			// state, under the one configured policy.
+			k.Route = poolRouter(cfg, stations[:cfg.PrefillReplicas])
+			k.RouteTransfer = poolRouter(cfg, stations[cfg.PrefillReplicas:])
+			return nil
+		}
+		for i, r := range cfg.Replicas {
+			stations[i] = k.NewStation(r.Engine, r.Alloc)
+		}
+		k.Route = poolRouter(cfg, stations)
+		return nil
+	})
+}
 
+// validate checks the settings Serve and ServeAutoscale share.
+func (cfg Config) validate(reqs []workload.Request) error {
+	if cfg.MaxBatch < 1 {
+		return errors.New("cluster: MaxBatch must be ≥ 1")
+	}
+	if len(reqs) == 0 {
+		return errors.New("cluster: empty trace")
+	}
+	if cfg.ChunkedPrefill && cfg.Static {
+		return errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
+	}
+	return nil
+}
+
+// run is the kernel-run path Serve and ServeAutoscale share: it maps a
+// validated cfg onto a kernel, lets setup add the stations and router,
+// runs the trace with completions streamed or ledgered, and assembles
+// the Stats.
+func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (Stats, error) {
 	k := des.New(des.Config{
 		MaxBatch:       cfg.MaxBatch,
 		ChunkedPrefill: cfg.ChunkedPrefill,
@@ -205,27 +240,9 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	})
 	k.Reuse(cfg.Scratch)
 	defer k.Release()
-	stations := make([]*des.Station, len(cfg.Replicas))
-	if cfg.PrefillReplicas > 0 {
-		for i, r := range cfg.Replicas {
-			role := des.RolePrefill
-			if i >= cfg.PrefillReplicas {
-				role = des.RoleDecode
-			}
-			stations[i] = k.NewPoolStation(r.Engine, r.Alloc, role)
-		}
-		// Arrivals route within the prefill pool, kv-transfer
-		// deliveries within the decode pool — each with its own router
-		// state, under the one configured policy.
-		k.Route = poolRouter(cfg, stations[:cfg.PrefillReplicas])
-		k.RouteTransfer = poolRouter(cfg, stations[cfg.PrefillReplicas:])
-	} else {
-		for i, r := range cfg.Replicas {
-			stations[i] = k.NewStation(r.Engine, r.Alloc)
-		}
-		k.Route = poolRouter(cfg, stations)
+	if err := setup(k); err != nil {
+		return Stats{}, err
 	}
-
 	var agg sched.Aggregator
 	if cfg.Streaming {
 		stream := sched.NewStreamAggregator()
@@ -239,7 +256,20 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	if res.Completed != len(reqs) {
 		return Stats{}, fmt.Errorf("cluster: only %d of %d requests completed", res.Completed, len(reqs))
 	}
-	return assemble(res, agg)
+	stats, err := sched.ResultStats(res, agg)
+	if err != nil {
+		return Stats{}, err
+	}
+	out := Stats{Stats: stats}
+	for _, ps := range res.PerStation {
+		out.PerReplica = append(out.PerReplica, ReplicaStats{
+			Completed:   ps.Completed,
+			BusyS:       ps.BusyS,
+			Util:        ps.BusyS / res.MakespanS,
+			Transferred: ps.Transferred,
+		})
+	}
+	return out, nil
 }
 
 // prefixStater is the allocator view the Prefix router scores with:
@@ -339,34 +369,4 @@ func poolRouter(cfg Config, group []*des.Station) func(now float64) *des.Station
 		}
 		return best
 	}
-}
-
-// assemble turns a kernel result into cluster Stats; agg, when
-// non-nil, is the streaming aggregator that consumed the completions
-// the ledger no longer holds.
-func assemble(res des.Result, agg sched.Aggregator) (Stats, error) {
-	var stats sched.Stats
-	var err error
-	if agg != nil {
-		stats, err = agg.Stats(res.MakespanS, res.Preemptions)
-	} else {
-		stats, err = sched.Summarize(res.Finished, res.MakespanS, res.Preemptions)
-	}
-	if err != nil {
-		return Stats{}, err
-	}
-	stats.MaxIterationS = res.MaxIterationS
-	if res.PromptTokens > 0 {
-		stats.CacheHitRate = float64(res.PrefixHitTokens) / float64(res.PromptTokens)
-	}
-	out := Stats{Stats: stats}
-	for _, ps := range res.PerStation {
-		out.PerReplica = append(out.PerReplica, ReplicaStats{
-			Completed:   ps.Completed,
-			BusyS:       ps.BusyS,
-			Util:        ps.BusyS / res.MakespanS,
-			Transferred: ps.Transferred,
-		})
-	}
-	return out, nil
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -644,45 +643,38 @@ type serveParams struct {
 }
 
 func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
-	// The -j flag follows the pool convention (<1 = all cores) while
-	// the DES kernel treats ≤1 as serial: resolve before handing it
-	// over so the default actually runs replicas on goroutines.
-	par := s.parallelism
-	if par < 1 {
-		par = runtime.GOMAXPROCS(0)
+	// One deployment is a one-point serving sweep, whose kernel gets
+	// the whole -j worker budget for its replicas.
+	cfg := llmbench.ServeSweepConfig{
+		System: p.sys, Replicas: p.replicas, MaxBatch: p.maxBatch,
+		Seed: 42, Requests: p.requests, InputMean: p.inMean, OutputMean: p.outMean,
 	}
-	var md strings.Builder
-	var stats llmbench.ClusterStats
+	grid := llmbench.ServeGrid{
+		Rates:       []float64{p.rate},
+		Policies:    []llmbench.ServePolicy{{LeastLoaded: true}},
+		Parallelism: s.parallelism,
+	}
 	if p.autoscale {
-		auto, err := llmbench.ServeAutoscale(llmbench.AutoscaleConfig{
-			System: p.sys, MaxBatch: p.maxBatch,
-			MinReplicas: 1, MaxReplicas: p.replicas,
-			UpOutstanding: 2 * p.maxBatch, DownIdleS: 3, CooldownS: 1,
-			Parallelism: par,
-			Seed:        42, Requests: p.requests, RatePerSec: p.rate,
-			InputMean: p.inMean, OutputMean: p.outMean,
-			BurstFactor: 4, BurstLenS: 4,
-		})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		stats = auto.Stats
+		grid.Policies = []llmbench.ServePolicy{{Autoscale: true}}
+		grid.BurstFactors = []float64{4}
+		cfg.BurstLenS = 4
+	}
+	pts, err := llmbench.ServeSweep(cfg, grid)
+	if err == nil {
+		err = pts[0].Err
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	pt := pts[0]
+	stats := pt.Stats
+	var md strings.Builder
+	if p.autoscale {
 		fmt.Fprintf(&md, "### Autoscaled serving: %s on %s via %s (1..%d replicas, bursty %g req/s)\n\n",
 			p.sys.Model, p.sys.Device, p.sys.Framework, p.replicas, p.rate)
-		fmt.Fprintf(&md, "peak %d replicas over %d scale events\n\n", auto.PeakReplicas, len(auto.Events))
+		fmt.Fprintf(&md, "peak %d replicas\n\n", pt.PeakReplicas)
 	} else {
-		var err error
-		stats, err = llmbench.ServeCluster(llmbench.ClusterConfig{
-			System: p.sys, Replicas: p.replicas, LeastLoaded: true,
-			MaxBatch: p.maxBatch, Parallelism: par,
-			Seed: 42, Requests: p.requests, RatePerSec: p.rate,
-			InputMean: p.inMean, OutputMean: p.outMean,
-		})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
 		fmt.Fprintf(&md, "### Cluster serving: %s on %d× %s via %s (%g req/s, least-loaded)\n\n",
 			p.sys.Model, p.replicas, p.sys.Device, p.sys.Framework, p.rate)
 	}
@@ -695,9 +687,9 @@ func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
 		stats.P50QueueDelay, stats.P95QueueDelay, stats.P99QueueDelay)
 	fmt.Fprintf(&md, "| mean latency / TTFT | %.2f / %.2f s |\n", stats.MeanLatency, stats.MeanTTFT)
 	fmt.Fprintf(&md, "| makespan | %.1f s |\n", stats.MakespanS)
-	if len(stats.PerReplica) > 0 {
+	if len(pt.PerReplica) > 0 {
 		fmt.Fprintf(&md, "\n| replica | completed | busy (s) | util |\n|---|---|---|---|\n")
-		for i, rep := range stats.PerReplica {
+		for i, rep := range pt.PerReplica {
 			fmt.Fprintf(&md, "| %d | %d | %.1f | %.0f%% |\n", i, rep.Completed, rep.BusyS, rep.Util*100)
 		}
 	}

@@ -2,6 +2,7 @@ package dashboard
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,12 @@ import (
 	"testing"
 
 	"llmbench"
+	"llmbench/internal/cluster"
+	"llmbench/internal/dtype"
+	"llmbench/internal/hw"
+	"llmbench/internal/kvcache"
+	"llmbench/internal/model"
+	"llmbench/internal/workload"
 )
 
 func TestIndex(t *testing.T) {
@@ -139,6 +146,26 @@ func TestServeEndpoint(t *testing.T) {
 			t.Errorf("serving table missing %q:\n%s", want, out.Markdown)
 		}
 	}
+	// The fixed-fleet table reports exactly the hand-built cluster.Serve
+	// run of the same deployment: 3 least-loaded Mistral-7B replicas on
+	// A100s, the seed-42 Poisson trace, device-sized KV pools.
+	direct := directServe(t, 3, 60, 15)
+	want := []string{
+		fmt.Sprintf("| completed | %d |", direct.Completed),
+		fmt.Sprintf("| throughput | %.0f tok/s |", direct.Throughput),
+		fmt.Sprintf("| latency p50 / p95 / p99 | %.2f / %.2f / %.2f s |", direct.P50Latency, direct.P95Latency, direct.P99Latency),
+		fmt.Sprintf("| queue delay p50 / p95 / p99 | %.2f / %.2f / %.2f s |", direct.P50QueueDelay, direct.P95QueueDelay, direct.P99QueueDelay),
+		fmt.Sprintf("| mean latency / TTFT | %.2f / %.2f s |", direct.MeanLatency, direct.MeanTTFT),
+		fmt.Sprintf("| makespan | %.1f s |", direct.MakespanS),
+	}
+	for i, rep := range direct.PerReplica {
+		want = append(want, fmt.Sprintf("| %d | %d | %.1f | %.0f%% |", i, rep.Completed, rep.BusyS, rep.Util*100))
+	}
+	for _, line := range want {
+		if !strings.Contains(out.Markdown, line+"\n") {
+			t.Errorf("serving table missing the direct run's %q:\n%s", line, out.Markdown)
+		}
+	}
 
 	// Autoscaled variant reports the scaling trajectory.
 	res2, err := http.Get(srv.URL + "/api/serve?model=Mistral-7B&device=A100&framework=vLLM&replicas=4&rate=15&requests=60&autoscale=1")
@@ -170,6 +197,41 @@ func TestServeEndpoint(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", q, r2.StatusCode)
 		}
 	}
+}
+
+// directServe runs the /api/serve fixed-fleet deployment by hand on
+// cluster.Serve: Mistral-7B on A100s via vLLM, least-loaded routing,
+// MaxBatch 32, the seed-42 Poisson trace with 512/128-token means, and
+// each replica's KV pool sized to the device memory left after fp16
+// weights.
+func directServe(t *testing.T, replicas, requests int, rate float64) cluster.Stats {
+	t.Helper()
+	sys := llmbench.System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"}
+	eng, err := llmbench.CachedEngine(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, d := model.MustGet(sys.Model), hw.MustGet(sys.Device)
+	cfg := cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 32}
+	for i := 0; i < replicas; i++ {
+		alloc, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), d.MemBytes()*0.88-m.WeightBytes(dtype.FP16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Replicas = append(cfg.Replicas, cluster.Replica{Engine: eng, Alloc: alloc})
+	}
+	reqs, err := workload.PoissonTrace(workload.TraceConfig{
+		Seed: 42, Requests: requests, RatePerSec: rate,
+		InputMean: 512, OutputMean: 128, LengthJitter: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cluster.Serve(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestServeSweepEndpoint(t *testing.T) {

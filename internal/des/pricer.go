@@ -142,7 +142,7 @@ func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kv
 //
 // Stations route this through their cached pricing handle; the
 // standalone form prices through a throwaway handle and is retained
-// for the policy layers and the equivalence tests.
+// for the window-bound tests.
 func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
 	batch, ctx0, kMax int, now, nextArrival float64) ([]float64, error) {
 	var p pricer

@@ -252,12 +252,18 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 	}
 	if newBase != base || top-newBase > len(latest.seconds) {
 		// Re-base and/or regrow: publish a fresh, fully-filled
-		// generation. Geometric capacity keeps this O(log band) per
-		// batch lifetime.
-		c := top - newBase
-		if 2*len(latest.seconds) > c {
-			c = 2 * len(latest.seconds)
+		// generation. A re-base adds exactly the new low cells to the
+		// old capacity; only upward overflow doubles it, which keeps
+		// regrowth O(log band) per batch lifetime without a descending
+		// anchor sequence doubling the vector once per step.
+		c := len(latest.seconds)
+		if top-base > c {
+			c = top - base
+			if 2*len(latest.seconds) > c {
+				c = 2 * len(latest.seconds)
+			}
 		}
+		c += base - newBase
 		v := &stepVec{base: newBase, seconds: make([]float64, c)}
 		copy(v.seconds[base-newBase:], latest.seconds[:n])
 		if err := e.fillMaster(v, batch, newBase, base-1); err != nil {

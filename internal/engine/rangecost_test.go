@@ -266,3 +266,27 @@ func TestDecodeStepCostsConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestMasterDescendingAnchorsBounded: a window anchored one context
+// below the lowest seen so far re-bases the batch's master vector. Each
+// re-base must add only the new low cells, not double the capacity, so
+// a descending anchor sequence keeps the vector proportional to the
+// band it covers.
+func TestMasterDescendingAnchorsBounded(t *testing.T) {
+	e := rangeTestEngine(t, "vLLM")
+	const top = 2000
+	for i := 0; i < 500; i++ {
+		lo := top - i
+		v, err := e.masterFor(8, lo, lo+31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		band := int(v.n.Load())
+		if v.base != lo || v.base+band < lo+32 {
+			t.Fatalf("anchor %d: master covers [%d, %d), want [%d, %d]", i, v.base, v.base+band, lo, lo+31)
+		}
+		if len(v.seconds) > 2*band+64 {
+			t.Fatalf("anchor %d: master capacity %d for a %d-cell band", i, len(v.seconds), band)
+		}
+	}
+}

@@ -172,8 +172,18 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 	if err != nil {
 		return Stats{}, fmt.Errorf("sched: %w", err)
 	}
+	return ResultStats(res, agg)
+}
+
+// ResultStats turns a kernel result into Stats — the one summary step
+// behind Serve and the cluster simulators (internal/cluster). agg,
+// when non-nil, is the streaming aggregator that consumed the
+// completions through the kernel's Sink; otherwise the result's ledger
+// is summarised.
+func ResultStats(res des.Result, agg Aggregator) (Stats, error) {
 	var stats Stats
-	if cfg.Streaming {
+	var err error
+	if agg != nil {
 		stats, err = agg.Stats(res.MakespanS, res.Preemptions)
 	} else {
 		stats, err = Summarize(res.Finished, res.MakespanS, res.Preemptions)
@@ -186,16 +196,6 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 		stats.CacheHitRate = float64(res.PrefixHitTokens) / float64(res.PromptTokens)
 	}
 	return stats, nil
-}
-
-// CoalesceWindow re-exports the kernel's window-sizing primitive
-// (internal/des); see des.CoalesceWindow for the contract (the result
-// is a shared immutable snapshot view, not a caller-owned buffer).
-// Retained here because the coalescing machinery grew up in this
-// package.
-func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
-	batch, ctx0, kMax int, now, nextArrival float64) ([]float64, error) {
-	return des.CoalesceWindow(eng, alloc, seqs, batch, ctx0, kMax, now, nextArrival)
 }
 
 // Summarize aggregates completed request lifecycles into Stats. It is

@@ -1,118 +1,10 @@
-// Package trace provides a general discrete-event simulation utility
-// (a monotonic simulated clock with a time-ordered event queue) and
-// the small deterministic RNG behind every workload generator, so
-// simulations are reproducible across runs and platforms.
-//
-// The serving simulators no longer drive Sim directly: they run on
-// the specialised kernel in internal/des, whose arrival-barrier
-// design admits parallel replica advancement. Sim remains for ad-hoc
-// event-driven modelling.
+// Package trace provides the small deterministic RNG (splitmix64)
+// behind every workload generator, so generated traces — and the
+// simulations that replay them — are reproducible across runs and
+// platforms.
 package trace
 
-import (
-	"container/heap"
-	"errors"
-	"math"
-)
-
-// Event is a callback scheduled at a simulated time.
-type Event struct {
-	At float64 // simulated seconds
-	Fn func(now float64)
-
-	seq int // tie-break: FIFO among equal timestamps
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Sim is a discrete-event simulator.
-type Sim struct {
-	now    float64
-	nextID int
-	events eventHeap
-}
-
-// NewSim creates an empty simulator at time zero.
-func NewSim() *Sim {
-	s := &Sim{}
-	heap.Init(&s.events)
-	return s
-}
-
-// Now returns the current simulated time in seconds.
-func (s *Sim) Now() float64 { return s.now }
-
-// ErrPastEvent is returned when scheduling before the current time.
-var ErrPastEvent = errors.New("trace: event scheduled in the past")
-
-// At schedules fn at absolute simulated time t.
-func (s *Sim) At(t float64, fn func(now float64)) error {
-	if t < s.now {
-		return ErrPastEvent
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return errors.New("trace: non-finite event time")
-	}
-	e := &Event{At: t, Fn: fn, seq: s.nextID}
-	s.nextID++
-	heap.Push(&s.events, e)
-	return nil
-}
-
-// After schedules fn after a delay from now.
-func (s *Sim) After(d float64, fn func(now float64)) error {
-	return s.At(s.now+d, fn)
-}
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }
-
-// Step runs the earliest event; it reports false when the queue is
-// empty.
-func (s *Sim) Step() bool {
-	if s.events.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&s.events).(*Event)
-	s.now = e.At
-	e.Fn(s.now)
-	return true
-}
-
-// Run drains the event queue, stopping early if the clock passes
-// horizon (≤0 means no horizon). It returns the number of events run.
-func (s *Sim) Run(horizon float64) int {
-	n := 0
-	for s.events.Len() > 0 {
-		next := s.events[0].At
-		if horizon > 0 && next > horizon {
-			break
-		}
-		s.Step()
-		n++
-	}
-	return n
-}
-
-// --- deterministic RNG ---------------------------------------------------
+import "math"
 
 // RNG is a small deterministic PRNG (splitmix64) for reproducible
 // workload generation.

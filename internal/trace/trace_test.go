@@ -1,91 +1,9 @@
 package trace
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestEventOrdering(t *testing.T) {
-	s := NewSim()
-	var order []int
-	_ = s.At(3, func(float64) { order = append(order, 3) })
-	_ = s.At(1, func(float64) { order = append(order, 1) })
-	_ = s.At(2, func(float64) { order = append(order, 2) })
-	s.Run(0)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v, want [1 2 3]", order)
-	}
-	if s.Now() != 3 {
-		t.Errorf("clock = %v, want 3", s.Now())
-	}
-}
-
-func TestFIFOTieBreak(t *testing.T) {
-	s := NewSim()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		_ = s.At(1, func(float64) { order = append(order, i) })
-	}
-	s.Run(0)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("equal-time events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestPastEventRejected(t *testing.T) {
-	s := NewSim()
-	_ = s.At(5, func(float64) {})
-	s.Run(0)
-	if err := s.At(1, func(float64) {}); err != ErrPastEvent {
-		t.Errorf("got %v, want ErrPastEvent", err)
-	}
-	if err := s.At(math.NaN(), func(float64) {}); err == nil {
-		t.Error("NaN time must be rejected")
-	}
-}
-
-func TestAfterAndCascade(t *testing.T) {
-	s := NewSim()
-	hits := 0
-	var tick func(now float64)
-	tick = func(now float64) {
-		hits++
-		if hits < 5 {
-			_ = s.After(1, tick)
-		}
-	}
-	_ = s.After(1, tick)
-	s.Run(0)
-	if hits != 5 || s.Now() != 5 {
-		t.Errorf("hits=%d now=%v, want 5 and 5", hits, s.Now())
-	}
-}
-
-func TestHorizon(t *testing.T) {
-	s := NewSim()
-	ran := 0
-	for i := 1; i <= 10; i++ {
-		_ = s.At(float64(i), func(float64) { ran++ })
-	}
-	n := s.Run(4.5)
-	if n != 4 || ran != 4 {
-		t.Errorf("ran %d events, want 4", ran)
-	}
-	if s.Pending() != 6 {
-		t.Errorf("pending = %d, want 6", s.Pending())
-	}
-}
-
-func TestStepEmpty(t *testing.T) {
-	s := NewSim()
-	if s.Step() {
-		t.Error("Step on empty queue must return false")
-	}
-}
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)

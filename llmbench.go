@@ -55,7 +55,6 @@ import (
 	"io"
 	"math"
 
-	"llmbench/internal/cluster"
 	"llmbench/internal/des"
 	"llmbench/internal/engine"
 	"llmbench/internal/experiments"
@@ -310,33 +309,6 @@ func Perplexity(modelName string) (float64, error) {
 	return ev.ModelPerplexity(modelName)
 }
 
-// ServeConfig parameterises an online-serving simulation.
-type ServeConfig struct {
-	System     System
-	Continuous bool // continuous (Orca-style) vs static batching
-	MaxBatch   int
-	// KVBudgetGiB is the paged-KV pool size; 0 sizes it from the
-	// device's free memory after weights.
-	KVBudgetGiB float64
-
-	// Trace, when non-empty, replays a recorded trace (see ReadTrace)
-	// instead of synthesizing Poisson arrivals; the synthesis
-	// parameters below are ignored.
-	Trace []TraceRequest
-
-	// Streaming aggregates completions incrementally: O(1) stats
-	// memory at any trace length, P² sketch percentiles (≤ 1% relative
-	// error; see internal/sched/stream.go), Stats.Requests nil.
-	Streaming bool
-
-	// Trace-synthesis parameters (ignored when Trace is set).
-	Seed       uint64
-	Requests   int
-	RatePerSec float64
-	InputMean  int
-	OutputMean int
-}
-
 // ServeStats re-exports the scheduler's summary.
 type ServeStats = sched.Stats
 
@@ -505,229 +477,4 @@ func transferCostFor(devName string, m *model.Config, d *hw.Device) (des.Transfe
 		GBPerS:        d.InterconnectGBs,
 		LatencyS:      d.InterconnectLatencyUS * 1e-6,
 	}, nil
-}
-
-// Serve runs an online-serving simulation with Poisson arrivals.
-func Serve(cfg ServeConfig) (ServeStats, error) {
-	eng, err := CachedEngine(cfg.System)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	budget, err := servingKVBudget(cfg.System, cfg.KVBudgetGiB)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	alloc, err := servingAlloc(cfg.System, budget)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	trace := cfg.Trace
-	if len(trace) == 0 {
-		trace, err = workload.PoissonTrace(workload.TraceConfig{
-			Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-			InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
-		})
-		if err != nil {
-			return ServeStats{}, err
-		}
-	} else if err := workload.ValidateTrace(trace); err != nil {
-		return ServeStats{}, fmt.Errorf("llmbench: %w", err)
-	}
-	policy := sched.Static
-	if cfg.Continuous {
-		policy = sched.Continuous
-	}
-	return sched.Serve(sched.Config{
-		Engine: eng, Policy: policy, MaxBatch: cfg.MaxBatch, Alloc: alloc,
-		Streaming: cfg.Streaming,
-	}, trace)
-}
-
-// ClusterConfig parameterises a multi-replica serving simulation: N
-// identical replicas of a System behind a request router.
-type ClusterConfig struct {
-	System      System
-	Replicas    int
-	LeastLoaded bool // join-the-shortest-queue routing (default round-robin)
-	// Static runs every replica with pre-Orca static batching
-	// (collect a batch, run it to completion, repeat) instead of
-	// continuous batching; the router is unchanged.
-	Static      bool
-	MaxBatch    int // per replica
-	KVBudgetGiB float64
-
-	// Parallelism ≥ 2 advances replicas on that many goroutines
-	// between arrival barriers (see internal/des); Stats are
-	// byte-identical at any setting. Values ≤ 1 run serially.
-	Parallelism int
-
-	// Trace, when non-empty, replays a recorded trace (see ReadTrace)
-	// instead of synthesizing Poisson arrivals; the synthesis
-	// parameters below are ignored.
-	Trace []TraceRequest
-
-	// Streaming aggregates completions incrementally: O(1) stats
-	// memory at any trace length, P² sketch percentiles (≤ 1% relative
-	// error; see internal/sched/stream.go), Stats.Requests nil.
-	Streaming bool
-
-	Seed       uint64
-	Requests   int
-	RatePerSec float64
-	InputMean  int
-	OutputMean int
-}
-
-// ClusterStats re-exports the cluster summary.
-type ClusterStats = cluster.Stats
-
-// ServeCluster simulates a deployment of identical replicas behind a
-// router (see internal/cluster). All replicas share one cached engine
-// (engines are immutable and concurrency-safe) while each owns a
-// private KV allocator.
-func ServeCluster(cfg ClusterConfig) (ClusterStats, error) {
-	if cfg.Replicas < 1 {
-		return ClusterStats{}, fmt.Errorf("llmbench: need at least one replica")
-	}
-	eng, err := CachedEngine(cfg.System)
-	if err != nil {
-		return ClusterStats{}, err
-	}
-	budget, err := servingKVBudget(cfg.System, cfg.KVBudgetGiB)
-	if err != nil {
-		return ClusterStats{}, err
-	}
-	replicas := make([]cluster.Replica, cfg.Replicas)
-	for i := range replicas {
-		alloc, err := servingAlloc(cfg.System, budget)
-		if err != nil {
-			return ClusterStats{}, err
-		}
-		replicas[i] = cluster.Replica{Engine: eng, Alloc: alloc}
-	}
-	trace := cfg.Trace
-	if len(trace) == 0 {
-		trace, err = workload.PoissonTrace(workload.TraceConfig{
-			Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-			InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
-		})
-		if err != nil {
-			return ClusterStats{}, err
-		}
-	} else if err := workload.ValidateTrace(trace); err != nil {
-		return ClusterStats{}, fmt.Errorf("llmbench: %w", err)
-	}
-	policy := cluster.RoundRobin
-	if cfg.LeastLoaded {
-		policy = cluster.LeastLoaded
-	}
-	return cluster.Serve(cluster.Config{
-		Replicas: replicas, Policy: policy, MaxBatch: cfg.MaxBatch,
-		Static: cfg.Static, Parallelism: cfg.Parallelism, Streaming: cfg.Streaming,
-	}, trace)
-}
-
-// AutoscaleConfig parameterises a dynamic-capacity serving
-// simulation: replicas of a System are added under queue pressure and
-// retired when idle, between MinReplicas and MaxReplicas.
-type AutoscaleConfig struct {
-	System      System
-	MaxBatch    int // per replica
-	KVBudgetGiB float64
-
-	// Static runs every replica with pre-Orca static batching; the
-	// scale-tick policy is unchanged.
-	Static bool
-
-	// MinReplicas..MaxReplicas bound the capacity; UpOutstanding,
-	// DownIdleS, and CooldownS tune the policy (see
-	// cluster.Autoscale).
-	MinReplicas   int
-	MaxReplicas   int
-	UpOutstanding int
-	DownIdleS     float64
-	CooldownS     float64
-
-	// Parallelism ≥ 2 advances replicas on goroutines between
-	// arrival barriers; Stats are byte-identical at any setting.
-	Parallelism int
-
-	// Trace, when non-empty, replays a recorded trace (see ReadTrace)
-	// instead of synthesizing arrivals; the synthesis parameters below
-	// are ignored.
-	Trace []TraceRequest
-
-	// Streaming aggregates completions incrementally: O(1) stats
-	// memory at any trace length, P² sketch percentiles (≤ 1% relative
-	// error; see internal/sched/stream.go), Stats.Requests nil.
-	Streaming bool
-
-	// Trace-synthesis parameters (ignored when Trace is set).
-	// BurstFactor > 0 uses a bursty chat trace (workload.ChatTrace) —
-	// the load shape autoscaling exists for — otherwise arrivals are
-	// Poisson.
-	Seed        uint64
-	Requests    int
-	RatePerSec  float64
-	InputMean   int
-	OutputMean  int
-	BurstFactor float64
-	BurstLenS   float64
-}
-
-// AutoscaleStats re-exports the autoscaler's summary (cluster stats
-// plus the scaling trajectory).
-type AutoscaleStats = cluster.AutoStats
-
-// ServeAutoscale simulates a deployment with dynamic replica capacity
-// (see internal/cluster): the fleet starts at MinReplicas and the
-// scale-tick policy grows or shrinks it as load changes.
-func ServeAutoscale(cfg AutoscaleConfig) (AutoscaleStats, error) {
-	eng, err := CachedEngine(cfg.System)
-	if err != nil {
-		return AutoscaleStats{}, err
-	}
-	budget, err := servingKVBudget(cfg.System, cfg.KVBudgetGiB)
-	if err != nil {
-		return AutoscaleStats{}, err
-	}
-	factory := func() (cluster.Replica, error) {
-		alloc, err := servingAlloc(cfg.System, budget)
-		if err != nil {
-			return cluster.Replica{}, err
-		}
-		return cluster.Replica{Engine: eng, Alloc: alloc}, nil
-	}
-	trace := cfg.Trace
-	if len(trace) == 0 {
-		if cfg.BurstFactor > 0 {
-			trace, err = workload.ChatTrace(workload.ChatTraceConfig{
-				Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-				BurstFactor: cfg.BurstFactor, BurstLenS: cfg.BurstLenS,
-				InputMedian: cfg.InputMean, OutputMedian: cfg.OutputMean,
-				Sigma: 0.7, MaxLen: 4096,
-			})
-		} else {
-			trace, err = workload.PoissonTrace(workload.TraceConfig{
-				Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: cfg.RatePerSec,
-				InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
-			})
-		}
-		if err != nil {
-			return AutoscaleStats{}, err
-		}
-	} else if err := workload.ValidateTrace(trace); err != nil {
-		return AutoscaleStats{}, fmt.Errorf("llmbench: %w", err)
-	}
-	return cluster.ServeAutoscale(
-		cluster.Config{MaxBatch: cfg.MaxBatch, Static: cfg.Static,
-			Parallelism: cfg.Parallelism, Streaming: cfg.Streaming},
-		cluster.Autoscale{
-			Factory:       factory,
-			Min:           cfg.MinReplicas,
-			Max:           cfg.MaxReplicas,
-			UpOutstanding: cfg.UpOutstanding,
-			DownIdleS:     cfg.DownIdleS,
-			CooldownS:     cfg.CooldownS,
-		}, trace)
 }

@@ -1,7 +1,6 @@
 package llmbench
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,147 +89,112 @@ func TestPerplexityFacade(t *testing.T) {
 	}
 }
 
+// TestServeFacade: one deployment is a one-point ServeSweep.
 func TestServeFacade(t *testing.T) {
-	stats, err := Serve(ServeConfig{
-		System:     System{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM"},
-		Continuous: true, MaxBatch: 16,
-		Seed: 3, Requests: 40, RatePerSec: 5, InputMean: 512, OutputMean: 128,
-	})
+	pts, err := ServeSweep(ServeSweepConfig{
+		System:   System{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM"},
+		MaxBatch: 16,
+		Seed:     3, Requests: 40, InputMean: 512, OutputMean: 128,
+	}, ServeGrid{Rates: []float64{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Completed != 40 {
-		t.Errorf("completed %d/40", stats.Completed)
+	if len(pts) != 1 || pts[0].Err != nil {
+		t.Fatalf("one-point sweep: %+v", pts)
 	}
-	// A 70B model cannot be served on one A100.
-	if _, err := Serve(ServeConfig{
+	if pts[0].Stats.Completed != 40 {
+		t.Errorf("completed %d/40", pts[0].Stats.Completed)
+	}
+	// A 70B model cannot be served on one A100: its only combination
+	// fails to size a KV pool, which fails the call.
+	if _, err := ServeSweep(ServeSweepConfig{
 		System:   System{Model: "LLaMA-2-70B", Device: "A100", Framework: "vLLM"},
-		MaxBatch: 4, Requests: 4, RatePerSec: 1, InputMean: 128, OutputMean: 64,
-	}); err == nil {
+		MaxBatch: 4, Requests: 4, InputMean: 128, OutputMean: 64,
+	}, ServeGrid{Rates: []float64{1}}); err == nil {
 		t.Error("serving a 70B on one A100 must fail")
 	}
 }
 
-// TestInvalidKVBudgetRejected: a negative KVBudgetGiB used to fall
-// through the `budget > 0` guard and silently auto-size from device
-// memory (and +Inf overflowed the allocator's block count); every
-// serving entry point must reject non-finite and negative budgets.
-func TestInvalidKVBudgetRejected(t *testing.T) {
-	sys := System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"}
-	for _, budget := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := Serve(ServeConfig{
-			System: sys, Continuous: true, MaxBatch: 8, KVBudgetGiB: budget,
-			Requests: 4, RatePerSec: 1, InputMean: 128, OutputMean: 32,
-		}); err == nil || !strings.Contains(err.Error(), "invalid KV budget") {
-			t.Errorf("Serve(budget %v): want invalid-budget error, got %v", budget, err)
-		}
-	}
-	if _, err := ServeCluster(ClusterConfig{
-		System: sys, Replicas: 2, MaxBatch: 8, KVBudgetGiB: -0.5,
-		Requests: 4, RatePerSec: 1, InputMean: 128, OutputMean: 32,
-	}); err == nil || !strings.Contains(err.Error(), "invalid KV budget") {
-		t.Errorf("ServeCluster: want invalid-budget error, got %v", err)
-	}
-	if _, err := ServeAutoscale(AutoscaleConfig{
-		System: sys, MaxBatch: 8, KVBudgetGiB: -2,
-		MinReplicas: 1, MaxReplicas: 2, UpOutstanding: 8, DownIdleS: 3, CooldownS: 1,
-		Requests: 4, RatePerSec: 1, InputMean: 128, OutputMean: 32,
-	}); err == nil || !strings.Contains(err.Error(), "invalid KV budget") {
-		t.Errorf("ServeAutoscale: want invalid-budget error, got %v", err)
-	}
-	// Positive budgets still pass through unchanged.
-	if _, err := Serve(ServeConfig{
-		System: sys, Continuous: true, MaxBatch: 8, KVBudgetGiB: 4,
-		Requests: 4, RatePerSec: 1, InputMean: 128, OutputMean: 32,
-	}); err != nil {
-		t.Errorf("explicit positive budget must work: %v", err)
-	}
-}
-
 func TestServeClusterFacade(t *testing.T) {
-	stats, err := ServeCluster(ClusterConfig{
-		System:      System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
-		Replicas:    2,
-		LeastLoaded: true,
-		MaxBatch:    16,
-		Seed:        5, Requests: 30, RatePerSec: 6, InputMean: 256, OutputMean: 64,
-	})
+	pts, err := ServeSweep(ServeSweepConfig{
+		System:   System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		Replicas: 2, MaxBatch: 16,
+		Seed: 5, Requests: 30, InputMean: 256, OutputMean: 64,
+	}, ServeGrid{Rates: []float64{6}, Policies: []ServePolicy{{LeastLoaded: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Completed != 30 || len(stats.PerReplica) != 2 {
-		t.Errorf("cluster stats incomplete: %+v", stats.Stats)
-	}
-	if _, err := ServeCluster(ClusterConfig{Replicas: 0}); err == nil {
-		t.Error("zero replicas must fail")
-	}
-	if _, err := ServeCluster(ClusterConfig{
-		System: System{Model: "LLaMA-2-70B", Device: "A100", Framework: "vLLM"}, Replicas: 1,
-		MaxBatch: 4, Requests: 4, RatePerSec: 1, InputMean: 64, OutputMean: 16,
-	}); err == nil {
-		t.Error("a 70B model on one A100 replica must fail")
+	if p := pts[0]; p.Err != nil || p.Stats.Completed != 30 || len(p.PerReplica) != 2 {
+		t.Errorf("cluster point incomplete: %+v (err %v)", p.Stats, p.Err)
 	}
 }
 
 // TestServeClusterParallelismIdentical pins the root-level promise:
-// the Parallelism knob changes wall-clock behaviour only — the
-// returned Stats (every percentile, every per-replica share) are
-// byte-identical to the serial run.
+// the grid's worker budget changes wall-clock behaviour only. A
+// one-point sweep hands every worker to the point's kernel, and the
+// returned point (every percentile, every per-replica share, the
+// autoscaler's peak) is byte-identical to the serial run, for fixed
+// and autoscaled fleets alike.
 func TestServeClusterParallelismIdentical(t *testing.T) {
-	cfg := ClusterConfig{
-		System:      System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
-		Replicas:    3,
-		LeastLoaded: true,
-		MaxBatch:    8,
-		Seed:        7, Requests: 36, RatePerSec: 8, InputMean: 256, OutputMean: 96,
+	cfg := ServeSweepConfig{
+		System:   System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		Replicas: 3, MaxBatch: 8,
+		Seed: 7, Requests: 36, InputMean: 256, OutputMean: 96,
 	}
-	serial, err := ServeCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 4
-	parallel, err := ServeCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("parallel ServeCluster Stats differ from serial")
-	}
-	if serial.P50Latency <= 0 || serial.P95Latency < serial.P50Latency ||
-		serial.P99Latency < serial.P95Latency {
-		t.Errorf("latency percentiles inconsistent: %+v", serial.Stats)
-	}
-	if serial.P99QueueDelay < serial.P50QueueDelay {
-		t.Errorf("queue-delay percentiles inconsistent: %+v", serial.Stats)
+	for _, pol := range []ServePolicy{{LeastLoaded: true}, {Autoscale: true}} {
+		grid := ServeGrid{Rates: []float64{8}, Policies: []ServePolicy{pol}, Parallelism: 1}
+		serial, err := ServeSweep(cfg, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid.Parallelism = 4
+		parallel, err := ServeSweep(cfg, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial[0].Err != nil {
+			t.Fatalf("%v: %v", pol, serial[0].Err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%v: Parallelism 4 point differs from Parallelism 1", pol)
+		}
+		st := serial[0].Stats
+		if st.P50Latency <= 0 || st.P95Latency < st.P50Latency || st.P99Latency < st.P95Latency {
+			t.Errorf("%v: latency percentiles inconsistent: %+v", pol, st)
+		}
+		if st.P99QueueDelay < st.P50QueueDelay {
+			t.Errorf("%v: queue-delay percentiles inconsistent: %+v", pol, st)
+		}
 	}
 }
 
 func TestServeAutoscaleFacade(t *testing.T) {
-	stats, err := ServeAutoscale(AutoscaleConfig{
-		System:      System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
-		MaxBatch:    16,
-		MinReplicas: 1, MaxReplicas: 4,
+	pts, err := ServeSweep(ServeSweepConfig{
+		System:   System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		Replicas: 4, MaxBatch: 16,
 		UpOutstanding: 8, DownIdleS: 3, CooldownS: 1,
-		Parallelism: 2,
-		Seed:        9, Requests: 120, RatePerSec: 12, InputMean: 384, OutputMean: 96,
-		BurstFactor: 5, BurstLenS: 4,
+		Seed: 9, Requests: 120, InputMean: 384, OutputMean: 96, BurstLenS: 4,
+	}, ServeGrid{
+		Rates:        []float64{12},
+		Policies:     []ServePolicy{{Autoscale: true}},
+		BurstFactors: []float64{5},
+		Parallelism:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Completed != 120 {
-		t.Errorf("completed %d/120", stats.Completed)
+	p := pts[0]
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
-	if stats.PeakReplicas < 2 || stats.PeakReplicas > 4 {
-		t.Errorf("burst load must scale past 1 replica within Max: peak %d", stats.PeakReplicas)
+	if p.Stats.Completed != 120 {
+		t.Errorf("completed %d/120", p.Stats.Completed)
 	}
-	if len(stats.PerReplica) < stats.PeakReplicas {
-		t.Errorf("per-replica stats missing: %d < peak %d", len(stats.PerReplica), stats.PeakReplicas)
+	if p.PeakReplicas < 2 || p.PeakReplicas > 4 {
+		t.Errorf("burst load must scale past 1 replica within Max: peak %d", p.PeakReplicas)
 	}
-	if _, err := ServeAutoscale(AutoscaleConfig{
-		System: System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
-	}); err == nil {
-		t.Error("zero bounds must fail validation")
+	if len(p.PerReplica) < p.PeakReplicas {
+		t.Errorf("per-replica stats missing: %d < peak %d", len(p.PerReplica), p.PeakReplicas)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,7 +41,7 @@ type ServePolicy struct {
 	Prefix bool
 	// Autoscale grows the fleet from 1 replica up to the point's
 	// replica count under queue pressure instead of holding it fixed
-	// (see ServeAutoscale); the point's Replicas value becomes the
+	// (see internal/cluster); the point's Replicas value becomes the
 	// capacity ceiling. The autoscaler always routes least-loaded, so
 	// LeastLoaded is ignored when Autoscale is set.
 	Autoscale bool
@@ -254,8 +255,10 @@ type ServeGrid struct {
 	Schemes    []Scheme
 
 	// Parallelism bounds the sweep's worker count; values below 1
-	// mean GOMAXPROCS. Results are ordered by grid position
-	// regardless, so output is byte-identical at any setting.
+	// mean GOMAXPROCS. Workers beyond one per point advance each
+	// point's replicas on goroutines instead (see internal/des).
+	// Results are ordered by grid position regardless, so output is
+	// byte-identical at any setting.
 	Parallelism int
 }
 
@@ -540,6 +543,9 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 // Rates) — never by completion — so output is byte-identical at any
 // Parallelism.
 //
+// A one-position grid is a single deployment simulation: the point
+// gets the whole worker budget for its replicas.
+//
 // An invalid grid or trace shape fails the whole call. A combination
 // that fails to build fails only its own points through
 // ServeSweepPoint.Err, unless every combination fails, which fails
@@ -584,6 +590,14 @@ func ServeSweep(cfg ServeSweepConfig, grid ServeGrid) ([]ServeSweepPoint, error)
 	nMix := len(axes.mixes)
 	nRate := len(axes.rates)
 	out := make([]ServeSweepPoint, len(combos)*perCombo)
+	// Workers a point-level pool cannot use go to the kernels: a
+	// one-point sweep runs its replicas on every worker. Values ≤ 1 run
+	// serially, and kernel Stats are byte-identical at any setting.
+	workers := grid.Parallelism
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	kernelPar := workers / len(out)
 	_ = pool.ForEach(len(out), grid.Parallelism, func(i int) error {
 		combo := i / perCombo
 		rest := i % perCombo
@@ -621,7 +635,7 @@ func ServeSweep(cfg ServeSweepConfig, grid ServeGrid) ([]ServeSweepPoint, error)
 			// original per-rate seeding, keeping existing sweeps
 			// byte-identical.
 			traceIdx := ((shareIdx*nBurst+burstIdx)*nMix+mixIdx)*nRate + rateIdx
-			runServePoint(&p, c, engines[combo].eng, engines[combo].budget, cfg, axes, traceIdx)
+			runServePoint(&p, c, engines[combo].eng, engines[combo].budget, cfg, axes, traceIdx, kernelPar)
 		}
 		if cfg.LeanStats || cfg.StreamStats {
 			p.Stats.Requests = nil
@@ -689,13 +703,14 @@ func prefixTokensFor(share float64, inputMedian int) int {
 // determinism tests exercise exactly this path.
 var kernelScratch = sync.Pool{New: func() any { return new(des.Scratch) }}
 
-// runServePoint runs one grid point's simulation, recording failures
-// in p.Err. Each point owns its trace and allocators; the engine is
-// shared (engines are immutable and concurrency-safe). Every fixed
-// fleet — continuous or static — runs on the cluster kernel, so the
-// full Policies × Replicas grid is served without per-point gaps.
+// runServePoint runs one grid point's simulation on par kernel
+// goroutines, recording failures in p.Err. Each point owns its trace
+// and allocators; the engine is shared (engines are immutable and
+// concurrency-safe). Every fixed fleet — continuous or static — runs
+// on the cluster kernel, so the full Policies × Replicas grid is
+// served without per-point gaps.
 func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget float64,
-	cfg ServeSweepConfig, axes serveAxes, traceIdx int) {
+	cfg ServeSweepConfig, axes serveAxes, traceIdx, par int) {
 	trace, err := axes.pointTrace(cfg, p, traceIdx)
 	if err != nil {
 		p.Err = err
@@ -740,7 +755,7 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 			cluster.Config{
 				MaxBatch: p.MaxBatch, Static: p.Policy.Static,
 				ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-				Streaming: cfg.StreamStats, Scratch: scratch,
+				Parallelism: par, Streaming: cfg.StreamStats, Scratch: scratch,
 			},
 			cluster.Autoscale{
 				Factory: factory, Min: 1, Max: p.Replicas,
@@ -759,7 +774,7 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 		Policy: routePolicy(p.Policy), MaxBatch: p.MaxBatch,
 		Static:         p.Policy.Static,
 		ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-		Streaming: cfg.StreamStats, Scratch: scratch,
+		Parallelism: par, Streaming: cfg.StreamStats, Scratch: scratch,
 	}
 	if p.Policy.Disagg() {
 		// The policy's pool split is a ratio: the point's fleet must

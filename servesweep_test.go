@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"llmbench/internal/cluster"
+	"llmbench/internal/workload"
 )
 
 var serveSweepCfg = ServeSweepConfig{
@@ -14,9 +17,44 @@ var serveSweepCfg = ServeSweepConfig{
 	Seed:     7, Requests: 24, InputMean: 256, OutputMean: 64,
 }
 
+// directClusterServe hand-builds the cluster.Serve run of a fixed-fleet
+// point at a grid's first trace position: the base seed's Poisson
+// trace at rate, one cached engine, and a device-sized paged allocator
+// per replica. ccfg supplies the policy, batching, and batch cap.
+func directClusterServe(t *testing.T, cfg ServeSweepConfig, replicas int, ccfg cluster.Config, rate float64) cluster.Stats {
+	t.Helper()
+	eng, err := CachedEngine(cfg.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := servingKVBudget(cfg.System, cfg.KVBudgetGiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < replicas; i++ {
+		alloc, err := servingAlloc(cfg.System, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccfg.Replicas = append(ccfg.Replicas, cluster.Replica{Engine: eng, Alloc: alloc})
+	}
+	reqs, err := workload.PoissonTrace(workload.TraceConfig{
+		Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: rate,
+		InputMean: cfg.InputMean, OutputMean: cfg.OutputMean, LengthJitter: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cluster.Serve(ccfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestServeSweepGridOrderAndValues pins the axis nesting (Policies ▸
 // Replicas ▸ MaxBatches ▸ Rates) and that a continuous fixed-fleet
-// point is byte-identical to a direct ServeCluster run of the same
+// point is byte-identical to a direct cluster.Serve run of the same
 // configuration and trace.
 func TestServeSweepGridOrderAndValues(t *testing.T) {
 	grid := ServeGrid{
@@ -55,18 +93,11 @@ func TestServeSweepGridOrderAndValues(t *testing.T) {
 	}
 
 	// The first rate's trace seed equals the base seed, so the
-	// least-loaded 2-replica point must match ServeCluster exactly.
-	direct, err := ServeCluster(ClusterConfig{
-		System: serveSweepCfg.System, Replicas: 2, LeastLoaded: true, MaxBatch: 8,
-		Seed: serveSweepCfg.Seed, Requests: serveSweepCfg.Requests, RatePerSec: grid.Rates[0],
-		InputMean: serveSweepCfg.InputMean, OutputMean: serveSweepCfg.OutputMean,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// least-loaded 2-replica point must match cluster.Serve exactly.
+	direct := directClusterServe(t, serveSweepCfg, 2, cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 8}, grid.Rates[0])
 	p := pts[6] // policy {LeastLoaded}, replicas 2, rate 4
 	if !reflect.DeepEqual(p.Stats, direct.Stats) || !reflect.DeepEqual(p.PerReplica, direct.PerReplica) {
-		t.Error("sweep point differs from direct ServeCluster of the same configuration")
+		t.Error("sweep point differs from a direct cluster.Serve of the same configuration")
 	}
 }
 
@@ -173,7 +204,7 @@ func TestServeSweepPerPointErrors(t *testing.T) {
 
 // TestServeSweepStaticCluster: the Policies × Replicas grid has no
 // static hole left — multi-replica static points succeed, match a
-// direct static ServeCluster run byte for byte, and never preempt.
+// direct static cluster.Serve run byte for byte, and never preempt.
 func TestServeSweepStaticCluster(t *testing.T) {
 	grid := ServeGrid{
 		Rates:    []float64{6},
@@ -199,17 +230,10 @@ func TestServeSweepStaticCluster(t *testing.T) {
 			t.Errorf("static point %d has %d per-replica entries, want %d", i, len(p.PerReplica), p.Replicas)
 		}
 	}
-	direct, err := ServeCluster(ClusterConfig{
-		System: serveSweepCfg.System, Replicas: 2, Static: true, MaxBatch: 8,
-		Seed: serveSweepCfg.Seed, Requests: serveSweepCfg.Requests, RatePerSec: 6,
-		InputMean: serveSweepCfg.InputMean, OutputMean: serveSweepCfg.OutputMean,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := directClusterServe(t, serveSweepCfg, 2, cluster.Config{Static: true, MaxBatch: 8}, 6)
 	p := pts[1] // policy {Static}, replicas 2
 	if !reflect.DeepEqual(p.Stats, direct.Stats) || !reflect.DeepEqual(p.PerReplica, direct.PerReplica) {
-		t.Error("static sweep point differs from direct static ServeCluster of the same configuration")
+		t.Error("static sweep point differs from a direct static cluster.Serve of the same configuration")
 	}
 }
 
@@ -301,13 +325,28 @@ func TestServeSweepValidation(t *testing.T) {
 	if _, err := ServeSweep(noBatch, ServeGrid{Rates: []float64{1}}); err == nil {
 		t.Error("unset MaxBatch with no MaxBatches axis must fail")
 	}
-	for _, budget := range []float64{-4, math.NaN(), math.Inf(1)} {
+	// A negative budget must not fall through to auto-sizing, and +Inf
+	// must not overflow the allocator's block count: both the device
+	// and the host-tier budgets reject every non-finite or negative
+	// value.
+	for _, budget := range []float64{-1, -4, math.NaN(), math.Inf(1)} {
 		badBudget := base
 		badBudget.KVBudgetGiB = budget
 		if _, err := ServeSweep(badBudget, ServeGrid{Rates: []float64{1}}); err == nil ||
 			!strings.Contains(err.Error(), "invalid KV budget") {
 			t.Errorf("KV budget %v must be rejected, got %v", budget, err)
 		}
+		badHost := base
+		badHost.HostKVGiB = budget
+		if _, err := ServeSweep(badHost, ServeGrid{Rates: []float64{1}}); err == nil ||
+			!strings.Contains(err.Error(), "invalid KV budget") {
+			t.Errorf("host KV budget %v must be rejected, got %v", budget, err)
+		}
+	}
+	explicit := base
+	explicit.KVBudgetGiB = 4
+	if pts, err := ServeSweep(explicit, ServeGrid{Rates: []float64{1}}); err != nil || pts[0].Err != nil {
+		t.Errorf("explicit positive budget must work: %v %v", err, pts)
 	}
 	badTrace := base
 	badTrace.Requests = 0
