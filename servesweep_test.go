@@ -290,6 +290,42 @@ func TestServeSweepAutoscalePoint(t *testing.T) {
 	}
 }
 
+// TestInvalidKVBudgetRejected: a negative KVBudgetGiB used to fall
+// through the `budget > 0` guard and silently auto-size from device
+// memory (and +Inf overflowed the allocator's block count). Every
+// serving shape — one replica, a fixed fleet, an autoscaled fleet —
+// must reject non-finite and negative device and host-tier budgets.
+func TestInvalidKVBudgetRejected(t *testing.T) {
+	base := serveSweepCfg
+	grids := map[string]ServeGrid{
+		"single":    {Rates: []float64{1}},
+		"fleet":     {Rates: []float64{1}, Replicas: []int{2}, Policies: []ServePolicy{{LeastLoaded: true}}},
+		"autoscale": {Rates: []float64{1}, Replicas: []int{2}, Policies: []ServePolicy{{Autoscale: true}}},
+	}
+	for name, grid := range grids {
+		for _, budget := range []float64{-1, -0.5, math.NaN(), math.Inf(1)} {
+			badBudget := base
+			badBudget.KVBudgetGiB = budget
+			if _, err := ServeSweep(badBudget, grid); err == nil ||
+				!strings.Contains(err.Error(), "invalid KV budget") {
+				t.Errorf("%s: KV budget %v must be rejected, got %v", name, budget, err)
+			}
+			badHost := base
+			badHost.HostKVGiB = budget
+			if _, err := ServeSweep(badHost, grid); err == nil ||
+				!strings.Contains(err.Error(), "invalid KV budget") {
+				t.Errorf("%s: host KV budget %v must be rejected, got %v", name, budget, err)
+			}
+		}
+		// Positive budgets still pass through unchanged.
+		explicit := base
+		explicit.KVBudgetGiB = 4
+		if pts, err := ServeSweep(explicit, grid); err != nil || pts[0].Err != nil {
+			t.Errorf("%s: explicit positive budget must work: %v %v", name, err, pts)
+		}
+	}
+}
+
 func TestServeSweepValidation(t *testing.T) {
 	base := serveSweepCfg
 	cases := []struct {
