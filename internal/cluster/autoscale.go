@@ -5,9 +5,10 @@ package cluster
 // idle — the operational layer a production deployment puts on top of
 // the per-accelerator numbers this benchmark produces. The policy is
 // a scale-tick event handler on the shared kernel (internal/des):
-// ticks fire immediately before each arrival, so window bounds at the
-// next arrival also keep the scaling trajectory byte-identical
-// between the coalesced, stepped, serial, and parallel paths.
+// ticks fire immediately before each arrival, and a coalesced window
+// changes nothing the handler reads before its last step, so the
+// scaling trajectory is byte-identical between the coalesced,
+// stepped, serial, and parallel paths.
 
 import (
 	"errors"

@@ -86,8 +86,8 @@ func autoscaleFactory(t *testing.T) func() (Replica, error) {
 }
 
 // TestAutoscaleCoalescedMatchesStepped extends the equivalence to the
-// autoscaler: scaling decisions fire at arrival events, windows are
-// bounded by the next arrival, so the whole scaling trajectory —
+// autoscaler: scaling decisions fire at arrival events and read no
+// state an open window changes, so the whole scaling trajectory —
 // events, peak, and every request stat — must match the stepped path.
 func TestAutoscaleCoalescedMatchesStepped(t *testing.T) {
 	as := Autoscale{

@@ -37,7 +37,7 @@ func allocTestStation(t *testing.T, cfg Config, capGiB float64) *Station {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Station{ID: 0, Engine: eng, Alloc: alloc, cfg: cfg, nextAt: -1, xferCut: -1}
+	return &Station{ID: 0, Engine: eng, Alloc: alloc, cfg: cfg, nextAt: -1}
 }
 
 // stationCycle admits a wave of requests and advances the station
@@ -51,7 +51,7 @@ func stationCycle(t *testing.T, s *Station, reqs []workload.Request) func() {
 			s.enqueue(queued{req: r})
 		}
 		s.nextAt = 0
-		s.advance(math.Inf(1), nil)
+		s.advance(math.Inf(1))
 		if s.err != nil {
 			t.Fatal(s.err)
 		}
@@ -111,7 +111,7 @@ func TestStationStepPrefillSteadyStateAllocs(t *testing.T) {
 			s.enqueue(queued{req: r})
 		}
 		s.nextAt = 0
-		s.advance(math.Inf(1), nil)
+		s.advance(math.Inf(1))
 		if s.err != nil {
 			t.Fatal(s.err)
 		}
@@ -141,7 +141,7 @@ func TestStationStepDecodeSteadyStateAllocs(t *testing.T) {
 			}})
 		}
 		s.nextAt = 0
-		s.advance(math.Inf(1), nil)
+		s.advance(math.Inf(1))
 		if s.err != nil {
 			t.Fatal(s.err)
 		}

@@ -18,9 +18,18 @@
 //   - window-exhausted: a station's next scheduler iteration is due —
 //     either a single stepped iteration (Config.Stepped) or a
 //     coalesced fast-forward over every identical decode iteration up
-//     to the next state change (CoalesceWindow). Coalescing is the
-//     kernel's only stepping primitive; Stepped is a kernel mode that
-//     caps every window at one iteration. Static stations
+//     to the station's next completion or KV headroom limit
+//     (CoalesceWindow). A coalesced window opens whole and applies
+//     nothing until its last step starts: that instant is its event
+//     time, and the event commits every step, completions included.
+//     A delivery (arrival or kv-transfer) to the station cuts the open
+//     window instead: the steps up to the first boundary at or after
+//     the delivery commit, and admission runs at that boundary —
+//     exactly where a stepped run would admit. Deliveries to other
+//     stations leave the window alone: until its last step nothing a
+//     router or autoscaler reads on the station changes. Coalescing is
+//     the kernel's only stepping primitive; Stepped is a kernel mode
+//     that caps every window at one iteration. Static stations
 //     (Config.Static) degenerate to one window per batch: admission
 //     happens only at batch boundaries, so the whole run-to-completion
 //     is one event that no arrival can cut.
@@ -74,12 +83,13 @@
 // conservative by never extending past the transfer horizon — the
 // earliest instant any not-yet-generated transfer could deliver
 // (every awake prefill station's next event time plus the
-// interconnect latency floor, see transferHorizon) — and decode
-// stations' coalesced windows are cut at the same bound (xferCut), so
-// a window never fast-forwards across a delivery that could change
-// admission. Transfers generated inside a barrier are parked on their
-// station (Station.xfers) and merged into the kernel's pending queue
-// serially after the join, keeping station advances share-nothing.
+// interconnect latency floor, see transferHorizon). Decode stations'
+// coalesced windows need no bound of their own: a delivery cuts the
+// receiving station's open window when it is enqueued, serially on
+// the kernel's goroutine. Transfers generated inside a barrier are
+// parked on their station (Station.xfers) and merged into the
+// kernel's pending queue serially after the join, keeping station
+// advances share-nothing.
 //
 // # Performance notes
 //
@@ -100,12 +110,13 @@
 //     sub-request draws a fresh record from the decode station's
 //     slab. A policy layer must never thread a record across the
 //     pool boundary.
-//   - Each station keeps a monotone cursor into the sorted arrival
-//     array (Station.nextArrival). The cursor relies on station event
-//     times never decreasing: events only move the clock forward and
-//     an idle station is woken at the current barrier, never earlier.
-//     Anything that rewinds a station's clock must re-anchor or reset
-//     arrCur (Station.reset does).
+//   - A coalesced window is cut only by a delivery to its own
+//     station, so under dense fleet-wide arrivals a window still runs
+//     to its last step in one event and pays one MaxExtendSteps bound
+//     plus one Extend per running sequence. The open window is
+//     station state between events (Station.win), committed at its
+//     last step's start or at a cut. Its step costs are summed once,
+//     when it opens; only a cut walks them again.
 //   - The kernel tracks awake stations (nextAt ≥ 0, plus — on
 //     streaming runs — stations with unflushed completions)
 //     incrementally, so barriers cost O(awake), not O(stations), and
@@ -224,7 +235,6 @@ type Kernel struct {
 	cfg      Config
 	ran      bool
 	stations []*Station
-	arrivals []float64      // sorted arrival times (window bounds)
 	due      []int          // reused per-barrier due-station index buffer
 	awake    []int          // stations with pending work (see advanceAll)
 	flushBuf []RequestStats // reused Sink merge buffer
@@ -239,7 +249,6 @@ type Kernel struct {
 	phead      int
 	hasPrefill bool
 	minXfer    float64 // Transfer.LatencyS, the lookahead floor
-	cut        float64 // current barrier's window cut; -1 when aggregated
 }
 
 // New creates an empty kernel.
@@ -265,7 +274,6 @@ func (k *Kernel) NewStation(eng *engine.Engine, alloc kvcache.Allocator) *Statio
 	s.disc, _ = alloc.(kvcache.PrefillDiscounter)
 	s.cfg = k.cfg
 	s.nextAt = -1
-	s.xferCut = -1
 	k.stations = append(k.stations, s)
 	return s
 }
@@ -286,6 +294,33 @@ func (k *Kernel) NewPoolStation(eng *engine.Engine, alloc kvcache.Allocator, rol
 // Stations returns the live station list (including retired ones), in
 // creation order.
 func (k *Kernel) Stations() []*Station { return k.stations }
+
+// EventCounts tallies a run's window-exhausted work across every
+// station. The counts describe how the kernel got to its Result, not
+// the Result itself — a Stepped run and a coalesced run agree on
+// DecodeSteps but not on Windows — so they live on the Kernel.
+type EventCounts struct {
+	// Windows counts coalesced decode windows opened; always zero in
+	// Stepped mode.
+	Windows int
+	// DecodeSteps counts decode iterations executed, coalesced or
+	// stepped.
+	DecodeSteps int
+	// Cuts counts open windows cut short by a delivery to their
+	// station.
+	Cuts int
+}
+
+// Counts reports the kernel's event counts; read it after Run.
+func (k *Kernel) Counts() EventCounts {
+	var c EventCounts
+	for _, s := range k.stations {
+		c.Windows += s.windows
+		c.DecodeSteps += s.steps
+		c.Cuts += s.cuts
+	}
+	return c
+}
 
 // StationResult summarises one station after Run.
 type StationResult struct {
@@ -371,7 +406,6 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			return Result{}, fmt.Errorf("des: station %d incomplete", s.ID)
 		}
 	}
-	k.cut = -1
 	if k.hasPrefill {
 		// Pool roles ride the plain continuous admission path: static
 		// batching has no per-iteration decode events for the decode
@@ -411,18 +445,12 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		copy(ordered, reqs)
 		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
 	}
-	if cap(k.arrivals) >= len(ordered) {
-		k.arrivals = k.arrivals[:len(ordered)]
-	} else {
-		k.arrivals = make([]float64, len(ordered))
-	}
-	for i, r := range ordered {
+	for _, r := range ordered {
 		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
 			// A NaN arrival would never compare equal to the barrier
 			// time and the delivery loop would spin forever.
 			return Result{}, fmt.Errorf("des: request %d has non-finite arrival %v", r.ID, r.Arrival)
 		}
-		k.arrivals[i] = r.Arrival
 	}
 
 	for i := 0; ; {
@@ -440,14 +468,12 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		// strictly before the next delivery is independent of it. In a
 		// disaggregated fleet the barrier additionally stops at the
 		// transfer horizon — a prefill event inside the window could
-		// generate a delivery earlier than t — and decode windows are
-		// cut at the same bound (xferCut, applied by advanceAll).
+		// generate a delivery earlier than t.
 		bound := t
 		if k.hasPrefill {
 			if h := k.transferHorizon(); h < bound {
 				bound = h
 			}
-			k.cut = bound
 		}
 		if err := k.advanceAll(bound); err != nil {
 			return Result{}, err
@@ -477,8 +503,7 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: router returned no station")
 			}
-			s.enqueue(queued{req: ordered[i]})
-			k.wake(s, t) // an idle station wakes at the arrival instant
+			k.deliver(s, queued{req: ordered[i]}, t)
 			i++
 		}
 		for k.phead < len(k.pending) && k.pending[k.phead].at == t {
@@ -491,12 +516,21 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: transfer router returned no station")
 			}
-			s.enqueue(queued{req: x.req, decode: true, carry: x.stats})
-			k.wake(s, t)
+			k.deliver(s, queued{req: x.req, decode: true, carry: x.stats}, t)
 		}
 	}
 
 	return k.collect(), nil
+}
+
+// deliver hands a routed arrival or kv-transfer to its station at t:
+// an idle station wakes at t, and a station inside an open coalesced
+// window cuts it at the first step boundary at or after t, where the
+// request can be admitted.
+func (k *Kernel) deliver(s *Station, q queued, t float64) {
+	s.enqueue(q)
+	k.wake(s, t)
+	s.cut(t)
 }
 
 // flush streams every completion that can no longer be reordered out
@@ -545,8 +579,8 @@ func (k *Kernel) flush(barrier float64) {
 
 // advanceAll runs every due station's events up to (strictly before)
 // the barrier, serially or on the persistent workers. Stations touch
-// only their own state plus the immutable arrival times and the
-// engine's concurrency-safe memo tables, so the two modes are
+// only their own state and the engine's concurrency-safe memo tables,
+// so the two modes are
 // byte-identical; error selection is by lowest (event time, station
 // ID), a total order that cannot depend on scheduling. Only awake
 // stations are examined: the set holds exactly the stations with a
@@ -565,12 +599,6 @@ func (k *Kernel) advanceAll(barrier float64) error {
 	k.due = k.due[:0]
 	for _, i := range k.awake {
 		if s := stations[i]; s.nextAt >= 0 && s.nextAt < barrier {
-			// In a disaggregated fleet, coalesced windows must not
-			// fast-forward past the earliest possible kv-transfer
-			// delivery; the kernel stamps the bound on each due station
-			// here (serially, before any fan-out) and step() cuts at
-			// it. -1 — always, for aggregated fleets — means no cut.
-			s.xferCut = k.cut
 			k.due = append(k.due, i)
 		}
 	}
@@ -578,7 +606,7 @@ func (k *Kernel) advanceAll(barrier float64) error {
 		k.workers.run(k, barrier)
 	} else {
 		for _, i := range k.due {
-			stations[i].advance(barrier, k.arrivals)
+			stations[i].advance(barrier)
 		}
 	}
 	// Drop settled stations from the awake set: idle (a streaming

@@ -358,7 +358,7 @@ func TestCoalesceWindowBounds(t *testing.T) {
 	}
 
 	// Unconstrained: the window is the full completion bound.
-	w, err := des.CoalesceWindow(eng, alloc, ids, 2, 350, 100, 0, -1)
+	w, err := des.CoalesceWindow(eng, alloc, ids, 2, 350, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,23 +375,8 @@ func TestCoalesceWindowBounds(t *testing.T) {
 		}
 	}
 
-	// Arrival cut: the window must stop at the first step whose end
-	// reaches the arrival.
-	total := 0.0
-	cut := 0
-	for i, c := range w {
-		total += c
-		if cut == 0 && total >= w[0]*10.5 {
-			cut = i + 1
-		}
-	}
-	arr, err := des.CoalesceWindow(eng, alloc, ids, 2, 350, 100, 0, w[0]*10.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arr) != cut {
-		t.Errorf("arrival-cut window %d, want %d", len(arr), cut)
-	}
+	// The arrival cut is the station's (Station.cut), not the
+	// pricer's; TestStationCutBoundary checks it on this same window.
 
 	// Allocator cut: a pool with room for only a few more blocks bounds
 	// the window at exactly MaxExtendSteps.
@@ -408,7 +393,7 @@ func TestCoalesceWindowBounds(t *testing.T) {
 	if headroom >= 100 || headroom < 2 {
 		t.Fatalf("test setup: headroom %d, want a small window ≥ 2", headroom)
 	}
-	cutw, err := des.CoalesceWindow(eng, tiny, tinyIDs, 2, 350, 100, 0, -1)
+	cutw, err := des.CoalesceWindow(eng, tiny, tinyIDs, 2, 350, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +403,7 @@ func TestCoalesceWindowBounds(t *testing.T) {
 
 	// Degenerate bounds fall back to stepped (empty window).
 	for _, kMax := range []int{0, 1} {
-		if w, err := des.CoalesceWindow(eng, alloc, ids, 2, 350, kMax, 0, -1); err != nil || len(w) != 0 {
+		if w, err := des.CoalesceWindow(eng, alloc, ids, 2, 350, kMax); err != nil || len(w) != 0 {
 			t.Errorf("kMax %d: window %d (err %v), want empty", kMax, len(w), err)
 		}
 	}

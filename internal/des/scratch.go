@@ -21,7 +21,6 @@ package des
 // so a swept grid stays byte-identical with or without recycling.
 type Scratch struct {
 	stations []*Station
-	arrivals []float64
 	due      []int
 	awake    []int
 	flushBuf []RequestStats
@@ -36,12 +35,11 @@ func (k *Kernel) Reuse(sc *Scratch) {
 		return
 	}
 	k.scratch = sc
-	k.arrivals = sc.arrivals[:0]
 	k.due = sc.due[:0]
 	k.awake = sc.awake[:0]
 	k.flushBuf = sc.flushBuf[:0]
 	k.pending = sc.pending[:0]
-	sc.arrivals, sc.due, sc.awake, sc.flushBuf, sc.pending = nil, nil, nil, nil, nil
+	sc.due, sc.awake, sc.flushBuf, sc.pending = nil, nil, nil, nil
 }
 
 // Release returns k's buffers and station shells to the Scratch
@@ -65,13 +63,13 @@ func (k *Kernel) Release() {
 		s.run = s.run[:0]
 		s.Engine, s.Alloc, s.disc = nil, nil, nil
 		s.pricer = pricer{} // drop the snapshot so the arena cannot pin engine memo arrays
+		s.win = nil
 		sc.stations = append(sc.stations, s)
 	}
 	k.stations = nil
-	sc.arrivals = k.arrivals
 	sc.due = k.due
 	sc.awake = k.awake
 	sc.flushBuf = k.flushBuf
 	sc.pending = k.pending[:0] // abandoned transfers hold no pointers
-	k.arrivals, k.due, k.awake, k.flushBuf, k.pending = nil, nil, nil, nil, nil
+	k.due, k.awake, k.flushBuf, k.pending = nil, nil, nil, nil
 }

@@ -71,12 +71,23 @@ type Station struct {
 	// guards against double registration).
 	awake bool
 
-	// arrCur is the station's monotone cursor into the kernel's
-	// sorted arrival array: every arrival before it is ≤ some past
-	// event time. Station event times never decrease, so the
-	// next-arrival lookup advances the cursor instead of binary
-	// searching the full trace at every window event.
-	arrCur int
+	// win is the open coalesced window: the per-step costs of its
+	// decode iterations (a view of an immutable engine snapshot),
+	// starting at winAt. Nothing in it is applied until it commits —
+	// whole at its last step's start (nextAt), or in part when a
+	// delivery cuts it (cut). winEnd, winBusy and winMax are the
+	// uncut commit's end time, busy total and longest step, summed
+	// once when the window opens. Empty when no window is open.
+	win     []float64
+	winAt   float64
+	winEnd  float64
+	winBusy float64
+	winMax  float64
+
+	// windows, steps and cuts count coalesced windows opened, decode
+	// iterations executed (coalesced or stepped) and open windows cut
+	// by a delivery; Kernel.Counts sums them.
+	windows, steps, cuts int
 
 	seqs     []kvcache.Seq // reused sequence-handle buffer
 	decoding []*runReq     // reused chunked-mode partition buffer
@@ -99,12 +110,6 @@ type Station struct {
 	// stations never touch shared state mid-barrier.
 	xfers       []transfer
 	transferred int
-	// xferCut is the current barrier's delivery bound: coalesced
-	// windows must not fast-forward past it, because a kv-transfer
-	// delivery there could change admission. Stamped by the kernel
-	// before each barrier; -1 (always, on aggregated fleets) means no
-	// cut.
-	xferCut float64
 }
 
 // queued is a waiting request; preempted counts prior evictions so
@@ -188,12 +193,12 @@ func (s *Station) reset() {
 	s.finHead = 0
 	s.err, s.errAt = nil, 0
 	s.awake = false
-	s.arrCur = 0
+	s.win = nil
+	s.windows, s.steps, s.cuts = 0, 0, 0
 	s.pricer = pricer{}
 	s.role = RoleBoth
 	s.xfers = s.xfers[:0]
 	s.transferred = 0
-	s.xferCut = -1
 }
 
 // queueLen is the number of live queued requests.
@@ -257,18 +262,10 @@ func (s *Station) enqueue(q queued) {
 // advance runs the station's due events up to (strictly before) the
 // barrier. Everything it touches is station-local or immutable, so
 // concurrent advances of different stations are race-free.
-func (s *Station) advance(barrier float64, arrivals []float64) {
+func (s *Station) advance(barrier float64) {
 	for s.err == nil && s.nextAt >= 0 && s.nextAt < barrier {
 		now := s.nextAt
-		// The coalescing cut is the earlier of the next trace arrival
-		// and the barrier's kv-transfer delivery bound (xferCut, -1 on
-		// aggregated fleets): a window may not fast-forward across
-		// either kind of delivery.
-		na := s.nextArrival(arrivals, now)
-		if s.xferCut >= 0 && (na < 0 || s.xferCut < na) {
-			na = s.xferCut
-		}
-		end, err := s.step(now, na)
+		end, err := s.step(now)
 		if err != nil {
 			s.err, s.errAt = err, now
 			return
@@ -288,36 +285,90 @@ func (s *Station) advance(barrier float64, arrivals []float64) {
 	}
 }
 
-// nextArrival returns the earliest arrival strictly after now, or -1
-// when none remain — the bound that keeps coalesced windows from
-// crossing a routing decision. A station's event times are monotone
-// (events only move the clock forward, and an idle station wakes at
-// the current barrier, never earlier), so the cursor only advances:
-// the lookup is amortised O(1) per event instead of a binary search
-// over the full trace. A cursor that somehow overshot (which the
-// monotonicity invariant rules out) is re-anchored by binary search
-// rather than trusted.
-func (s *Station) nextArrival(arrivals []float64, now float64) float64 {
-	i := s.arrCur
-	if i > 0 && arrivals[i-1] > now {
-		i = sort.SearchFloat64s(arrivals, now)
+// cut closes the open window, if any, because a request was just
+// delivered to the station at t: the first j steps — up to the first
+// step boundary at or after t, where the delivered request is
+// admitted — are applied and the station's next event moves to that
+// boundary. The kernel only delivers at t after advancing every event
+// before t, so the window's last step starts at or after t: j is
+// below the window length and a cut never completes a request.
+// Called on the kernel's goroutine between barriers.
+func (s *Station) cut(t float64) {
+	if len(s.win) == 0 {
+		return
 	}
-	for i < len(arrivals) && arrivals[i] <= now {
-		i++
+	end := s.winAt
+	for j, c := range s.win {
+		if c > s.maxIter {
+			s.maxIter = c
+		}
+		end += c
+		s.busy += c
+		if end >= t {
+			s.cuts++
+			s.nextAt = end
+			if err := s.commit(j+1, end); err != nil {
+				s.err, s.errAt = err, t
+			}
+			return
+		}
 	}
-	s.arrCur = i
-	if i == len(arrivals) {
-		return -1
+}
+
+// commit applies k decode steps of the open window, ending at end,
+// to the running set and closes the window; the caller has already
+// charged their busy and maxIter. One batched Extend to each final
+// context: headroom was verified for the whole window, so none of
+// these can OOM, and the allocator lands in the same state as k
+// single-token extends.
+func (s *Station) commit(k int, end float64) error {
+	s.win = nil
+	s.steps += k
+	next := s.run[:0]
+	for _, r := range s.run {
+		r.generated += k
+		if s.cfg.Preemptive {
+			// Preemptive bookkeeping extends before the completion
+			// check, exactly as its stepped path does: the completing
+			// step still grows the reservation.
+			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+				return err
+			}
+			if r.generated >= r.req.Output {
+				s.finish(r, end)
+				continue
+			}
+		} else {
+			if r.generated >= r.req.Output {
+				s.finish(r, end)
+				continue
+			}
+			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+				return err
+			}
+		}
+		next = append(next, r)
 	}
-	return arrivals[i]
+	s.run = next
+	return nil
 }
 
 // step runs one window-exhausted event at time now: admission from
-// the queue head, then either a coalesced fast-forward over every
-// identical decode iteration up to the next state change or a single
-// reference iteration. It returns the event's end time (== now when
+// the queue head, then either a single reference iteration or the
+// opening of a coalesced window over every identical decode iteration
+// up to the next state change. An open window applies nothing yet: it
+// returns the start of its last step as the event time, and the step
+// that runs there commits the whole window (see cut for the early
+// commit on a delivery). It returns the event's end time (== now when
 // the station stays idle).
-func (s *Station) step(now, nextArrival float64) (float64, error) {
+func (s *Station) step(now float64) (float64, error) {
+	if len(s.win) > 0 {
+		if s.winMax > s.maxIter {
+			s.maxIter = s.winMax
+		}
+		s.busy = s.winBusy
+		return s.winEnd, s.commit(len(s.win), s.winEnd)
+	}
 	if s.cfg.Static {
 		return s.stepStatic(now)
 	}
@@ -454,8 +505,11 @@ func (s *Station) step(now, nextArrival float64) (float64, error) {
 	// first iteration stepped. Admission cannot unblock mid-window
 	// (free blocks only shrink and the running set only shrinks at
 	// completions, which bound the window), so an already-arrived but
-	// blocked queue head does not cut the window — only a future
-	// arrival does, because it may change a routing decision.
+	// blocked queue head does not cut the window — only a delivery to
+	// this station does (cut). Nothing a router or autoscaler reads
+	// changes before the last step: Outstanding is fixed, no prompt is
+	// chunking, and Extend grows private blocks only, so the prefix
+	// gauges are fixed too.
 	if !s.cfg.Stepped && prefilling == nil && len(admitted) == 0 {
 		kMax := s.run[0].req.Output - s.run[0].generated
 		ctxSum := 0
@@ -473,51 +527,28 @@ func (s *Station) step(now, nextArrival float64) (float64, error) {
 		}
 		if kMax > 0 {
 			window, err := s.pricer.coalesce(s.Engine, s.Alloc, s.seqs,
-				len(s.run), ctxSum/len(s.run), kMax, now, nextArrival)
+				len(s.run), ctxSum/len(s.run), kMax)
 			if err != nil {
 				return 0, err
 			}
-			if k := len(window); k > 0 {
-				end := now
+			if len(window) > 0 {
+				// One pass over the costs, left to right as the stepped
+				// path adds them, so every timestamp is bit-identical:
+				// the last step's start (the event time), the end, the
+				// busy total and the longest step.
+				lastStart, end, busy, mx := now, now, s.busy, 0.0
 				for _, c := range window {
-					if c > s.maxIter {
-						s.maxIter = c
+					if c > mx {
+						mx = c
 					}
+					lastStart = end
 					end += c
-					s.busy += c
+					busy += c
 				}
-				// One batched Extend to each final context: headroom
-				// was verified for the whole window, so none of these
-				// can OOM, and the allocator lands in the same state
-				// as k single-token extends.
-				next := s.run[:0]
-				for _, r := range s.run {
-					r.generated += k
-					if s.cfg.Preemptive {
-						// Preemptive bookkeeping extends before the
-						// completion check, exactly as its stepped
-						// path does: the completing step still grows
-						// the reservation.
-						if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-							return 0, err
-						}
-						if r.generated >= r.req.Output {
-							s.finish(r, end)
-							continue
-						}
-					} else {
-						if r.generated >= r.req.Output {
-							s.finish(r, end)
-							continue
-						}
-						if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-							return 0, err
-						}
-					}
-					next = append(next, r)
-				}
-				s.run = next
-				return end, nil
+				s.win, s.winAt = window, now
+				s.winEnd, s.winBusy, s.winMax = end, busy, mx
+				s.windows++
+				return lastStart, nil
 			}
 		}
 	}
@@ -552,8 +583,11 @@ func (s *Station) step(now, nextArrival float64) (float64, error) {
 			prefilling.generated = 1
 		}
 	}
-	if len(decoding) > 0 && step > s.maxIter {
-		s.maxIter = step
+	if len(decoding) > 0 {
+		s.steps++
+		if step > s.maxIter {
+			s.maxIter = step
+		}
 	}
 	end := now + step
 	s.busy += step

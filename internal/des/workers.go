@@ -24,7 +24,6 @@ import (
 type stationWorkers struct {
 	barrier  float64
 	stations []*Station
-	arrivals []float64
 	due      []int
 	cursor   atomic.Int64
 
@@ -50,7 +49,7 @@ func (k *Kernel) startWorkers(n int) {
 					if j >= len(w.due) {
 						break
 					}
-					w.stations[w.due[j]].advance(w.barrier, w.arrivals)
+					w.stations[w.due[j]].advance(w.barrier)
 				}
 				w.join.Done()
 			}
@@ -64,7 +63,6 @@ func (k *Kernel) startWorkers(n int) {
 func (w *stationWorkers) run(k *Kernel, barrier float64) {
 	w.barrier = barrier
 	w.stations = k.stations
-	w.arrivals = k.arrivals
 	w.due = k.due
 	w.cursor.Store(0)
 	n := len(w.start)

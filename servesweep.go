@@ -37,13 +37,14 @@ type ServePolicy struct {
 	// longest expected prefix-cache hit — hot prefixes beat
 	// host-tier-restorable ones beat cold replicas. With prefix-blind
 	// allocators (no PrefixShares axis) it degrades to least-loaded.
-	// Mutually exclusive with LeastLoaded.
+	// Mutually exclusive with LeastLoaded and Autoscale.
 	Prefix bool
 	// Autoscale grows the fleet from 1 replica up to the point's
 	// replica count under queue pressure instead of holding it fixed
 	// (see internal/cluster); the point's Replicas value becomes the
 	// capacity ceiling. The autoscaler always routes least-loaded, so
-	// LeastLoaded is ignored when Autoscale is set.
+	// LeastLoaded changes only the policy's name when Autoscale is
+	// set, and Prefix is rejected (ErrPrefixAutoscale).
 	Autoscale bool
 
 	// PrefillPool and DecodePool select the serving topology. Both
@@ -75,9 +76,11 @@ func (p ServePolicy) String() string {
 		topo = fmt.Sprintf("/disagg/%d:%d", p.PrefillPool, p.DecodePool)
 	}
 	switch {
+	case p.Autoscale && p.LeastLoaded:
+		// The autoscaler always routes least-loaded; the flag is
+		// spelled out only so the round-trip holds.
+		return batching + "/ll/auto" + topo
 	case p.Autoscale:
-		// The autoscaler's router is least-loaded regardless of the
-		// LeastLoaded and Prefix flags.
 		return batching + "/auto" + topo
 	case p.Prefix:
 		return batching + "/prefix" + topo
@@ -87,6 +90,11 @@ func (p ServePolicy) String() string {
 	return batching + "/rr" + topo
 }
 
+// ErrPrefixAutoscale rejects a policy that asks for prefix routing on
+// an autoscaled fleet: the autoscaler always routes least-loaded, so
+// the Prefix flag would be silently ignored.
+var ErrPrefixAutoscale = errors.New("llmbench: prefix routing does not compose with autoscaling (the autoscaler routes least-loaded)")
+
 // validate rejects policy combinations the simulators do not support.
 // ParseServePolicy applies it at parse time and resolveServeAxes at
 // sweep time, so a programmatically built grid fails identically to a
@@ -94,6 +102,9 @@ func (p ServePolicy) String() string {
 func (p ServePolicy) validate() error {
 	if p.Prefix && p.LeastLoaded {
 		return errors.New("llmbench: Prefix and LeastLoaded are mutually exclusive routing policies")
+	}
+	if p.Prefix && p.Autoscale {
+		return ErrPrefixAutoscale
 	}
 	if !p.Disagg() {
 		return nil

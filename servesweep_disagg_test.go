@@ -22,6 +22,7 @@ func TestServePolicyStringParseRoundTrip(t *testing.T) {
 		{Static: true},
 		{Static: true, LeastLoaded: true},
 		{Autoscale: true},
+		{LeastLoaded: true, Autoscale: true},
 		{Static: true, Autoscale: true},
 		{PrefillPool: 1, DecodePool: 3},
 		{LeastLoaded: true, PrefillPool: 2, DecodePool: 6},
@@ -67,11 +68,26 @@ func TestServePolicyStringParseRoundTrip(t *testing.T) {
 		"disagg/2:6:autoscale", // autoscale does not compose with disagg
 		"static/disagg/1:3",    // static does not compose with disagg
 		"continuous/fifo",      // unknown token
+		"prefix/auto",          // the autoscaler routes least-loaded
 	}
 	for _, s := range bad {
 		if _, err := ParseServePolicy(s); err == nil {
 			t.Errorf("%q parsed without error, want reject", s)
 		}
+	}
+	if _, err := ParseServePolicy("prefix/auto"); !errors.Is(err, ErrPrefixAutoscale) {
+		t.Errorf("prefix/auto: err %v, want ErrPrefixAutoscale", err)
+	}
+	// A programmatically built grid fails the same way at sweep time.
+	_, err := ServeSweep(ServeSweepConfig{
+		System:   System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		MaxBatch: 16, Requests: 8, InputMean: 64, OutputMean: 16,
+	}, ServeGrid{Rates: []float64{4}, Policies: []ServePolicy{{Prefix: true, Autoscale: true}}})
+	if !errors.Is(err, ErrPrefixAutoscale) {
+		t.Errorf("ServeSweep with {Prefix, Autoscale}: err %v, want ErrPrefixAutoscale", err)
+	}
+	if got := (ServePolicy{Autoscale: true}).String(); got != "continuous/auto" {
+		t.Errorf("{Autoscale}.String() = %q, want continuous/auto", got)
 	}
 }
 
