@@ -594,7 +594,7 @@ func benchReport(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Report(parallelism); err != nil {
+		if _, err := VerifyAnchors(parallelism); err != nil {
 			b.Fatal(err)
 		}
 	}

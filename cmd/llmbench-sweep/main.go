@@ -5,23 +5,21 @@
 // ITL, and power.
 //
 // With -serve the sweep turns into a serving-capacity grid on the
-// discrete-event simulators: arrival rates × replica counts × batch
-// caps × scheduling policies — optionally × trace shape (-bursts
-// burst factors and -mixes input:output length medians switch the
-// traffic from plain Poisson to bursty heavy-tailed chat arrivals) —
-// printing throughput, latency and queue-delay percentiles, and
-// preemptions per point. Policy entries also select the serving
-// topology: disagg/<p>:<d> splits each point's fleet into prefill and
-// decode pools in that ratio, with KV hand-offs priced over the
-// device interconnect, and adds a mean transfer-delay column.
+// discrete-event simulators — arrival rates × replica counts × batch
+// caps × scheduling policies, optionally × trace shape and shared
+// prefix — printing throughput, latency and queue-delay percentiles,
+// and preemptions per point. Shape, prefix and disagg topology axes
+// add their own columns (burst and length mix, prefix share and
+// cache-hit rate, mean KV transfer delay).
 //
-// -prefix-shares adds a shared-system-prompt axis: each share s in
-// [0, 1) prepends a fleet-wide prefix of s×(input median) tokens to
-// every request and equips every replica with a tiered prefix cache
-// (GPU prefix blocks, CPU offload tier sized by -hostkv, restores
-// priced over the device's host link). The prefix routing policy
-// (-policies ...,prefix) steers arrivals to cache-warm replicas; the
-// table gains prefix-share and cache-hit-rate columns.
+// Every comma-separated list flag is one row of the llmbench.Axes
+// table: -batches and -lengths (offline), -devices, -frameworks and
+// -schemes (both modes), and -rates, -replicas, -maxbatches,
+// -policies, -bursts, -mixes and -prefix-shares (-serve). Each flag's
+// help text is its row's usage; `llmbench-sweep -h` lists them. A
+// list is trimmed per element and checked exactly as ServeSweep checks
+// a grid built in code, so a bad element fails at flag-parse time,
+// naming its flag.
 //
 // Points are evaluated concurrently (-j bounds the workers, 0 = all
 // cores) but always print in grid order, so output is identical at
@@ -69,91 +67,124 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"llmbench"
 )
 
 func main() {
-	var (
-		modelName  = flag.String("model", "LLaMA-3-8B", "model name (see 'llmbench catalog')")
-		device     = flag.String("device", "A100", "accelerator name")
-		fw         = flag.String("framework", "vLLM", "framework name")
-		tp         = flag.Int("tp", 1, "tensor-parallel degree")
-		pp         = flag.Int("pp", 1, "pipeline-parallel degree")
-		ep         = flag.Int("ep", 1, "expert-parallel degree")
-		weights    = flag.String("weights", "", "weight precision (default fp16)")
-		kv         = flag.String("kv", "", "KV-cache precision (default fp16)")
-		batches    = flag.String("batches", "1,16,32,64", "comma-separated batch sizes")
-		lengths    = flag.String("lengths", "1024", "comma-separated input/output lengths")
-		devices    = flag.String("devices", "", "comma-separated device axis (overrides -device per point)")
-		frameworks = flag.String("frameworks", "", "comma-separated framework axis (overrides -framework per point)")
-		schemes    = flag.String("schemes", "", "comma-separated weights:kv scheme axis, e.g. fp16:fp16,int8:fp8")
-		j          = flag.Int("j", 0, "sweep parallelism (0 = all cores)")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "llmbench-sweep:", err)
+		os.Exit(1)
+	}
+}
 
-		serve      = flag.Bool("serve", false, "serving-capacity sweep (rates × replicas × policies) instead of offline points")
-		rates      = flag.String("rates", "", "comma-separated arrival rates in req/s (required with -serve)")
-		replicas   = flag.String("replicas", "1", "comma-separated replica counts (-serve)")
-		maxbatches = flag.String("maxbatches", "32", "comma-separated per-replica batch caps (-serve)")
-		policies   = flag.String("policies", "continuous",
-			"comma-separated policy axis (-serve); each entry joins ':'- or '/'-separated tokens from "+
-				"{continuous|static, rr|round-robin|ll|least-loaded|prefix, autoscale, aggregated, disagg/<p>:<d>} — "+
-				"static composes with every router and with autoscale (e.g. static:ll, static:autoscale); "+
-				"prefix routes to cache-warm replicas (see -prefix-shares) and is mutually exclusive with ll; "+
-				"disagg/<p>:<d> splits each point's fleet into prefill and decode pools in that ratio "+
-				"(e.g. ll:disagg/1:3) and composes with rr/ll but not static or autoscale")
-		bursts = flag.String("bursts", "",
-			"comma-separated burst-factor axis ≥ 1 (-serve); setting it (or -mixes) switches traces "+
-				"from plain Poisson to bursty heavy-tailed chat arrivals (workload.ChatTrace); 1 = no bursts")
-		mixes = flag.String("mixes", "",
-			"comma-separated input:output length-median axis (-serve), e.g. 512:128,2048:256; "+
-				"setting it (or -bursts) switches traces to heavy-tailed chat arrivals")
-		prefixShares = flag.String("prefix-shares", "",
-			"comma-separated shared-prefix share axis in [0,1) (-serve), e.g. 0,0.5; each share s "+
-				"prepends a fleet-wide system prompt of s×(input median) tokens to every request and "+
-				"gives every replica a tiered prefix cache (GPU prefix blocks + CPU offload tier); "+
-				"setting it switches traces to chat arrivals and adds prefix-share and hit-rate columns")
-		hostKV = flag.Float64("hostkv", 0,
+// axisDefaults are the list flags' command-line defaults; every other
+// axis starts unset.
+var axisDefaults = map[string]string{
+	"batches":    "1,16,32,64",
+	"lengths":    "1024",
+	"replicas":   "1",
+	"maxbatches": "32",
+	"policies":   "continuous",
+}
+
+// axisFlag is one llmbench.Axes row as a flag: each value is applied
+// with Set to every grid that has the axis.
+type axisFlag struct {
+	def   string
+	apply func(list string) error
+}
+
+func (f *axisFlag) String() string        { return f.def }
+func (f *axisFlag) Set(list string) error { return f.apply(list) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("llmbench-sweep", flag.ContinueOnError)
+	var (
+		modelName = fs.String("model", "LLaMA-3-8B", "model name (see 'llmbench catalog')")
+		device    = fs.String("device", "A100", "accelerator name")
+		fw        = fs.String("framework", "vLLM", "framework name")
+		tp        = fs.Int("tp", 1, "tensor-parallel degree")
+		pp        = fs.Int("pp", 1, "pipeline-parallel degree")
+		ep        = fs.Int("ep", 1, "expert-parallel degree")
+		weights   = fs.String("weights", "", "weight precision (default fp16)")
+		kv        = fs.String("kv", "", "KV-cache precision (default fp16)")
+		j         = fs.Int("j", 0, "sweep parallelism (0 = all cores)")
+
+		serve  = fs.Bool("serve", false, "serving-capacity sweep (rates × replicas × policies) instead of offline points")
+		hostKV = fs.Float64("hostkv", 0,
 			"per-replica CPU offload tier for demoted prefix blocks in GiB (-serve, with -prefix-shares); "+
 				"0 mirrors the device KV budget")
-		chunked = flag.Bool("chunked", false,
+		chunked = fs.Bool("chunked", false,
 			"chunked prefill on every replica (-serve): prompts prefill in 512-token slices fused "+
 				"into decode iterations, so admission never stalls running requests; pairs with "+
 				"-policies prefix (affinity without queueing behind whole prefills); "+
 				"rejects static and disagg policy entries per point")
-		sigma = flag.Float64("sigma", 0,
+		sigma = fs.Float64("sigma", 0,
 			"lognormal length spread for chat traces (-serve, with -bursts/-mixes/-prefix-shares); "+
 				"0 = the 0.7 default (heavy chat tails), lower models templated traffic whose tight "+
 				"output tail lets prefix-cache routing dominate the tail percentiles")
-		requests   = flag.Int("requests", 200, "requests per serving point (-serve)")
-		inMean     = flag.Int("inmean", 512, "mean prompt tokens (-serve)")
-		outMean    = flag.Int("outmean", 128, "mean generated tokens (-serve)")
-		seed       = flag.Uint64("seed", 42, "trace seed (-serve)")
-		kvBudget   = flag.Float64("kvbudget", 0, "per-replica KV pool in GiB, 0 = auto (-serve)")
-		slo        = flag.Float64("slo", 0, "P99 latency SLO in seconds (-serve); prints each configuration's capacity knee")
-		tracePath  = flag.String("trace", "", "replay a recorded trace file at every point (-serve); -rates then rescales it, absent -rates replays at native rate")
-		record     = flag.String("record", "", "record the sweep's synthesized trace to this file (-serve); the grid must pin one rate/shape position")
-		stream     = flag.Bool("stream", false, "streaming stats (-serve): O(1) memory percentile sketches for million-request points")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (inspect with 'go tool pprof')")
-		memprofile = flag.String("memprofile", "", "write an end-of-sweep heap profile to this file (inspect with 'go tool pprof')")
+		requests   = fs.Int("requests", 200, "requests per serving point (-serve)")
+		inMean     = fs.Int("inmean", 512, "mean prompt tokens (-serve)")
+		outMean    = fs.Int("outmean", 128, "mean generated tokens (-serve)")
+		seed       = fs.Uint64("seed", 42, "trace seed (-serve)")
+		kvBudget   = fs.Float64("kvbudget", 0, "per-replica KV pool in GiB, 0 = auto (-serve)")
+		slo        = fs.Float64("slo", 0, "P99 latency SLO in seconds (-serve); prints each configuration's capacity knee")
+		tracePath  = fs.String("trace", "", "replay a recorded trace file at every point (-serve); -rates then rescales it, absent -rates replays at native rate")
+		record     = fs.String("record", "", "record the sweep's synthesized trace to this file (-serve); the grid must pin one rate/shape position")
+		stream     = fs.Bool("stream", false, "streaming stats (-serve): O(1) memory percentile sketches for million-request points")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (inspect with 'go tool pprof')")
+		memprofile = fs.String("memprofile", "", "write an end-of-sweep heap profile to this file (inspect with 'go tool pprof')")
 	)
-	flag.Parse()
+	var grid llmbench.Grid
+	var sgrid llmbench.ServeGrid
+	for _, a := range llmbench.Axes {
+		f := &axisFlag{def: axisDefaults[a.Name], apply: func(list string) error {
+			if a.Offline {
+				if err := grid.Set(a.Name, list); err != nil {
+					return err
+				}
+			}
+			if a.Serve {
+				return sgrid.Set(a.Name, list)
+			}
+			return nil
+		}}
+		if f.def != "" {
+			if err := f.apply(f.def); err != nil {
+				return err
+			}
+		}
+		usage := "comma-separated " + a.Usage
+		if !a.Offline {
+			usage += " (-serve)"
+		}
+		fs.Var(f, a.Name, usage)
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	// -slo is validated here, at parse time, like every list flag: a
 	// NaN or infinite SLO would otherwise make every (or no) point
 	// "compliant" deep inside the knee fold.
 	if err := validateSLO(*slo); err != nil {
-		fatal(err)
+		return err
 	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
@@ -161,58 +192,31 @@ func main() {
 		Model: *modelName, Device: *device, Framework: *fw,
 		TP: *tp, PP: *pp, EP: *ep, Weights: *weights, KV: *kv,
 	}
-	devAxis, err := parseList("devices", *devices)
-	if err != nil {
-		fatal(err)
-	}
-	fwAxis, err := parseList("frameworks", *frameworks)
-	if err != nil {
-		fatal(err)
-	}
-	var schemeAxis []llmbench.Scheme
-	if *schemes != "" {
-		schemeAxis, err = parseSchemes(*schemes)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	if *serve {
-		serveSweep(sys, serveFlags{
-			rates: *rates, replicas: *replicas, maxbatches: *maxbatches, policies: *policies,
-			bursts: *bursts, mixes: *mixes, prefixShares: *prefixShares,
-			devices: devAxis, frameworks: fwAxis, schemes: schemeAxis,
-			requests: *requests, inMean: *inMean, outMean: *outMean,
-			seed: *seed, kvBudget: *kvBudget, hostKV: *hostKV, j: *j,
-			chunked: *chunked, sigma: *sigma,
-			slo: *slo, tracePath: *tracePath, record: *record, stream: *stream,
-		})
-		return
+		sgrid.Parallelism = *j
+		cfg := llmbench.ServeSweepConfig{
+			System: sys, KVBudgetGiB: *kvBudget, HostKVGiB: *hostKV,
+			Seed: *seed, Requests: *requests, InputMean: *inMean, OutputMean: *outMean,
+			ChunkedPrefill: *chunked, Sigma: *sigma,
+			StreamStats: *stream,
+		}
+		return serveSweep(stdout, cfg, sgrid, *slo, *tracePath, *record)
 	}
 
-	bs, err := parseInts("batches", *batches)
-	if err != nil {
-		fatal(err)
-	}
-	ls, err := parseInts("lengths", *lengths)
-	if err != nil {
-		fatal(err)
-	}
-	grid := llmbench.Grid{Batches: bs, Lengths: ls, Parallelism: *j}
-	grid.Devices, grid.Frameworks, grid.Schemes = devAxis, fwAxis, schemeAxis
+	grid.Parallelism = *j
 	pts, err := llmbench.Sweep(sys, grid)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	axes := len(grid.Devices) > 0 || len(grid.Frameworks) > 0 || len(grid.Schemes) > 0
 	if axes {
-		fmt.Printf("### %s ×%d sweep\n\n", *modelName, (*tp)*(*pp)*(*ep))
-		fmt.Println("| Device | Framework | W/KV | Batch | Length | Throughput (tok/s) | TTFT (s) | ITL (ms) | Power (W) | tok/s/W |")
-		fmt.Println("|---|---|---|---|---|---|---|---|---|---|")
+		fmt.Fprintf(stdout, "### %s ×%d sweep\n\n", *modelName, (*tp)*(*pp)*(*ep))
+		fmt.Fprintln(stdout, "| Device | Framework | W/KV | Batch | Length | Throughput (tok/s) | TTFT (s) | ITL (ms) | Power (W) | tok/s/W |")
+		fmt.Fprintln(stdout, "|---|---|---|---|---|---|---|---|---|---|")
 	} else {
-		fmt.Printf("### %s on %s×%d via %s\n\n", *modelName, *device, (*tp)*(*pp)*(*ep), *fw)
-		fmt.Println("| Batch | Length | Throughput (tok/s) | TTFT (s) | ITL (ms) | Power (W) | tok/s/W |")
-		fmt.Println("|---|---|---|---|---|---|---|")
+		fmt.Fprintf(stdout, "### %s on %s×%d via %s\n\n", *modelName, *device, (*tp)*(*pp)*(*ep), *fw)
+		fmt.Fprintln(stdout, "| Batch | Length | Throughput (tok/s) | TTFT (s) | ITL (ms) | Power (W) | tok/s/W |")
+		fmt.Fprintln(stdout, "|---|---|---|---|---|---|---|")
 	}
 	for _, p := range pts {
 		prefix := ""
@@ -221,134 +225,70 @@ func main() {
 				orFP16(p.Scheme.Weights), orFP16(p.Scheme.KV))
 		}
 		if p.Err != nil {
-			fmt.Printf("%s| %d | %d | — (%v) | | | | |\n", prefix, p.Batch, p.Length, p.Err)
+			fmt.Fprintf(stdout, "%s| %d | %d | — (%v) | | | | |\n", prefix, p.Batch, p.Length, p.Err)
 			continue
 		}
 		res := p.Result
-		fmt.Printf("%s| %d | %d | %.0f | %.3f | %.3f | %.0f | %.2f |\n",
+		fmt.Fprintf(stdout, "%s| %d | %d | %.0f | %.3f | %.3f | %.0f | %.2f |\n",
 			prefix, p.Batch, p.Length, res.Throughput, res.TTFTSeconds, res.ITLSeconds*1000,
 			res.TotalPowerWatts, res.TokensPerSecPerW)
 	}
+	return nil
 }
 
-// serveFlags bundles the -serve mode's parsed-flag inputs.
-type serveFlags struct {
-	rates, replicas, maxbatches, policies string
-	bursts, mixes, prefixShares           string
-	devices, frameworks                   []string
-	schemes                               []llmbench.Scheme
-	requests, inMean, outMean             int
-	seed                                  uint64
-	kvBudget, hostKV, sigma               float64
-	j                                     int
-	chunked                               bool
-	slo                                   float64
-	tracePath, record                     string
-	stream                                bool
-}
-
-// serveSweep runs the serving-capacity grid and prints its Markdown
-// table.
-func serveSweep(sys llmbench.System, f serveFlags) {
-	if f.rates == "" && f.tracePath == "" {
-		fatal(fmt.Errorf("-serve needs -rates (e.g. -rates 5,10,20) or -trace"))
-	}
-	var rs []float64
-	var err error
-	if f.rates != "" {
+// serveSweep runs the serving-capacity grid — replaying tracePath or
+// recording its synthesized trace to record when set — and prints its
+// Markdown table, followed by each configuration's knee when slo > 0.
+func serveSweep(w io.Writer, cfg llmbench.ServeSweepConfig, grid llmbench.ServeGrid, slo float64, tracePath, record string) error {
+	if len(grid.Rates) == 0 && tracePath == "" {
 		// With -trace an absent -rates replays at the native rate.
-		if rs, err = parseFloats("rates", f.rates); err != nil {
-			fatal(err)
-		}
+		return fmt.Errorf("-serve needs -rates (e.g. -rates 5,10,20) or -trace")
 	}
-	reps, err := parseInts("replicas", f.replicas)
-	if err != nil {
-		fatal(err)
-	}
-	mbs, err := parseInts("maxbatches", f.maxbatches)
-	if err != nil {
-		fatal(err)
-	}
-	pols, err := parsePolicies(f.policies)
-	if err != nil {
-		fatal(err)
-	}
-	var bfs []float64
-	if f.bursts != "" {
-		if bfs, err = parseFloats("bursts", f.bursts); err != nil {
-			fatal(err)
-		}
-		for _, b := range bfs {
-			if b < 1 {
-				fatal(fmt.Errorf("bad -bursts list %q: burst factor %g must be ≥ 1", f.bursts, b))
-			}
-		}
-	}
-	var lms []llmbench.LengthMix
-	if f.mixes != "" {
-		if lms, err = parseMixes(f.mixes); err != nil {
-			fatal(err)
-		}
-	}
-	var pfs []float64
-	if f.prefixShares != "" {
-		if pfs, err = parseShares(f.prefixShares); err != nil {
-			fatal(err)
-		}
-	}
-	var traceReqs []llmbench.TraceRequest
-	if f.tracePath != "" {
-		if f.bursts != "" || f.mixes != "" || f.prefixShares != "" {
-			fatal(fmt.Errorf("-trace is incompatible with -bursts/-mixes/-prefix-shares: the recorded trace is the traffic shape"))
-		}
-		if f.record != "" {
-			fatal(fmt.Errorf("-record conflicts with -trace: the grid would replay, not synthesize"))
-		}
-		traceReqs = readTrace(f.tracePath)
-	}
-	cfg := llmbench.ServeSweepConfig{
-		System: sys, MaxBatch: mbs[0], KVBudgetGiB: f.kvBudget, HostKVGiB: f.hostKV,
-		Seed: f.seed, Requests: f.requests, InputMean: f.inMean, OutputMean: f.outMean,
-		ChunkedPrefill: f.chunked, Sigma: f.sigma,
-		StreamStats: f.stream,
-	}
-	grid := llmbench.ServeGrid{
-		Rates: rs, Replicas: reps, MaxBatches: mbs, Policies: pols,
-		PrefixShares: pfs, BurstFactors: bfs, LengthMixes: lms, Trace: traceReqs,
-		Devices: f.devices, Frameworks: f.frameworks, Schemes: f.schemes,
-		Parallelism: f.j,
-	}
-	if f.record != "" {
-		recordTrace(f.record, cfg, grid)
-	}
-	pts, err := llmbench.ServeSweep(cfg, grid)
-	if err != nil {
-		fatal(err)
-	}
-	axes := len(f.devices) > 0 || len(f.frameworks) > 0 || len(f.schemes) > 0
-	shaped := len(bfs) > 0 || len(lms) > 0
+	shaped := len(grid.BurstFactors) > 0 || len(grid.LengthMixes) > 0
 	// A prefix-share axis adds its own pair of columns: the share each
 	// point ran with and the cache hit rate the fleet achieved — the
 	// numbers the axis exists to compare across routing policies.
-	prefixed := len(pfs) > 0
+	prefixed := len(grid.PrefixShares) > 0
+	if tracePath != "" {
+		if shaped || prefixed {
+			return fmt.Errorf("-trace is incompatible with -bursts/-mixes/-prefix-shares: the recorded trace is the traffic shape")
+		}
+		if record != "" {
+			return fmt.Errorf("-record conflicts with -trace: the grid would replay, not synthesize")
+		}
+		var err error
+		if grid.Trace, err = readTrace(tracePath); err != nil {
+			return err
+		}
+	}
+	if record != "" {
+		if err := recordTrace(record, cfg, grid); err != nil {
+			return err
+		}
+	}
+	pts, err := llmbench.ServeSweep(cfg, grid)
+	if err != nil {
+		return err
+	}
+	axes := len(grid.Devices) > 0 || len(grid.Frameworks) > 0 || len(grid.Schemes) > 0
 	// Any disagg policy adds the transfer-delay column — the metric the
 	// topology axis exists to expose — the same way the configuration
 	// and shape axes add theirs.
 	disagg := false
-	for _, pol := range pols {
+	for _, pol := range grid.Policies {
 		if pol.Disagg() {
 			disagg = true
 		}
 	}
 	switch {
-	case f.tracePath != "":
-		fmt.Printf("### %s serving sweep (replaying %d recorded requests from %s)\n\n",
-			sys.Model, len(traceReqs), f.tracePath)
+	case tracePath != "":
+		fmt.Fprintf(w, "### %s serving sweep (replaying %d recorded requests from %s)\n\n",
+			cfg.System.Model, len(grid.Trace), tracePath)
 	case shaped || prefixed:
-		fmt.Printf("### %s serving sweep (%d reqs/point, bursty chat traffic)\n\n", sys.Model, f.requests)
+		fmt.Fprintf(w, "### %s serving sweep (%d reqs/point, bursty chat traffic)\n\n", cfg.System.Model, cfg.Requests)
 	default:
-		fmt.Printf("### %s serving sweep (%d reqs/point, in ~%d, out ~%d tokens)\n\n",
-			sys.Model, f.requests, f.inMean, f.outMean)
+		fmt.Fprintf(w, "### %s serving sweep (%d reqs/point, in ~%d, out ~%d tokens)\n\n",
+			cfg.System.Model, cfg.Requests, cfg.InputMean, cfg.OutputMean)
 	}
 	prefixHdr := ""
 	if axes {
@@ -370,7 +310,7 @@ func serveSweep(sys llmbench.System, f serveFlags) {
 	if disagg {
 		xferHdr = " Xfer (ms) |"
 	}
-	fmt.Printf("%s| Policy | Replicas | MaxBatch |%s%s Rate (req/s) | Throughput (tok/s) | p50 (s) | p95 (s) | p99 (s) | Queue p50/p95/p99 (s) |%s%s Preempt |\n",
+	fmt.Fprintf(w, "%s| Policy | Replicas | MaxBatch |%s%s Rate (req/s) | Throughput (tok/s) | p50 (s) | p95 (s) | p99 (s) | Queue p50/p95/p99 (s) |%s%s Preempt |\n",
 		prefixHdr, shapeHdr, shareHdr, hitHdr, xferHdr)
 	cols := 10
 	if axes {
@@ -385,7 +325,7 @@ func serveSweep(sys llmbench.System, f serveFlags) {
 	if disagg {
 		cols++
 	}
-	fmt.Println("|" + strings.Repeat("---|", cols))
+	fmt.Fprintln(w, "|"+strings.Repeat("---|", cols))
 	for _, p := range pts {
 		prefix := ""
 		if axes {
@@ -420,22 +360,22 @@ func serveSweep(sys llmbench.System, f serveFlags) {
 			if disagg {
 				blank += " |"
 			}
-			fmt.Printf("%s| %s | %d | %d |%s%s %g | — (%v) | | | | |%s |\n",
+			fmt.Fprintf(w, "%s| %s | %d | %d |%s%s %g | — (%v) | | | | |%s |\n",
 				prefix, policy, p.Replicas, p.MaxBatch, shape, share, p.Rate, p.Err, blank)
 			continue
 		}
 		s := p.Stats
-		fmt.Printf("%s| %s | %d | %d |%s%s %g | %.0f | %.2f | %.2f | %.2f | %.2f/%.2f/%.2f |%s%s %d |\n",
+		fmt.Fprintf(w, "%s| %s | %d | %d |%s%s %g | %.0f | %.2f | %.2f | %.2f | %.2f/%.2f/%.2f |%s%s %d |\n",
 			prefix, policy, p.Replicas, p.MaxBatch, shape, share, p.Rate, s.Throughput,
 			s.P50Latency, s.P95Latency, s.P99Latency,
 			s.P50QueueDelay, s.P95QueueDelay, s.P99QueueDelay, hit, xfer, s.Preemptions)
 	}
-	if f.slo > 0 {
-		knees, err := llmbench.Knees(pts, f.slo)
+	if slo > 0 {
+		knees, err := llmbench.Knees(pts, slo)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("\nKnee per configuration (highest swept rate with p99 ≤ %gs):\n\n", f.slo)
+		fmt.Fprintf(w, "\nKnee per configuration (highest swept rate with p99 ≤ %gs):\n\n", slo)
 		for _, k := range knees {
 			name := fmt.Sprintf("%s, %d replica(s), mb %d", k.Policy, k.Replicas, k.MaxBatch)
 			if axes {
@@ -448,49 +388,51 @@ func serveSweep(sys llmbench.System, f serveFlags) {
 				name = fmt.Sprintf("%s, prefix %g", name, k.PrefixShare)
 			}
 			if k.Met {
-				fmt.Printf("- %s: %g req/s (p99 %.2fs, %.0f tok/s)\n", name, k.Rate, k.Stats.P99Latency, k.Stats.Throughput)
+				fmt.Fprintf(w, "- %s: %g req/s (p99 %.2fs, %.0f tok/s)\n", name, k.Rate, k.Stats.P99Latency, k.Stats.Throughput)
 			} else {
-				fmt.Printf("- %s: no swept rate meets the SLO\n", name)
+				fmt.Fprintf(w, "- %s: no swept rate meets the SLO\n", name)
 			}
 		}
 	}
+	return nil
 }
 
 // readTrace replays a recorded trace file (see TRACES.md).
-func readTrace(path string) []llmbench.TraceRequest {
+func readTrace(path string) ([]llmbench.TraceRequest, error) {
 	file, err := os.Open(path)
 	if err != nil {
-		fatal(fmt.Errorf("-trace: %w", err))
+		return nil, fmt.Errorf("-trace: %w", err)
 	}
 	defer file.Close()
 	reqs, _, err := llmbench.ReadTrace(file)
 	if err != nil {
-		fatal(fmt.Errorf("-trace %s: %w", path, err))
+		return nil, fmt.Errorf("-trace %s: %w", path, err)
 	}
-	return reqs
+	return reqs, nil
 }
 
 // recordTrace captures the one-position grid's synthesized trace to a
 // versioned trace file; the sweep then runs on exactly the recorded
 // arrivals, so a later -trace replay reproduces it bit for bit.
-func recordTrace(path string, cfg llmbench.ServeSweepConfig, grid llmbench.ServeGrid) {
+func recordTrace(path string, cfg llmbench.ServeSweepConfig, grid llmbench.ServeGrid) error {
 	reqs, err := llmbench.ServePointTrace(cfg, grid)
 	if err != nil {
-		fatal(fmt.Errorf("-record: %w", err))
+		return fmt.Errorf("-record: %w", err)
 	}
 	file, err := os.Create(path)
 	if err != nil {
-		fatal(fmt.Errorf("-record: %w", err))
+		return fmt.Errorf("-record: %w", err)
 	}
 	meta := llmbench.TraceMeta{Source: fmt.Sprintf("llmbench-sweep seed=%d requests=%d", cfg.Seed, cfg.Requests)}
 	if err := llmbench.WriteTrace(file, reqs, meta); err != nil {
 		file.Close()
-		fatal(fmt.Errorf("-record: %w", err))
+		return fmt.Errorf("-record: %w", err)
 	}
 	if err := file.Close(); err != nil {
-		fatal(fmt.Errorf("-record: %w", err))
+		return fmt.Errorf("-record: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "llmbench-sweep: recorded %d requests to %s\n", len(reqs), path)
+	return nil
 }
 
 func orFP16(s string) string {
@@ -498,164 +440,6 @@ func orFP16(s string) string {
 		return "fp16"
 	}
 	return s
-}
-
-// parseInts parses a comma-separated list of positive integers,
-// rejecting empty elements and non-positive values at flag-parse time
-// so they cannot resurface later as confusing per-point errors.
-func parseInts(name, s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("bad -%s list %q: empty element", name, s)
-		}
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad -%s list %q: %w", name, s, err)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("bad -%s list %q: %d is not positive", name, s, v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseFloats parses a comma-separated list of positive, finite
-// numbers (the -rates axis).
-func parseFloats(name, s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("bad -%s list %q: empty element", name, s)
-		}
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -%s list %q: %w", name, s, err)
-		}
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("bad -%s list %q: %v is not a positive finite number", name, s, v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseList splits a comma-separated axis; empty input means the axis
-// is unset, but empty elements between commas ("A100,,H100") are
-// rejected instead of silently dropped.
-func parseList(name, s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		v := strings.TrimSpace(p)
-		if v == "" {
-			return nil, fmt.Errorf("bad -%s list %q: empty element", name, s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseSchemes parses "weights:kv" pairs ("fp16:fp16,int8:fp8"); a
-// bare precision applies to both weights and KV.
-func parseSchemes(s string) ([]llmbench.Scheme, error) {
-	parts := strings.Split(s, ",")
-	out := make([]llmbench.Scheme, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("bad scheme list %q: empty element", s)
-		}
-		w, kv, found := strings.Cut(p, ":")
-		if !found {
-			kv = w
-		}
-		if w == "" || kv == "" {
-			return nil, fmt.Errorf("bad scheme %q: want weights:kv", p)
-		}
-		out = append(out, llmbench.Scheme{Weights: w, KV: kv})
-	}
-	return out, nil
-}
-
-// parsePolicies parses the -policies axis: comma-separated entries in
-// llmbench.ParseServePolicy's textual form — ':'- or '/'-joined tokens
-// such as "continuous:ll,static,static:autoscale,disagg/1:3". Malformed
-// entries — unknown tokens, bad pool splits, combinations the
-// simulators reject (static or autoscale with disagg) — fail here at
-// flag-parse time, naming the flag.
-func parsePolicies(s string) ([]llmbench.ServePolicy, error) {
-	entries := strings.Split(s, ",")
-	out := make([]llmbench.ServePolicy, 0, len(entries))
-	for _, entry := range entries {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return nil, fmt.Errorf("bad -policies list %q: empty element", s)
-		}
-		pol, err := llmbench.ParseServePolicy(entry)
-		if err != nil {
-			return nil, fmt.Errorf("bad -policies list %q: %w", s, err)
-		}
-		out = append(out, pol)
-	}
-	return out, nil
-}
-
-// parseShares parses the -prefix-shares axis: comma-separated shares
-// in [0, 1) of each point's input median spent on the fleet-wide
-// shared prefix. Unlike -rates, zero is a valid element — it pins a
-// no-prefix baseline point inside an otherwise-prefixed grid.
-func parseShares(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("bad -prefix-shares list %q: empty element", s)
-		}
-		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -prefix-shares list %q: %w", s, err)
-		}
-		if !(v >= 0) || v >= 1 {
-			return nil, fmt.Errorf("bad -prefix-shares list %q: share %v is outside [0, 1)", s, v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseMixes parses the -mixes axis: comma-separated "input:output"
-// length-median pairs ("512:128,2048:256"). Medians must be positive;
-// the trace generator's deeper floor (≥ 16) surfaces per point.
-func parseMixes(s string) ([]llmbench.LengthMix, error) {
-	parts := strings.Split(s, ",")
-	out := make([]llmbench.LengthMix, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, fmt.Errorf("bad -mixes list %q: empty element", s)
-		}
-		in, outS, found := strings.Cut(p, ":")
-		if !found {
-			return nil, fmt.Errorf("bad -mixes entry %q: want input:output", p)
-		}
-		i, err1 := strconv.Atoi(strings.TrimSpace(in))
-		o, err2 := strconv.Atoi(strings.TrimSpace(outS))
-		if err1 != nil || err2 != nil || i < 1 || o < 1 {
-			return nil, fmt.Errorf("bad -mixes entry %q: want positive input:output medians", p)
-		}
-		out = append(out, llmbench.LengthMix{Input: i, Output: o})
-	}
-	return out, nil
 }
 
 // validateSLO rejects negative, NaN, and infinite -slo values at flag
@@ -667,16 +451,9 @@ func validateSLO(v float64) error {
 	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "llmbench-sweep:", err)
-	os.Exit(1)
-}
-
 // startProfiles starts CPU profiling and arranges the end-of-run heap
 // snapshot per the -cpuprofile/-memprofile flags; the returned stop
-// function must run before a successful exit (fatal exits skip it —
-// a failed sweep has no profile worth keeping). Empty paths are
-// no-ops.
+// function must run before run returns. Empty paths are no-ops.
 func startProfiles(cpuPath, memPath string) (func(), error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

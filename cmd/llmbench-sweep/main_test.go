@@ -1,193 +1,103 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
-
-	"llmbench"
 )
 
-func TestParseInts(t *testing.T) {
-	got, err := parseInts("batches", "1, 16,32 ,64")
-	if err != nil {
-		t.Fatal(err)
+// The list flags are llmbench.Axes rows, and the root package's
+// TestAxisSet covers every parsing and checking case. The tests here
+// pin the flag wiring: each flag reaches its row, and a bad list fails
+// at flag-parse time with an error naming the flag.
+
+// sweepOutput runs the command and returns its stdout.
+func sweepOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("%q: %v", args, err)
 	}
-	want := []int{1, 16, 32, 64}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseInts = %v", got)
+	return out.String()
+}
+
+// wantFlagErrors requires every bad list for the flag to fail the
+// command with an error naming the flag.
+func wantFlagErrors(t *testing.T, flag string, bads ...string) {
+	t.Helper()
+	for _, bad := range bads {
+		var out bytes.Buffer
+		if err := run([]string{flag, bad}, &out); err == nil {
+			t.Errorf("%s %q: want an error, got\n%s", flag, bad, out.String())
+		} else if !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s %q: error %v must name the flag", flag, bad, err)
 		}
 	}
+}
+
+// wantRows requires every line to appear in the output.
+func wantRows(t *testing.T, out string, lines ...string) {
+	t.Helper()
+	for _, l := range lines {
+		if !strings.Contains(out, l) {
+			t.Errorf("output missing %q:\n%s", l, out)
+		}
+	}
+}
+
+func TestParseInts(t *testing.T) {
+	out := sweepOutput(t, "-batches", "1, 16,32 ,64", "-lengths", "128", "-j", "1")
+	wantRows(t, out, "| 1 | 128 |", "| 16 | 128 |", "| 32 | 128 |", "| 64 | 128 |")
 }
 
 func TestParseIntsSingle(t *testing.T) {
-	got, err := parseInts("lengths", "1024")
-	if err != nil || len(got) != 1 || got[0] != 1024 {
-		t.Fatalf("parseInts(%q) = %v, %v", "1024", got, err)
-	}
-}
-
-func TestParseList(t *testing.T) {
-	got, err := parseList("devices", " A100, H100 ,MI300X")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"A100", "H100", "MI300X"}
-	if len(got) != len(want) {
-		t.Fatalf("parseList = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseList = %v", got)
-		}
-	}
-	if got, err := parseList("devices", ""); got != nil || err != nil {
-		t.Error("empty list must leave the axis unset without error")
-	}
-}
-
-// TestParseListRejectsEmptyElements: "-devices A100,,H100" used to
-// silently drop the empty element; it must be a flag-parse error now.
-func TestParseListRejectsEmptyElements(t *testing.T) {
-	cases := []string{"A100,,H100", ",A100", "A100,", ",", " , "}
-	for _, in := range cases {
-		if got, err := parseList("devices", in); err == nil {
-			t.Errorf("parseList(%q) = %v, want error", in, got)
-		} else if !strings.Contains(err.Error(), "devices") {
-			t.Errorf("parseList(%q) error %v must name the flag", in, err)
-		}
-	}
-}
-
-func TestParseSchemes(t *testing.T) {
-	got, err := parseSchemes("fp16:fp16, int8:fp8 ,fp8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []struct{ w, kv string }{{"fp16", "fp16"}, {"int8", "fp8"}, {"fp8", "fp8"}}
-	if len(got) != len(want) {
-		t.Fatalf("parseSchemes = %v", got)
-	}
-	for i, w := range want {
-		if got[i].Weights != w.w || got[i].KV != w.kv {
-			t.Errorf("scheme %d = %v, want %v", i, got[i], w)
-		}
-	}
-	for _, bad := range []string{"", "fp16:", ":fp8", "fp16,,int8"} {
-		if got, err := parseSchemes(bad); err == nil {
-			t.Errorf("parseSchemes(%q) = %v, want error", bad, got)
-		}
+	out := sweepOutput(t, "-batches", "8", "-lengths", "1024", "-j", "1")
+	if rows := strings.Count(out, "\n| 8 | 1024 |"); rows != 1 || strings.Count(out, "\n|") != 3 {
+		t.Errorf("single-element lists must sweep one point:\n%s", out)
 	}
 }
 
 func TestParseIntsErrors(t *testing.T) {
-	cases := []string{
-		"1,x,3", // non-numeric element
-		"1,,2",  // empty element between commas
-		"",      // empty string (splits to one empty element)
-		"x",     // single non-numeric
-		",",     // only separators
-		"1,2,",  // trailing comma
-		"0",     // non-positive: batch/length/replica counts must be ≥ 1
-		"1,0,2", // non-positive mid-list
-		"-4",    // negative
-	}
-	for _, in := range cases {
-		if got, err := parseInts("batches", in); err == nil {
-			t.Errorf("parseInts(%q) = %v, want error", in, got)
-		}
-	}
-	// The error must name the flag so "-batches 0" reads as what it is.
-	if _, err := parseInts("batches", "0"); err == nil || !strings.Contains(err.Error(), "batches") {
-		t.Errorf("parseInts error %v must name the flag", err)
-	}
+	wantFlagErrors(t, "-batches", "0", "1,,2")
+	wantFlagErrors(t, "-lengths", "0")
+	wantFlagErrors(t, "-replicas", "0")
+	wantFlagErrors(t, "-maxbatches", "-1")
 }
 
 func TestParseFloats(t *testing.T) {
-	got, err := parseFloats("rates", "0.5, 10 ,40")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.5, 10, 40}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseFloats = %v", got)
-		}
-	}
-	for _, bad := range []string{"", "x", "0", "-1", "1,,2", "NaN", "Inf", "1,"} {
-		if got, err := parseFloats("rates", bad); err == nil {
-			t.Errorf("parseFloats(%q) = %v, want error", bad, got)
-		}
-	}
+	wantFlagErrors(t, "-rates", "0", "NaN")
+	wantFlagErrors(t, "-bursts", "0.5")
+	wantFlagErrors(t, "-prefix-shares", "1")
+}
+
+func TestParseList(t *testing.T) {
+	out := sweepOutput(t, "-devices", " A100, H100 ,MI300X", "-batches", "1", "-lengths", "128", "-j", "1")
+	wantRows(t, out, "| A100 | vLLM |", "| H100 | vLLM |", "| MI300X | vLLM |")
+}
+
+// TestParseListRejectsEmptyElements: "-devices A100,,H100" used to
+// silently drop the empty element; it is a flag-parse error.
+func TestParseListRejectsEmptyElements(t *testing.T) {
+	wantFlagErrors(t, "-devices", "A100,,H100", " , ")
+	wantFlagErrors(t, "-frameworks", "vLLM,")
+}
+
+func TestParseSchemes(t *testing.T) {
+	out := sweepOutput(t, "-device", "H100", "-schemes", "fp16:fp16, int8:fp8 ,fp8",
+		"-batches", "1", "-lengths", "128", "-j", "1")
+	wantRows(t, out, "| fp16/fp16 |", "| int8/fp8 |", "| fp8/fp8 |")
+	wantFlagErrors(t, "-schemes", "fp16:")
 }
 
 func TestParsePolicies(t *testing.T) {
-	got, err := parsePolicies("continuous, continuous:ll ,static,autoscale,ll:auto,static:ll,static:autoscale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []llmbench.ServePolicy{
-		{},
-		{LeastLoaded: true},
-		{Static: true},
-		{Autoscale: true},
-		{LeastLoaded: true, Autoscale: true},
-		{Static: true, LeastLoaded: true},
-		{Static: true, Autoscale: true},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parsePolicies = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("policy %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	for _, bad := range []string{"", "bogus", "continuous:,ll", ","} {
-		if got, err := parsePolicies(bad); err == nil {
-			t.Errorf("parsePolicies(%q) = %v, want error", bad, got)
-		}
-	}
+	wantFlagErrors(t, "-policies", "bogus", "continuous:,ll")
 }
 
-// TestParsePoliciesDisagg: the -policies axis accepts topology tokens
-// — disagg/<p>:<d> pool splits in either separator style — and
-// rejects malformed splits and illegal compositions at flag-parse
-// time, naming the flag.
+// TestParsePoliciesDisagg: malformed pool splits and illegal
+// compositions fail at flag-parse time, naming the flag.
 func TestParsePoliciesDisagg(t *testing.T) {
-	got, err := parsePolicies("disagg/1:3, ll:disagg/2:6 ,static/rr,aggregated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []llmbench.ServePolicy{
-		{PrefillPool: 1, DecodePool: 3},
-		{LeastLoaded: true, PrefillPool: 2, DecodePool: 6},
-		{Static: true},
-		{},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parsePolicies = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("policy %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	bad := []string{
-		"disagg/2:6:autoscale", // autoscale does not compose with disagg
-		"static:disagg/1:3",    // static does not compose with disagg
-		"disagg/0:3",           // zero share
-		"disagg/1",             // missing decode share
-		"disagg/a:b",           // non-numeric shares
-	}
-	for _, in := range bad {
-		if got, err := parsePolicies(in); err == nil {
-			t.Errorf("parsePolicies(%q) = %v, want error", in, got)
-		} else if !strings.Contains(err.Error(), "-policies") {
-			t.Errorf("parsePolicies(%q) error %v must name the flag", in, err)
-		}
-	}
+	wantFlagErrors(t, "-policies", "static:disagg/1:3", "disagg/0:3")
 }
 
 // TestValidateSLO: -slo must be rejected at parse time — a NaN SLO
@@ -209,22 +119,5 @@ func TestValidateSLO(t *testing.T) {
 }
 
 func TestParseMixes(t *testing.T) {
-	got, err := parseMixes("512:128, 2048:256 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []llmbench.LengthMix{{Input: 512, Output: 128}, {Input: 2048, Output: 256}}
-	if len(got) != len(want) {
-		t.Fatalf("parseMixes = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("mix %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	for _, bad := range []string{"", "512", "512:", ":128", "0:128", "512:-1", "a:b", "512:128,,256:64"} {
-		if got, err := parseMixes(bad); err == nil {
-			t.Errorf("parseMixes(%q) = %v, want error", bad, got)
-		}
-	}
+	wantFlagErrors(t, "-mixes", "512", "0:128")
 }

@@ -84,7 +84,7 @@ func run(args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		md, err := llmbench.ReportParallel(*j)
+		md, err := llmbench.Report(*j)
 		if err != nil {
 			return err
 		}
@@ -115,7 +115,7 @@ func run(args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		rows, err := llmbench.VerifyAnchorsParallel(*j)
+		rows, err := llmbench.VerifyAnchors(*j)
 		if err != nil {
 			return err
 		}
@@ -216,7 +216,7 @@ Commands:
   all [-csv DIR] [-j N]
                   regenerate everything in paper order; -j bounds the
                   worker count (0 = all cores, output order unchanged)
-  report [-j N]   print the paper-vs-measured anchor table (EXPERIMENTS.md)
+  report [-j N]   print the paper-vs-measured anchor table
   verify [-j N]   CI check: fail if any paper anchor leaves its shape band
   explain [-model M -device D -framework F -tp N -batch B -len L]
                   attribute one benchmark point's time to mechanisms

@@ -16,14 +16,8 @@ import (
 	"sync"
 
 	"llmbench"
-	"llmbench/internal/engine"
 	"llmbench/internal/experiments"
-	"llmbench/internal/framework"
-	"llmbench/internal/hw"
 	"llmbench/internal/metrics"
-	"llmbench/internal/model"
-	"llmbench/internal/parallel"
-	"llmbench/internal/pool"
 	"llmbench/internal/workload"
 )
 
@@ -143,13 +137,8 @@ func (s *server) runAll(w http.ResponseWriter) {
 // sweep runs an ad-hoc batch sweep:
 // /api/sweep?model=…&device=…&framework=…&tp=N&len=1024
 func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	get := func(key, def string) string {
-		if v := q.Get(key); v != "" {
-			return v
-		}
-		return def
-	}
+	q := query{values: r.URL.Query()}
+	get := q.get
 	tp, err := strconv.Atoi(get("tp", "1"))
 	if err != nil || tp < 1 {
 		http.Error(w, "dashboard: bad tp", http.StatusBadRequest)
@@ -165,26 +154,15 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("dashboard: len must be in [1, %d]", maxSweepLen), http.StatusBadRequest)
 		return
 	}
-	m, err := model.Get(get("model", "LLaMA-3-8B"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	sys := llmbench.System{
+		Model: get("model", "LLaMA-3-8B"), Device: get("device", "A100"), Framework: get("framework", "vLLM"),
+		TP: tp,
 	}
-	dev, err := hw.Get(get("device", "A100"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fw, err := framework.Get(get("framework", "vLLM"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Share the process-wide engine cache: a repeated sweep of one
-	// system reuses its engine and memoised step costs.
-	eng, err := engine.Cached(engine.Config{
-		Model: m, Device: dev, Framework: fw,
-		Plan: parallel.Plan{TP: tp, PP: 1, EP: 1},
+	// Sweep builds through the process-wide engine cache, so a repeated
+	// sweep of one system reuses its engine and memoised step costs, and
+	// fans the points over the -j pool in grid order.
+	pts, err := llmbench.Sweep(sys, llmbench.Grid{
+		Batches: workload.PaperBatches, Lengths: []int{length}, Parallelism: s.parallelism,
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -192,30 +170,17 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 	}
 	fig := &metrics.Figure{
 		ID:     "sweep",
-		Title:  fmt.Sprintf("%s on %d× %s via %s (len %d)", m.Name, tp, dev.Name, fw.Name, length),
+		Title:  fmt.Sprintf("%s on %d× %s via %s (len %d)", sys.Model, tp, sys.Device, sys.Framework, length),
 		XLabel: "Batch size", YLabel: "Throughput (tokens/s)",
 	}
-	// Fan the grid points over the -j pool; the figure is filled
-	// serially afterwards, so series order is identical at any
-	// parallelism.
-	type point struct {
-		res engine.Result
-		err error
-	}
-	pts, _ := pool.Map(len(workload.PaperBatches), s.parallelism, func(i int) (point, error) {
-		b := workload.PaperBatches[i]
-		res, err := eng.Run(workload.Spec{Batch: b, Input: length, Output: length})
-		return point{res, err}, nil
-	})
-	for i, p := range pts {
-		b := workload.PaperBatches[i]
-		if p.err != nil {
-			fig.Note("batch %d skipped: %v", b, p.err)
+	for _, p := range pts {
+		if p.Err != nil {
+			fig.Note("batch %d skipped: %v", p.Batch, p.Err)
 			continue
 		}
-		fig.Add("throughput", float64(b), p.res.Throughput)
-		fig.Add("TTFT (s)", float64(b), p.res.TTFTSeconds)
-		fig.Add("ITL (ms)", float64(b), p.res.ITLSeconds*1000)
+		fig.Add("throughput", float64(p.Batch), p.Result.Throughput)
+		fig.Add("TTFT (s)", float64(p.Batch), p.Result.TTFTSeconds)
+		fig.Add("ITL (ms)", float64(p.Batch), p.Result.ITLSeconds*1000)
 	}
 	writeJSON(w, runResponse{Figure: toJSON(fig), Markdown: fig.Markdown()})
 }
@@ -264,108 +229,68 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request) {
 // series per replica count (per replica count × trace shape when the
 // shape axes are set):
 // /api/servesweep?model=…&device=…&framework=…&rates=5,10,20&replicas=1,2,4
-// Optional: maxbatch, requests, inmean, outmean, policy
-// (continuous|ll|prefix|static|static-ll|static-auto|autoscale), bursts
-// (ChatTrace burst-factor axis, values ≥ 1), mixes ("in:out"
-// length-median axis, e.g. 512:128,2048:256), prefixshare (one share
+// The list parameters rates, replicas, bursts, mixes and prefixshare
+// are the llmbench.Axes rows rates, replicas, bursts, mixes and
+// prefix-shares, parsed and checked by ServeGrid.Set: bursts is the
+// ChatTrace burst-factor axis (values ≥ 1), mixes the "in:out"
+// length-median axis (e.g. 512:128,2048:256), and prefixshare one share
 // in [0,1) of the input median spent on a fleet-wide shared system
-// prompt; every replica gets a tiered prefix cache and the table gains
-// a cache-hit-rate column — the workload the prefix policy routes
-// for), slo (seconds; draws the
-// knee per configuration into the table), trace (path of a recorded
-// llmbench-trace file on the server's filesystem — no upload needed;
-// replays it at every point, at its native rate when rates is absent
-// or rescaled to each rate otherwise; incompatible with bursts and
-// mixes), stream (=1 aggregates incrementally with P² percentile
-// sketches — required for traces over 100k requests).
+// prompt (every replica gets a tiered prefix cache and the table gains
+// a cache-hit-rate column — the workload the prefix policy routes for).
+// policy is one entry of the llmbench.ParseServePolicy grammar — ':'-
+// or '/'-joined tokens from {continuous|static, rr|round-robin,
+// ll|least-loaded, prefix, auto|autoscale, aggregated, disagg/<p>:<d>},
+// e.g. ll, static/ll, static/auto, ll/disagg/1:3. Other optional
+// parameters: maxbatch, requests, inmean, outmean, slo (seconds; draws
+// the knee per configuration into the table), trace (path of a
+// recorded llmbench-trace file on the server's filesystem — no upload
+// needed; replays it at every point, at its native rate when rates is
+// absent or rescaled to each rate otherwise; incompatible with bursts,
+// mixes and prefixshare), stream (=1 aggregates incrementally with P²
+// percentile sketches — required for traces over 100k requests).
 func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 	q := query{values: r.URL.Query()}
 	get := q.get
-	// Bounded axes: every point is a full DES run on process-shared
-	// engines, so the grid size, rates, and trace length are capped.
-	const maxAxis = 8
 	stream := get("stream", "") == "1"
 	tracePath := get("trace", "")
-	var traceReqs []llmbench.TraceRequest
+	var grid llmbench.ServeGrid
 	if tracePath != "" {
 		var err error
-		traceReqs, err = readTraceFile(tracePath, stream)
+		grid.Trace, err = readTraceFile(tracePath, stream)
 		if err != nil {
 			http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
 	// On trace replays an absent rates axis means one native-rate
-	// point; everywhere else it defaults like before.
-	ratesStr := get("rates", "")
-	if ratesStr == "" && tracePath == "" {
-		ratesStr = "5,10,20"
+	// point; everywhere else it defaults to 5,10,20.
+	rates := "5,10,20"
+	if tracePath != "" {
+		rates = ""
 	}
-	var rates []float64
-	if ratesStr != "" {
-		var err error
-		rates, err = parseFloatAxis(ratesStr, maxAxis, 1000)
-		if err != nil {
-			http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	replicas, err := parseIntAxis(get("replicas", "1,2,4"), maxAxis, 64)
-	if err != nil {
-		http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var bursts []float64
-	if b := get("bursts", ""); b != "" {
-		bursts, err = parseFloatAxis(b, maxAxis, 64)
-		if err == nil {
-			for _, v := range bursts {
-				if v < 1 {
-					err = fmt.Errorf("burst factors must be ≥ 1")
-					break
-				}
+	for _, p := range []struct{ param, axis, def string }{
+		{"rates", "rates", rates},
+		{"replicas", "replicas", "1,2,4"},
+		{"bursts", "bursts", ""},
+		{"mixes", "mixes", ""},
+		{"prefixshare", "prefix-shares", ""},
+	} {
+		if v := get(p.param, p.def); v != "" {
+			if err := grid.Set(p.axis, v); err != nil {
+				http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
+				return
 			}
 		}
-		if err != nil {
-			http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
-			return
-		}
 	}
-	var mixes []llmbench.LengthMix
-	if m := get("mixes", ""); m != "" {
-		mixes, err = parseMixAxis(m, maxAxis)
-		if err != nil {
-			http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	var shares []float64
-	if ps := get("prefixshare", ""); ps != "" {
-		v, perr := strconv.ParseFloat(ps, 64)
-		if perr != nil || !(v >= 0) || v >= 1 {
-			http.Error(w, "dashboard: prefixshare must be a number in [0, 1)", http.StatusBadRequest)
-			return
-		}
-		shares = []float64{v}
-	}
-	if tracePath != "" && (len(bursts) > 0 || len(mixes) > 0 || len(shares) > 0) {
-		http.Error(w, "dashboard: trace replay is incompatible with bursts/mixes/prefixshare (the recorded trace is the shape)",
-			http.StatusBadRequest)
-		return
-	}
-	// With four multiplying axes the per-axis caps alone no longer
-	// bound one request's synchronous work: keep the whole grid at the
-	// pre-shape-axes worst case (maxAxis² points).
-	if n := max(1, len(rates)) * len(replicas) * max(1, len(bursts)) * max(1, len(mixes)); n > maxAxis*maxAxis {
-		http.Error(w, fmt.Sprintf("dashboard: grid too large (%d points, max %d)", n, maxAxis*maxAxis),
-			http.StatusBadRequest)
+	if err := checkServeSweepBounds(grid); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	maxBatch := q.atoiIn("maxbatch", "32", 1, 256)
 	requests := q.atoiIn("requests", "150", 1, 1000)
 	if tracePath != "" {
 		// Replay points run the recorded trace; report its true size.
-		requests = len(traceReqs)
+		requests = len(grid.Trace)
 	}
 	inMean := q.atoiIn("inmean", "512", 1, 8192)
 	outMean := q.atoiIn("outmean", "128", 1, 8192)
@@ -386,33 +311,13 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		slo = v
 	}
-	var policy llmbench.ServePolicy
-	switch get("policy", "ll") {
-	case "continuous", "rr":
-		// zero value
-	case "ll", "least-loaded":
-		policy.LeastLoaded = true
-	case "prefix":
-		policy.Prefix = true
-	case "static":
-		policy.Static = true
-	case "static-ll":
-		policy.Static, policy.LeastLoaded = true, true
-	case "static-auto":
-		policy.Static, policy.Autoscale = true, true
-	case "autoscale", "auto":
-		policy.Autoscale = true
-	default:
-		// Anything beyond the select's short names — topology forms like
-		// "disagg/1:3" or "ll/disagg/2:6" — goes through the full policy
-		// grammar.
-		var perr error
-		policy, perr = llmbench.ParseServePolicy(get("policy", "ll"))
-		if perr != nil {
-			http.Error(w, "dashboard: "+perr.Error(), http.StatusBadRequest)
-			return
-		}
+	policy, err := llmbench.ParseServePolicy(get("policy", "ll"))
+	if err != nil {
+		http.Error(w, "dashboard: "+err.Error(), http.StatusBadRequest)
+		return
 	}
+	grid.Policies = []llmbench.ServePolicy{policy}
+	grid.Parallelism = s.parallelism
 	pts, err := llmbench.ServeSweep(llmbench.ServeSweepConfig{
 		System: llmbench.System{
 			Model:     get("model", "Mistral-7B"),
@@ -422,11 +327,7 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 		MaxBatch: maxBatch,
 		Seed:     42, Requests: requests, InputMean: inMean, OutputMean: outMean,
 		StreamStats: stream,
-	}, llmbench.ServeGrid{
-		Rates: rates, Replicas: replicas, Policies: []llmbench.ServePolicy{policy},
-		PrefixShares: shares, BurstFactors: bursts, LengthMixes: mixes, Trace: traceReqs,
-		Parallelism: s.parallelism,
-	})
+	}, grid)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -435,7 +336,7 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 	// Shaped grids label every series and row with the trace shape so
 	// one chart can contrast burst factors and length mixes; plain
 	// grids keep the replica-count-only rendering.
-	shaped := len(bursts) > 0 || len(mixes) > 0
+	shaped := len(grid.BurstFactors) > 0 || len(grid.LengthMixes) > 0
 	shapeOf := func(burst float64, mix llmbench.LengthMix) string {
 		return fmt.Sprintf("burst ×%g, %d:%d", burst, mix.Input, mix.Output)
 	}
@@ -447,8 +348,9 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 		XLabel: "Arrival rate (req/s)", YLabel: "P99 latency (s)",
 	}
 	var md strings.Builder
-	if prefixed := len(shares) > 0; prefixed {
-		fmt.Fprintf(&md, "### Serving capacity sweep (%s, shared prefix %g)\n\n", policy, shares[0])
+	prefixed := len(grid.PrefixShares) > 0
+	if prefixed {
+		fmt.Fprintf(&md, "### Serving capacity sweep (%s, shared prefix %g)\n\n", policy, grid.PrefixShares[0])
 	} else {
 		fmt.Fprintf(&md, "### Serving capacity sweep (%s)\n\n", policy)
 	}
@@ -457,7 +359,7 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 		shapeHdr = " Burst | In:Out |"
 	}
 	hitHdr := ""
-	if len(shares) > 0 {
+	if prefixed {
 		hitHdr = " Hit (%) |"
 	}
 	fmt.Fprintf(&md, "| Replicas |%s Rate (req/s) | Throughput (tok/s) | p50 (s) | p95 (s) | p99 (s) | Queue p99 (s) |%s Preempt |\n", shapeHdr, hitHdr)
@@ -472,13 +374,13 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 			shapeCols = fmt.Sprintf(" ×%g | %d:%d |", p.BurstFactor, p.Mix.Input, p.Mix.Output)
 		}
 		hitCol := ""
-		if len(shares) > 0 {
+		if prefixed {
 			hitCol = fmt.Sprintf(" %.1f |", p.Stats.CacheHitRate*100)
 		}
 		if p.Err != nil {
 			fig.Note("%s @ %g req/s skipped: %v", label, p.Rate, p.Err)
 			blank := ""
-			if len(shares) > 0 {
+			if prefixed {
 				blank = " |"
 			}
 			fmt.Fprintf(&md, "| %d |%s %g | — (%v) | | | | |%s |\n", p.Replicas, shapeCols, p.Rate, p.Err, blank)
@@ -518,7 +420,7 @@ func (s *server) serveSweep(w http.ResponseWriter, r *http.Request) {
 
 // query wraps a request's parameters with defaulting and bounded
 // integer parsing, recording the first violation — the shared input
-// plumbing of the serve and serveSweep handlers.
+// plumbing of the sweep, serve and serveSweep handlers.
 type query struct {
 	values map[string][]string
 	err    error
@@ -574,63 +476,43 @@ func readTraceFile(path string, stream bool) ([]llmbench.TraceRequest, error) {
 	return reqs, nil
 }
 
-// parseFloatAxis parses a bounded comma-separated axis of positive
-// numbers ≤ hi with at most maxN entries.
-func parseFloatAxis(s string, maxN int, hi float64) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) > maxN {
-		return nil, fmt.Errorf("at most %d axis values", maxN)
-	}
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || !(v > 0 && v <= hi) {
-			return nil, fmt.Errorf("axis values must be in (0, %g]", hi)
+// checkServeSweepBounds applies /api/servesweep's server-protection
+// bounds to a parsed grid: every point is a full DES run on
+// process-shared engines, so axis lengths and values are capped, and
+// with four multiplying axes the whole grid stays at the pre-shape-axes
+// worst case (maxAxis² points). Mix medians stay in [16, 8192]
+// (ChatTrace's floor and the trace-length cap), and one request sweeps
+// one shared-prefix share.
+func checkServeSweepBounds(g llmbench.ServeGrid) error {
+	const maxAxis = 8
+	inMix := func(n int) bool { return n >= 16 && n <= 8192 }
+	for _, ax := range []struct {
+		param   string
+		n, maxN int
+		within  func(i int) bool
+		bound   string
+	}{
+		{"rates", len(g.Rates), maxAxis, func(i int) bool { return g.Rates[i] <= 1000 }, "≤ 1000"},
+		{"replicas", len(g.Replicas), maxAxis, func(i int) bool { return g.Replicas[i] <= 64 }, "≤ 64"},
+		{"bursts", len(g.BurstFactors), maxAxis, func(i int) bool { return g.BurstFactors[i] <= 64 }, "≤ 64"},
+		{"mixes", len(g.LengthMixes), maxAxis, func(i int) bool {
+			return inMix(g.LengthMixes[i].Input) && inMix(g.LengthMixes[i].Output)
+		}, "medians in [16, 8192]"},
+		{"prefixshare", len(g.PrefixShares), 1, func(int) bool { return true }, ""},
+	} {
+		if ax.n > ax.maxN {
+			return fmt.Errorf("dashboard: at most %d %s values", ax.maxN, ax.param)
 		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseMixAxis parses a bounded "in:out" length-mix axis
-// ("512:128,2048:256") with at most maxN entries; medians must be in
-// [16, 8192] (ChatTrace's floor and the trace-length cap).
-func parseMixAxis(s string, maxN int) ([]llmbench.LengthMix, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) > maxN {
-		return nil, fmt.Errorf("at most %d axis values", maxN)
-	}
-	out := make([]llmbench.LengthMix, 0, len(parts))
-	for _, p := range parts {
-		in, outS, found := strings.Cut(strings.TrimSpace(p), ":")
-		if !found {
-			return nil, fmt.Errorf("mix %q must be in:out", p)
+		for i := 0; i < ax.n; i++ {
+			if !ax.within(i) {
+				return fmt.Errorf("dashboard: %s values must be %s", ax.param, ax.bound)
+			}
 		}
-		i, err1 := strconv.Atoi(strings.TrimSpace(in))
-		o, err2 := strconv.Atoi(strings.TrimSpace(outS))
-		if err1 != nil || err2 != nil || i < 16 || i > 8192 || o < 16 || o > 8192 {
-			return nil, fmt.Errorf("mix medians must be integers in [16, 8192]")
-		}
-		out = append(out, llmbench.LengthMix{Input: i, Output: o})
 	}
-	return out, nil
-}
-
-// parseIntAxis is parseFloatAxis for integer axes in [1, hi].
-func parseIntAxis(s string, maxN, hi int) ([]int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) > maxN {
-		return nil, fmt.Errorf("at most %d axis values", maxN)
+	if n := max(1, len(g.Rates)) * max(1, len(g.Replicas)) * max(1, len(g.BurstFactors)) * max(1, len(g.LengthMixes)); n > maxAxis*maxAxis {
+		return fmt.Errorf("dashboard: grid too large (%d points, max %d)", n, maxAxis*maxAxis)
 	}
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 || v > hi {
-			return nil, fmt.Errorf("axis values must be integers in [1, %d]", hi)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return nil
 }
 
 type serveParams struct {
@@ -787,8 +669,8 @@ const indexHTML = `<!DOCTYPE html>
   <option value="prefix">continuous/prefix-affinity</option>
   <option value="autoscale">autoscale</option>
   <option value="static">static/round-robin</option>
-  <option value="static-ll">static/least-loaded</option>
-  <option value="static-auto">static autoscale</option>
+  <option value="static/ll">static/least-loaded</option>
+  <option value="static/auto">static autoscale</option>
   <option value="disagg/1:3">disagg 1:3 (prefill:decode)</option>
   <option value="ll/disagg/1:3">disagg 1:3/least-loaded</option>
   <option value="ll/disagg/2:2">disagg 2:2/least-loaded</option>

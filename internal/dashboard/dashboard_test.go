@@ -388,6 +388,31 @@ func TestServeSweepEndpointTraceReplay(t *testing.T) {
 	}
 }
 
+// TestServeSweepEndpointTraceDoesNotLeak: trace is a path on the
+// server's filesystem, so a file that is not a trace must fail without
+// echoing its contents to the client.
+func TestServeSweepEndpointTraceDoesNotLeak(t *testing.T) {
+	srv := httptest.NewServer(Handler(2))
+	defer srv.Close()
+	const secret = "root:x:0:0:secret-first-line"
+	path := filepath.Join(t.TempDir(), "passwd")
+	if err := os.WriteFile(path, []byte(secret+"\nmore\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Get(srv.URL + "/api/servesweep?trace=" + url.QueryEscape(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", res.StatusCode)
+	}
+	if strings.Contains(string(body), "secret") {
+		t.Errorf("response leaks the file's first line: %s", body)
+	}
+}
+
 // TestServeSweepEndpointShaped: the trace-shape axes (bursts, mixes)
 // and the cluster-capable static policy reach the endpoint — one
 // series per replica count × trace shape, shape columns in the table,

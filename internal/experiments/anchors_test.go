@@ -4,7 +4,7 @@ package experiments
 // makes in prose. Each test names the paper statement and asserts the
 // reproduced ratio inside a generous shape band — we require the right
 // winner and roughly the right factor, not the exact testbed number.
-// EXPERIMENTS.md records the measured values next to the paper's.
+// `llmbench report` prints the measured values next to the paper's.
 
 import (
 	"testing"

@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// AnchorRow is one paper-vs-measured comparison for EXPERIMENTS.md.
+// AnchorRow is one paper-vs-measured comparison of the `llmbench
+// report` table.
 type AnchorRow struct {
 	Figure   string
 	Claim    string
@@ -15,9 +16,8 @@ type AnchorRow struct {
 }
 
 // Report regenerates every anchor figure and computes the
-// paper-vs-measured table EXPERIMENTS.md records. It is the
-// executable form of the reproduction claims: `llmbench report`
-// rebuilds the document.
+// paper-vs-measured table `llmbench report` prints. It is the
+// executable form of the reproduction claims.
 //
 // The figures regenerate concurrently on at most parallelism workers
 // (parallelism < 1 means GOMAXPROCS); anchor rows are then computed

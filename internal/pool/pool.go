@@ -4,7 +4,7 @@
 // build-once cache for expensive immutable values such as engines.
 //
 // Determinism is the design constraint. The paper-anchor artifacts
-// (EXPERIMENTS.md tables, per-figure CSVs) must be byte-identical
+// (`llmbench report` tables, per-figure CSVs) must be byte-identical
 // whether regenerated serially or at full parallelism, so Map writes
 // each result into its submission slot and error selection is by
 // lowest index, not by which worker failed first.

@@ -126,8 +126,10 @@ func Replay(r io.Reader) ([]Request, TraceMeta, error) {
 	if !sc.Scan() {
 		return nil, meta, fmt.Errorf("workload: empty trace file")
 	}
-	if first := strings.TrimSpace(sc.Text()); first != traceMagic {
-		return nil, meta, fmt.Errorf("workload: bad trace magic %q (want %q)", first, traceMagic)
+	// The error never quotes the line it read: a reader fed an
+	// arbitrary file must not echo that file's contents to its caller.
+	if strings.TrimSpace(sc.Text()) != traceMagic {
+		return nil, meta, fmt.Errorf("workload: not a trace file (first line is not %q)", traceMagic)
 	}
 	// Header: "key: value" lines up to the "---" separator.
 	wantRows := -1

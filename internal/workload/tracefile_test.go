@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func testTrace(t *testing.T, n int) []Request {
+func testTrace(t testing.TB, n int) []Request {
 	t.Helper()
 	reqs, err := PoissonTrace(TraceConfig{
 		Seed: 7, Requests: n, RatePerSec: 12,
@@ -188,4 +188,49 @@ func TestNativeRateAndScaleToRate(t *testing.T) {
 	if _, err := NativeRate(burst); err == nil {
 		t.Error("NativeRate accepted an instantaneous burst trace")
 	}
+}
+
+// FuzzReadTrace: Replay never panics, and a trace it accepts survives
+// Record → Replay unchanged (metadata as Record normalises it).
+func FuzzReadTrace(f *testing.F) {
+	var rec bytes.Buffer
+	if err := Record(&rec, testTrace(f, 3), TraceMeta{Source: "poisson seed=7", Note: "seed"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec.String())
+	for _, seed := range []string{
+		"", "not-a-trace v1\n---\n" + traceHeader + "\n0,8,8\n",
+		traceMagic + "\n---\n" + traceHeader + "\n0,8,8\n",
+		traceMagic + "\nrequests: 2\nx: y\n# note\n---\n" + traceHeader + "\n0.5,8,8\n\n1e-3,1,1\n",
+		traceMagic + "\n---\n" + traceHeader + "\n0,8,8,9\n",
+		traceMagic + "\nrequests: zero\n---\n" + traceHeader + "\n0,8,8\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		reqs, meta, err := Replay(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Record(&buf, reqs, meta); err != nil {
+			t.Fatalf("Record of an accepted trace: %v", err)
+		}
+		back, backMeta, err := Replay(&buf)
+		if err != nil {
+			t.Fatalf("Replay of a recorded trace: %v", err)
+		}
+		want := TraceMeta{Source: headerSafe(meta.Source), Note: headerSafe(meta.Note)}
+		if backMeta != want {
+			t.Errorf("meta round-trip: got %+v, want %+v", backMeta, want)
+		}
+		if len(back) != len(reqs) {
+			t.Fatalf("round-trip: %d requests, want %d", len(back), len(reqs))
+		}
+		for i := range reqs {
+			if back[i] != reqs[i] {
+				t.Fatalf("request %d: got %+v, want %+v", i, back[i], reqs[i])
+			}
+		}
+	})
 }

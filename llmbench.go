@@ -268,34 +268,22 @@ func RunExperiments(ids []string, parallelism int) ([]ExperimentResult, error) {
 	return res, err
 }
 
-// Report renders the paper-vs-measured anchor table recorded in
-// EXPERIMENTS.md by regenerating the relevant figures, using every
-// available core. The table is byte-identical at any parallelism.
-func Report() (string, error) {
-	return ReportParallel(0)
-}
-
-// ReportParallel is Report with an explicit worker bound (`llmbench
-// report -j N`); parallelism below 1 means GOMAXPROCS.
-func ReportParallel(parallelism int) (string, error) {
+// Report renders the paper-vs-measured anchor table (the `llmbench
+// report` output) by regenerating the relevant figures on parallelism
+// workers; values below 1 mean GOMAXPROCS. The table is byte-identical
+// at any parallelism.
+func Report(parallelism int) (string, error) {
 	return experiments.ReportMarkdown(parallelism)
 }
 
 // Anchor re-exports one paper-vs-measured comparison row.
 type Anchor = experiments.AnchorRow
 
-// VerifyAnchors regenerates the anchor figures (concurrently, using
-// every available core) and returns each paper claim with its
-// measured value and whether the shape holds — the CI check behind
+// VerifyAnchors regenerates the anchor figures on parallelism workers
+// (values below 1 mean GOMAXPROCS) and returns each paper claim with
+// its measured value and whether the shape holds — the CI check behind
 // `llmbench verify`.
-func VerifyAnchors() ([]Anchor, error) {
-	return experiments.Report(0)
-}
-
-// VerifyAnchorsParallel is VerifyAnchors with an explicit worker
-// bound (`llmbench verify -j N`); parallelism below 1 means
-// GOMAXPROCS.
-func VerifyAnchorsParallel(parallelism int) ([]Anchor, error) {
+func VerifyAnchors(parallelism int) ([]Anchor, error) {
 	return experiments.Report(parallelism)
 }
 

@@ -451,18 +451,14 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 	if len(a.rates) == 0 {
 		return a, errors.New("llmbench: empty serve grid (no rates)")
 	}
-	for _, r := range a.rates {
-		if !(r > 0) || math.IsInf(r, 0) {
-			return a, fmt.Errorf("llmbench: arrival rate %v must be positive and finite", r)
-		}
+	if err := checkEach(a.rates, checkRate); err != nil {
+		return a, fmt.Errorf("llmbench: %w", err)
 	}
 	if len(a.replicas) == 0 {
 		a.replicas = []int{max1(cfg.Replicas)}
 	}
-	for _, n := range a.replicas {
-		if n < 1 {
-			return a, fmt.Errorf("llmbench: replica count %d must be ≥ 1", n)
-		}
+	if err := checkEach(a.replicas, checkReplicas); err != nil {
+		return a, fmt.Errorf("llmbench: %w", err)
 	}
 	if len(a.maxBatches) == 0 {
 		if cfg.MaxBatch < 1 {
@@ -470,34 +466,26 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 		}
 		a.maxBatches = []int{cfg.MaxBatch}
 	}
-	for _, b := range a.maxBatches {
-		if b < 1 {
-			return a, fmt.Errorf("llmbench: max batch %d must be ≥ 1", b)
-		}
+	if err := checkEach(a.maxBatches, checkMaxBatch); err != nil {
+		return a, fmt.Errorf("llmbench: %w", err)
 	}
 	if len(a.policies) == 0 {
 		a.policies = []ServePolicy{{}}
 	}
-	for _, p := range a.policies {
-		if err := p.validate(); err != nil {
-			return a, err
-		}
+	if err := checkEach(a.policies, ServePolicy.validate); err != nil {
+		return a, err
 	}
 	if len(a.shares) == 0 {
 		a.shares = []float64{0}
 	}
-	for _, s := range a.shares {
-		if !(s >= 0) || s >= 1 || math.IsNaN(s) {
-			return a, fmt.Errorf("llmbench: prefix share %v must be in [0, 1)", s)
-		}
+	if err := checkEach(a.shares, checkShare); err != nil {
+		return a, fmt.Errorf("llmbench: %w", err)
 	}
 	if len(a.bursts) == 0 {
 		a.bursts = []float64{1}
 	}
-	for _, b := range a.bursts {
-		if !(b >= 1) || math.IsInf(b, 0) {
-			return a, fmt.Errorf("llmbench: burst factor %v must be ≥ 1 and finite", b)
-		}
+	if err := checkEach(a.bursts, checkBurst); err != nil {
+		return a, fmt.Errorf("llmbench: %w", err)
 	}
 	if len(a.mixes) == 0 {
 		if len(a.replay) > 0 {
@@ -510,13 +498,8 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 		}
 	}
 	if len(a.replay) == 0 {
-		for _, m := range a.mixes {
-			// Positive medians are a grid error; ChatTrace's stricter
-			// floor (≥ 16) surfaces per point so one bad mix cannot abort
-			// the rest of the sweep.
-			if m.Input < 1 || m.Output < 1 {
-				return a, fmt.Errorf("llmbench: length mix %+v must have positive medians", m)
-			}
+		if err := checkEach(a.mixes, checkMix); err != nil {
+			return a, fmt.Errorf("llmbench: %w", err)
 		}
 	}
 	if err := validateKVBudget(cfg.KVBudgetGiB); err != nil {
