@@ -326,28 +326,14 @@ func benchServeClusterN(b *testing.B, replicas int, reqs []workload.Request, cfg
 
 // BenchmarkServeCluster8/32 track the cluster DES at deployment scale
 // (the autoscaling/router experiments the kernel exists to unlock).
-// The Parallel variants advance replicas on per-replica goroutines
-// between arrival barriers — byte-identical Stats, wall-clock bounded
-// by GOMAXPROCS (on a single-core host they only measure barrier
-// overhead).
 func BenchmarkServeCluster8(b *testing.B) {
 	benchServeClusterN(b, 8, benchClusterTrace(b, 128, 2),
 		cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 16})
 }
 
-func BenchmarkServeCluster8Parallel(b *testing.B) {
-	benchServeClusterN(b, 8, benchClusterTrace(b, 128, 2),
-		cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 16, Parallelism: 8})
-}
-
 func BenchmarkServeCluster32(b *testing.B) {
 	benchServeClusterN(b, 32, benchClusterTrace(b, 384, 8),
 		cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 16})
-}
-
-func BenchmarkServeCluster32Parallel(b *testing.B) {
-	benchServeClusterN(b, 32, benchClusterTrace(b, 384, 8),
-		cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 16, Parallelism: 8})
 }
 
 // BenchmarkServeClusterStatic tracks multi-replica static batching on
@@ -363,7 +349,7 @@ func BenchmarkServeClusterStatic(b *testing.B) {
 // same fleet scale as BenchmarkServeCluster8: 2 prefill + 6 decode
 // replicas, every request crossing the pool boundary as a kv-transfer
 // event. The delta against the aggregated row is the price of the
-// phase-split lifecycle (transfer events, horizon-bounded barriers).
+// phase-split lifecycle (kv-transfer events and their deliveries).
 func BenchmarkServeClusterDisagg(b *testing.B) {
 	m := model.MustGet("LLaMA-3-8B")
 	benchServeClusterN(b, 8, benchClusterTrace(b, 128, 2),
@@ -427,7 +413,9 @@ func BenchmarkServeClusterPrefix(b *testing.B) {
 // stays O(1) in trace length — allocs/op here are the kernel's own,
 // not a million-entry ledger plus sort. BenchmarkServeClusterMillionExact
 // is the ledgered reference the memory delta is measured against.
-func benchServeClusterMillion(b *testing.B, streaming bool, parallelism int) {
+// Both report events/s: kernel events (trace arrivals, kv-transfer
+// deliveries and station events, des.EventCounts) per wall second.
+func benchServeClusterMillion(b *testing.B, streaming bool) {
 	b.Helper()
 	if testing.Short() {
 		// The general bench smoke runs -short; the million-request rows
@@ -452,6 +440,7 @@ func benchServeClusterMillion(b *testing.B, streaming bool, parallelism int) {
 	// after the first run the kernel's station shells, free lists, and
 	// event buffers are recycled instead of reallocated.
 	var scratch des.Scratch
+	var counts des.EventCounts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -465,7 +454,7 @@ func benchServeClusterMillion(b *testing.B, streaming bool, parallelism int) {
 		}
 		st, err := cluster.Serve(cluster.Config{
 			Replicas: reps, Policy: cluster.LeastLoaded, MaxBatch: 32, Streaming: streaming,
-			Parallelism: parallelism, Scratch: &scratch,
+			Scratch: &scratch, Counts: &counts,
 		}, reqs)
 		if err != nil {
 			b.Fatal(err)
@@ -474,18 +463,12 @@ func benchServeClusterMillion(b *testing.B, streaming bool, parallelism int) {
 			b.Fatalf("completed %d/%d", st.Completed, len(reqs))
 		}
 	}
+	events := counts.Arrivals + counts.Transfers + counts.Events
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkServeClusterMillion(b *testing.B)      { benchServeClusterMillion(b, true, 0) }
-func BenchmarkServeClusterMillionExact(b *testing.B) { benchServeClusterMillion(b, false, 0) }
-
-// BenchmarkServeClusterMillionParallel is the multicore row: the same
-// million-request day advanced on 4 replica goroutines between arrival
-// barriers. Byte-identical Stats to the serial row by the cluster
-// determinism contract; run it with GOMAXPROCS=4 on a multicore host
-// to measure the speedup (a single-core host serialises the workers
-// and only pays the barrier overhead).
-func BenchmarkServeClusterMillionParallel(b *testing.B) { benchServeClusterMillion(b, true, 4) }
+func BenchmarkServeClusterMillion(b *testing.B)      { benchServeClusterMillion(b, true) }
+func BenchmarkServeClusterMillionExact(b *testing.B) { benchServeClusterMillion(b, false) }
 
 // BenchmarkServeAutoscale is the bench-smoke guard for the dynamic
 // capacity path (bursty chat load, replicas 1..8).

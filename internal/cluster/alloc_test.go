@@ -4,7 +4,7 @@ package cluster
 // a recycled kernel arena must stay far below one allocation per
 // request — the property BENCH.md's million-request rows score. The
 // per-station gates live in internal/des; this one covers what they
-// cannot: routing, barrier flushing, the streaming aggregator, and
+// cannot: routing, completion flushing, the streaming aggregator, and
 // the Scratch plumbing, together.
 
 import (

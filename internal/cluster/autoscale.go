@@ -7,8 +7,8 @@ package cluster
 // a scale-tick event handler on the shared kernel (internal/des):
 // ticks fire immediately before each arrival, and a coalesced window
 // changes nothing the handler reads before its last step, so the
-// scaling trajectory is byte-identical between the coalesced,
-// stepped, serial, and parallel paths.
+// scaling trajectory is byte-identical between the coalesced and
+// stepped paths.
 
 import (
 	"errors"
@@ -111,8 +111,8 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 		peak = as.Min
 
 		// The scale-tick handler: fired by the kernel immediately before
-		// each arrival is routed, with every replica synchronised at the
-		// arrival barrier.
+		// each arrival is routed, after every replica event before the
+		// arrival instant.
 		k.ScaleTick = func(now float64) error {
 			// Scale up on queue pressure.
 			outstanding := 0

@@ -17,9 +17,8 @@
 // this package contributes only the routing policy (and, in
 // autoscale.go, the scale-tick handler); the kernel owns arrival
 // delivery, the coalesced-window advance, and the determinism
-// contract. Replicas may be advanced on per-replica goroutines
-// between arrival barriers (Config.Parallelism) with Stats
-// byte-identical to the serial and Stepped paths.
+// contract, with Stats byte-identical between the coalesced and
+// Stepped paths.
 package cluster
 
 import (
@@ -113,9 +112,7 @@ type Config struct {
 	// PrefillChunk is the slice size in tokens (default 512).
 	PrefillChunk int
 
-	// Parallelism ≥ 2 advances replicas on that many goroutines
-	// between arrival barriers (see internal/des); values ≤ 1 run
-	// serially. Stats are byte-identical at any setting.
+	// Deprecated: ignored; the kernel is serial.
 	Parallelism int
 
 	// Stepped disables iteration coalescing (see internal/des): one
@@ -138,6 +135,10 @@ type Config struct {
 	// Results are byte-identical with or without it; sweeps pass one
 	// per worker so per-point setup stops allocating.
 	Scratch *des.Scratch
+
+	// Counts, when non-nil, receives the kernel's event counts
+	// (des.Kernel.Counts) once the kernel run returns without error.
+	Counts *des.EventCounts
 }
 
 // Stats aggregates the run; PerReplica reports each replica's share.
@@ -235,7 +236,6 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 		PrefillChunk:   cfg.PrefillChunk,
 		Static:         cfg.Static,
 		Stepped:        cfg.Stepped,
-		Parallelism:    cfg.Parallelism,
 		Transfer:       cfg.Transfer,
 	})
 	k.Reuse(cfg.Scratch)
@@ -252,6 +252,9 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 	res, err := k.Run(reqs)
 	if err != nil {
 		return Stats{}, fmt.Errorf("cluster: %w", err)
+	}
+	if cfg.Counts != nil {
+		*cfg.Counts = k.Counts()
 	}
 	if res.Completed != len(reqs) {
 		return Stats{}, fmt.Errorf("cluster: only %d of %d requests completed", res.Completed, len(reqs))
@@ -322,7 +325,7 @@ func poolRouter(cfg Config, group []*des.Station) func(now float64) *des.Station
 			// prefixes (no cost) over restorable ones (host-link cost
 			// only) over cold replicas; ties go to the lighter replica,
 			// then to group order — all deterministic reads of station
-			// state at the arrival barrier.
+			// state at the arrival instant.
 			minOut := group[0].Outstanding()
 			for _, s := range group[1:] {
 				if o := s.Outstanding(); o < minOut {

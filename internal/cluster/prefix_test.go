@@ -4,8 +4,8 @@ package cluster
 // shared-prefix workload onto warm replicas (cache-hit rate far above
 // a blind router's at light per-replica load), degrade gracefully to
 // least-loaded when the allocators are prefix-blind, and hold the
-// serial == parallel == stepped identity with tiered allocators and
-// chunked prefill engaged.
+// coalesced == stepped identity with tiered allocators and chunked
+// prefill engaged.
 
 import (
 	"reflect"
@@ -133,34 +133,30 @@ func TestPrefixPolicyBlindAllocatorsDegrade(t *testing.T) {
 }
 
 // TestPrefixParallelMatchesSerial extends the cluster's byte-identity
-// square to the new machinery all at once: Prefix routing over tiered
-// allocators with chunked prefill, serial == parallel == stepped.
+// to the new machinery all at once: Prefix routing over tiered
+// allocators with chunked prefill, coalesced == stepped. (The name
+// predates the serial kernel.)
 func TestPrefixParallelMatchesSerial(t *testing.T) {
 	reqs := prefixTrace(t, 96, 2048, 10)
-	build := func(par int, stepped bool) Stats {
+	build := func(stepped bool) Stats {
 		t.Helper()
 		stats, err := Serve(Config{
 			Replicas: makeTieredReplicas(t, 4, 2048, 2),
 			Policy:   Prefix, MaxBatch: 8,
 			ChunkedPrefill: true, PrefillChunk: 256,
-			Parallelism: par, Stepped: stepped,
+			Stepped: stepped,
 		}, reqs)
 		if err != nil {
-			t.Fatalf("parallelism %d stepped %v: %v", par, stepped, err)
+			t.Fatalf("stepped %v: %v", stepped, err)
 		}
 		return stats
 	}
-	serial := build(1, false)
-	if serial.CacheHitRate <= 0 {
+	coalesced := build(false)
+	if coalesced.CacheHitRate <= 0 {
 		t.Fatal("the identity run must actually exercise prefix hits")
 	}
-	for _, par := range []int{2, 4, 8} {
-		if got := build(par, false); !reflect.DeepEqual(got, serial) {
-			t.Errorf("parallelism %d Stats differ from serial", par)
-		}
-	}
-	if got := build(4, true); !reflect.DeepEqual(got, serial) {
-		t.Error("parallel stepped Stats differ from serial coalesced")
+	if got := build(true); !reflect.DeepEqual(got, coalesced) {
+		t.Error("stepped Stats differ from coalesced")
 	}
 }
 

@@ -2,8 +2,8 @@ package cluster
 
 // Property tests for static batching as a cluster station policy: the
 // router and autoscaler drive static replicas exactly like continuous
-// ones, and the kernel's determinism contract (serial == parallel ==
-// Stepped, byte for byte, at any Parallelism) holds for them too.
+// ones, and the kernel's determinism contract (coalesced == Stepped,
+// byte for byte) holds for them too.
 
 import (
 	"reflect"
@@ -14,44 +14,33 @@ import (
 
 // TestClusterStaticParallelMatchesSerial: multi-replica static
 // batching — the grid hole this policy port closes — produces
-// byte-identical Stats on the serial, parallel, and Stepped kernels,
-// for both routers, with every request completed and zero
-// preemptions.
+// byte-identical Stats on the coalesced and Stepped kernels, for both
+// routers, with every request completed and zero preemptions. (The
+// name predates the serial kernel.)
 func TestClusterStaticParallelMatchesSerial(t *testing.T) {
 	reqs := clusterTrace(t, 96, 6)
 	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
-		serial, err := Serve(Config{Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Static: true}, reqs)
+		coalesced, err := Serve(Config{Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Static: true}, reqs)
 		if err != nil {
-			t.Fatalf("%v serial: %v", policy, err)
+			t.Fatalf("%v coalesced: %v", policy, err)
 		}
-		if serial.Completed != len(reqs) {
-			t.Fatalf("%v: completed %d/%d", policy, serial.Completed, len(reqs))
+		if coalesced.Completed != len(reqs) {
+			t.Fatalf("%v: completed %d/%d", policy, coalesced.Completed, len(reqs))
 		}
-		if serial.Preemptions != 0 {
-			t.Errorf("%v: static cluster preempted %d times", policy, serial.Preemptions)
+		if coalesced.Preemptions != 0 {
+			t.Errorf("%v: static cluster preempted %d times", policy, coalesced.Preemptions)
 		}
-		if len(serial.PerReplica) != 4 {
-			t.Errorf("%v: %d per-replica entries, want 4", policy, len(serial.PerReplica))
-		}
-		for _, par := range []int{2, 4, 8} {
-			got, err := Serve(Config{
-				Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Static: true, Parallelism: par,
-			}, reqs)
-			if err != nil {
-				t.Fatalf("%v parallelism %d: %v", policy, par, err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("%v: parallelism %d static Stats differ from serial", policy, par)
-			}
+		if len(coalesced.PerReplica) != 4 {
+			t.Errorf("%v: %d per-replica entries, want 4", policy, len(coalesced.PerReplica))
 		}
 		stepped, err := Serve(Config{
-			Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Static: true, Parallelism: 4, Stepped: true,
+			Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Static: true, Stepped: true,
 		}, reqs)
 		if err != nil {
-			t.Fatalf("%v parallel stepped: %v", policy, err)
+			t.Fatalf("%v stepped: %v", policy, err)
 		}
-		if !reflect.DeepEqual(stepped, serial) {
-			t.Errorf("%v: parallel stepped static Stats differ from serial", policy)
+		if !reflect.DeepEqual(stepped, coalesced) {
+			t.Errorf("%v: stepped static Stats differ from coalesced", policy)
 		}
 	}
 }
@@ -74,29 +63,17 @@ func tiedTrace(n int) []workload.Request {
 }
 
 // TestClusterStaticArrivalTies: equal-timestamp arrivals route and
-// batch deterministically — serial, parallel, and Stepped static
-// clusters agree byte for byte on a trace made of simultaneous
-// arrival groups.
+// batch deterministically — coalesced and Stepped static clusters
+// agree byte for byte on a trace made of simultaneous arrival groups.
 func TestClusterStaticArrivalTies(t *testing.T) {
 	reqs := tiedTrace(64)
 	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
-		serial, err := Serve(Config{Replicas: makeReplicas(t, 3), Policy: policy, MaxBatch: 4, Static: true}, reqs)
+		coalesced, err := Serve(Config{Replicas: makeReplicas(t, 3), Policy: policy, MaxBatch: 4, Static: true}, reqs)
 		if err != nil {
-			t.Fatalf("%v serial: %v", policy, err)
+			t.Fatalf("%v coalesced: %v", policy, err)
 		}
-		if serial.Completed != len(reqs) {
-			t.Fatalf("%v: completed %d/%d", policy, serial.Completed, len(reqs))
-		}
-		for _, par := range []int{2, 8} {
-			got, err := Serve(Config{
-				Replicas: makeReplicas(t, 3), Policy: policy, MaxBatch: 4, Static: true, Parallelism: par,
-			}, reqs)
-			if err != nil {
-				t.Fatalf("%v parallelism %d: %v", policy, par, err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("%v: parallelism %d differs from serial on tied arrivals", policy, par)
-			}
+		if coalesced.Completed != len(reqs) {
+			t.Fatalf("%v: completed %d/%d", policy, coalesced.Completed, len(reqs))
 		}
 		stepped, err := Serve(Config{
 			Replicas: makeReplicas(t, 3), Policy: policy, MaxBatch: 4, Static: true, Stepped: true,
@@ -104,8 +81,8 @@ func TestClusterStaticArrivalTies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v stepped: %v", policy, err)
 		}
-		if !reflect.DeepEqual(stepped, serial) {
-			t.Errorf("%v: stepped differs from serial on tied arrivals", policy)
+		if !reflect.DeepEqual(stepped, coalesced) {
+			t.Errorf("%v: stepped differs from coalesced on tied arrivals", policy)
 		}
 	}
 }
@@ -113,9 +90,9 @@ func TestClusterStaticArrivalTies(t *testing.T) {
 // TestAutoscaleStaticParallelMatchesSerial: the autoscaler drives
 // static replicas like continuous ones — scale-ups under queue
 // pressure, retirement of drained replicas, and a byte-identical
-// trajectory across kernel modes. The run must actually scale (a
+// trajectory coalesced and Stepped. The run must actually scale (a
 // static replica holds its queue through a whole batch run, so
-// pressure builds fast).
+// pressure builds fast). (The name predates the serial kernel.)
 func TestAutoscaleStaticParallelMatchesSerial(t *testing.T) {
 	as := Autoscale{
 		Factory:       factory(t),
@@ -126,33 +103,24 @@ func TestAutoscaleStaticParallelMatchesSerial(t *testing.T) {
 		CooldownS:     1,
 	}
 	reqs := burstyTrace(t)
-	serial, err := ServeAutoscale(Config{MaxBatch: 8, Static: true}, as, reqs)
+	coalesced, err := ServeAutoscale(Config{MaxBatch: 8, Static: true}, as, reqs)
 	if err != nil {
-		t.Fatalf("serial: %v", err)
+		t.Fatalf("coalesced: %v", err)
 	}
-	if serial.Completed != len(reqs) {
-		t.Fatalf("completed %d/%d", serial.Completed, len(reqs))
+	if coalesced.Completed != len(reqs) {
+		t.Fatalf("completed %d/%d", coalesced.Completed, len(reqs))
 	}
-	if serial.PeakReplicas < 2 {
-		t.Errorf("peak replicas %d: the bursty trace must force a scale-up", serial.PeakReplicas)
+	if coalesced.PeakReplicas < 2 {
+		t.Errorf("peak replicas %d: the bursty trace must force a scale-up", coalesced.PeakReplicas)
 	}
-	if serial.Preemptions != 0 {
-		t.Errorf("static autoscale preempted %d times", serial.Preemptions)
+	if coalesced.Preemptions != 0 {
+		t.Errorf("static autoscale preempted %d times", coalesced.Preemptions)
 	}
-	for _, par := range []int{2, 4} {
-		got, err := ServeAutoscale(Config{MaxBatch: 8, Static: true, Parallelism: par}, as, reqs)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("parallelism %d static AutoStats differ from serial", par)
-		}
-	}
-	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Static: true, Parallelism: 4, Stepped: true}, as, reqs)
+	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Static: true, Stepped: true}, as, reqs)
 	if err != nil {
-		t.Fatalf("parallel stepped: %v", err)
+		t.Fatalf("stepped: %v", err)
 	}
-	if !reflect.DeepEqual(stepped, serial) {
-		t.Error("parallel stepped static AutoStats differ from serial")
+	if !reflect.DeepEqual(stepped, coalesced) {
+		t.Error("stepped static AutoStats differ from coalesced")
 	}
 }

@@ -67,31 +67,27 @@ func TestClusterStreamingMatchesExact(t *testing.T) {
 // TestClusterStreamingDeterministicAcrossModes extends the kernel's
 // headline property to streaming aggregation: the Sink observes the
 // identical completion sequence in every mode, so streaming Stats —
-// sketch percentiles included — are byte-identical on the serial,
-// parallel, and stepped kernels, for fixed fleets and autoscaling.
+// sketch percentiles included — are byte-identical on the coalesced
+// and stepped kernels, for fixed fleets and autoscaling.
 func TestClusterStreamingDeterministicAcrossModes(t *testing.T) {
 	reqs := longClusterTrace(t, 128, 6, 192)
 	for _, static := range []bool{false, true} {
-		serial, err := Serve(Config{
+		coalesced, err := Serve(Config{
 			Replicas: makeReplicas(t, 4), Policy: LeastLoaded, MaxBatch: 8, Static: static,
 			Streaming: true,
 		}, reqs)
 		if err != nil {
-			t.Fatalf("static=%v serial: %v", static, err)
+			t.Fatalf("static=%v coalesced: %v", static, err)
 		}
-		for name, cfg := range map[string]Config{
-			"parallel": {Replicas: makeReplicas(t, 4), Policy: LeastLoaded, MaxBatch: 8, Static: static,
-				Streaming: true, Parallelism: 4},
-			"parallel-stepped": {Replicas: makeReplicas(t, 4), Policy: LeastLoaded, MaxBatch: 8, Static: static,
-				Streaming: true, Parallelism: 4, Stepped: true},
-		} {
-			got, err := Serve(cfg, reqs)
-			if err != nil {
-				t.Fatalf("static=%v %s: %v", static, name, err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("static=%v: %s streaming Stats differ from serial", static, name)
-			}
+		got, err := Serve(Config{
+			Replicas: makeReplicas(t, 4), Policy: LeastLoaded, MaxBatch: 8, Static: static,
+			Streaming: true, Stepped: true,
+		}, reqs)
+		if err != nil {
+			t.Fatalf("static=%v stepped: %v", static, err)
+		}
+		if !reflect.DeepEqual(got, coalesced) {
+			t.Errorf("static=%v: stepped streaming Stats differ from coalesced", static)
 		}
 	}
 
@@ -100,18 +96,18 @@ func TestClusterStreamingDeterministicAcrossModes(t *testing.T) {
 		UpOutstanding: 6, DownIdleS: 4, CooldownS: 1,
 	}
 	bursty := burstyTrace(t)
-	serial, err := ServeAutoscale(Config{MaxBatch: 8, Streaming: true}, as, bursty)
+	coalesced, err := ServeAutoscale(Config{MaxBatch: 8, Streaming: true}, as, bursty)
 	if err != nil {
-		t.Fatalf("autoscale serial: %v", err)
+		t.Fatalf("autoscale coalesced: %v", err)
 	}
-	if serial.Requests != nil {
+	if coalesced.Requests != nil {
 		t.Error("streaming autoscale run must not ledger requests")
 	}
-	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Streaming: true, Parallelism: 4, Stepped: true}, as, bursty)
+	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Streaming: true, Stepped: true}, as, bursty)
 	if err != nil {
-		t.Fatalf("autoscale parallel stepped: %v", err)
+		t.Fatalf("autoscale stepped: %v", err)
 	}
-	if !reflect.DeepEqual(stepped, serial) {
-		t.Error("autoscale streaming AutoStats differ between serial and parallel stepped")
+	if !reflect.DeepEqual(stepped, coalesced) {
+		t.Error("autoscale streaming AutoStats differ between coalesced and stepped")
 	}
 }

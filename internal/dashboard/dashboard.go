@@ -189,9 +189,8 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 // DES kernel (internal/des via the root llmbench API):
 // /api/serve?model=…&device=…&framework=…&replicas=4&rate=20&requests=200
 // With autoscale=1 the fleet scales dynamically between 1 and
-// `replicas` instead of being fixed. Replicas advance on per-replica
-// goroutines bounded by the -j pool; Stats are byte-identical at any
-// parallelism, so the table below is reproducible.
+// `replicas` instead of being fixed. The simulation is deterministic,
+// so the table below is reproducible.
 func (s *server) serve(w http.ResponseWriter, r *http.Request) {
 	// Bounded knobs: serving simulations run on process-shared cached
 	// engines, so unbounded query parameters would let clients grow
@@ -525,16 +524,14 @@ type serveParams struct {
 }
 
 func (s *server) serveSim(w http.ResponseWriter, p serveParams) {
-	// One deployment is a one-point serving sweep, whose kernel gets
-	// the whole -j worker budget for its replicas.
+	// One deployment is a one-point serving sweep.
 	cfg := llmbench.ServeSweepConfig{
 		System: p.sys, Replicas: p.replicas, MaxBatch: p.maxBatch,
 		Seed: 42, Requests: p.requests, InputMean: p.inMean, OutputMean: p.outMean,
 	}
 	grid := llmbench.ServeGrid{
-		Rates:       []float64{p.rate},
-		Policies:    []llmbench.ServePolicy{{LeastLoaded: true}},
-		Parallelism: s.parallelism,
+		Rates:    []float64{p.rate},
+		Policies: []llmbench.ServePolicy{{LeastLoaded: true}},
 	}
 	if p.autoscale {
 		grid.Policies = []llmbench.ServePolicy{{Autoscale: true}}

@@ -10,7 +10,6 @@ package des
 // from trace generation and stats aggregation.
 
 import (
-	"math"
 	"testing"
 
 	"llmbench/internal/dtype"
@@ -37,29 +36,36 @@ func allocTestStation(t *testing.T, cfg Config, capGiB float64) *Station {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Station{ID: 0, Engine: eng, Alloc: alloc, cfg: cfg, nextAt: -1}
+	return New(cfg).NewStation(eng, alloc)
 }
 
-// stationCycle admits a wave of requests and advances the station
-// until it drains, then resets the completion buffer the way the
-// kernel's flush does — one steady-state admission→decode→finish
-// cycle with fixed memo keys.
+// runIdle wakes the station at t=0 and runs its events until it goes
+// idle, as the kernel would with no further deliveries.
+func runIdle(t *testing.T, s *Station) {
+	t.Helper()
+	s.nextAt = 0
+	for s.nextAt >= 0 {
+		if err := s.event(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// stationCycle admits a wave of requests and runs the station until
+// it drains, then resets the completion buffer the way the kernel's
+// flush does — one steady-state admission→decode→finish cycle with
+// fixed memo keys.
 func stationCycle(t *testing.T, s *Station, reqs []workload.Request) func() {
 	t.Helper()
 	return func() {
 		for _, r := range reqs {
 			s.enqueue(queued{req: r})
 		}
-		s.nextAt = 0
-		s.advance(math.Inf(1))
-		if s.err != nil {
-			t.Fatal(s.err)
-		}
+		runIdle(t, s)
 		if s.queueLen() != 0 || len(s.run) != 0 {
 			t.Fatal("cycle did not drain the station")
 		}
-		s.finished = s.finished[:0]
-		s.finHead = 0
+		s.k.done = s.k.done[:0]
 	}
 }
 
@@ -101,7 +107,7 @@ var disaggTestTransfer = TransferCost{BlockTokens: 16, BytesPerToken: 131072, GB
 // TestStationStepPrefillSteadyStateAllocs gates the prefill-pool
 // station path at zero steady-state allocations per hand-off cycle:
 // request records must come from the free list and transfer records
-// from the warmed xfers buffer.
+// from the kernel's warmed pending queue.
 func TestStationStepPrefillSteadyStateAllocs(t *testing.T) {
 	s := allocTestStation(t, Config{MaxBatch: 8, Transfer: disaggTestTransfer}, 16)
 	s.role = RolePrefill
@@ -110,15 +116,11 @@ func TestStationStepPrefillSteadyStateAllocs(t *testing.T) {
 		for _, r := range reqs {
 			s.enqueue(queued{req: r})
 		}
-		s.nextAt = 0
-		s.advance(math.Inf(1))
-		if s.err != nil {
-			t.Fatal(s.err)
-		}
-		if s.queueLen() != 0 || len(s.xfers) != len(reqs) {
+		runIdle(t, s)
+		if s.queueLen() != 0 || len(s.k.pending) != len(reqs) {
 			t.Fatal("cycle did not hand off every request")
 		}
-		s.xfers = s.xfers[:0] // the kernel's collectTransfers does this
+		s.k.pending = s.k.pending[:0] // the kernel's deliveries do this
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
@@ -140,16 +142,11 @@ func TestStationStepDecodeSteadyStateAllocs(t *testing.T) {
 				Arrival: r.Arrival, Started: r.Arrival, FirstTok: r.Arrival, TransferS: 1e-5,
 			}})
 		}
-		s.nextAt = 0
-		s.advance(math.Inf(1))
-		if s.err != nil {
-			t.Fatal(s.err)
-		}
+		runIdle(t, s)
 		if s.queueLen() != 0 || len(s.run) != 0 {
 			t.Fatal("cycle did not drain the station")
 		}
-		s.finished = s.finished[:0]
-		s.finHead = 0
+		s.k.done = s.k.done[:0]
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {

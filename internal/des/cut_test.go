@@ -129,45 +129,57 @@ func runFleet(t *testing.T, cfg des.Config, f fleet, reqs []workload.Request) (d
 	return res, k
 }
 
-// assertMatchesStepped runs the fleet coalesced and stepped at
-// Parallelism 1 and 2 and requires every Result to equal the serial
-// stepped reference bit-for-bit, every run to conserve its requests
-// and KV (assertConserved), and every mode to execute the same decode
-// iterations. It returns the serial coalesced run's event counts.
+// assertMatchesStepped runs the fleet stepped and coalesced and
+// requires the coalesced Result to equal the stepped reference
+// bit-for-bit, both runs to conserve their requests and KV
+// (assertConserved) and to count their deliveries and completions
+// (assertCounted), and both to execute the same decode iterations. It
+// returns the coalesced run's event counts.
 func assertMatchesStepped(t *testing.T, name string, cfg des.Config, f fleet, reqs []workload.Request) des.EventCounts {
 	t.Helper()
-	ref := des.Result{}
-	var refCounts, coalesced des.EventCounts
-	for i, stepped := range []bool{true, false} {
-		for _, par := range []int{1, 2} {
-			mcfg := cfg
-			mcfg.Stepped, mcfg.Parallelism = stepped, par
-			res, k := runFleet(t, mcfg, f, reqs)
-			assertConserved(t, name, res, k, reqs)
-			c := k.Counts()
-			switch {
-			case i == 0 && par == 1:
-				ref, refCounts = res, c
-				if c.Windows != 0 || c.Cuts != 0 {
-					t.Errorf("%s: Stepped run opened %d windows and cut %d", name, c.Windows, c.Cuts)
-				}
-				continue
-			case !stepped && par == 1:
-				coalesced = c
-			}
-			if !reflect.DeepEqual(res, ref) {
-				t.Errorf("%s: stepped=%v parallelism=%d Result differs from the stepped reference", name, stepped, par)
-			}
-			if c.DecodeSteps != refCounts.DecodeSteps {
-				t.Errorf("%s: stepped=%v parallelism=%d ran %d decode steps, stepped reference %d",
-					name, stepped, par, c.DecodeSteps, refCounts.DecodeSteps)
-			}
-		}
+	stepped := cfg
+	stepped.Stepped = true
+	ref, ks := runFleet(t, stepped, f, reqs)
+	assertConserved(t, name, ref, ks, reqs)
+	assertCounted(t, name+" stepped", ref, ks, reqs)
+	refCounts := ks.Counts()
+	if refCounts.Windows != 0 || refCounts.Cuts != 0 {
+		t.Errorf("%s: Stepped run opened %d windows and cut %d", name, refCounts.Windows, refCounts.Cuts)
 	}
-	if coalesced.Windows == 0 {
+	res, k := runFleet(t, cfg, f, reqs)
+	assertConserved(t, name, res, k, reqs)
+	assertCounted(t, name+" coalesced", res, k, reqs)
+	c := k.Counts()
+	if !reflect.DeepEqual(res, ref) {
+		t.Errorf("%s: coalesced Result differs from the stepped reference", name)
+	}
+	if c.DecodeSteps != refCounts.DecodeSteps {
+		t.Errorf("%s: coalesced run ran %d decode steps, stepped reference %d", name, c.DecodeSteps, refCounts.DecodeSteps)
+	}
+	if c.Windows == 0 {
 		t.Errorf("%s: coalesced run opened no windows; the comparison is vacuous", name)
 	}
-	return coalesced
+	return c
+}
+
+// assertCounted checks the kernel's delivery and completion counters
+// against the trace and the Result: one arrival per trace request, one
+// kv-transfer delivery per prefill hand-off, one completion per
+// completed request, and at least one station event per completion.
+func assertCounted(t *testing.T, name string, res des.Result, k *des.Kernel, reqs []workload.Request) {
+	t.Helper()
+	c := k.Counts()
+	transferred := 0
+	for _, ps := range res.PerStation {
+		transferred += ps.Transferred
+	}
+	if c.Arrivals != len(reqs) || c.Transfers != transferred || c.Completions != res.Completed {
+		t.Errorf("%s: counted %d arrivals, %d transfers, %d completions; want %d, %d, %d",
+			name, c.Arrivals, c.Transfers, c.Completions, len(reqs), transferred, res.Completed)
+	}
+	if c.Events < c.Windows || c.Events == 0 {
+		t.Errorf("%s: %d station events for %d windows", name, c.Events, c.Windows)
+	}
 }
 
 // assertConserved is the drain oracle: every request completes exactly
@@ -231,7 +243,7 @@ func boundaries(t *testing.T, input, steps int) []float64 {
 
 // TestKernelCutEdgesMatchesStepped places deliveries on the instants
 // where a cut can go wrong and checks each run bit-for-bit against
-// the Stepped reference at Parallelism 1 and 2.
+// the Stepped reference.
 func TestKernelCutEdgesMatchesStepped(t *testing.T) {
 	// Two prompts at t=0 open one window of 198 steps on a lone
 	// station (the shorter request completes at its end).
@@ -309,7 +321,7 @@ func TestKernelCutEdgesMatchesStepped(t *testing.T) {
 // TestKernelConservedAtDrain runs the conservation oracle across the
 // kernel-mode matrix: plain, preemptive, chunked prefill over tiered
 // prefix caches, disaggregated and autoscaled fleets, each coalesced
-// and stepped, serial and parallel.
+// and stepped.
 func TestKernelConservedAtDrain(t *testing.T) {
 	poisson := func(seed uint64, n int, rate float64, in, out int) []workload.Request {
 		reqs, err := workload.PoissonTrace(workload.TraceConfig{

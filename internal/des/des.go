@@ -48,48 +48,33 @@
 //     default) never see the event kind and their event sequence is
 //     bit-for-bit what it was before pool roles existed.
 //
-// # Determinism contract
+// # Event order
 //
-// Ties at equal timestamps break deterministically: arrivals at one
-// instant are processed in trace order (the sort is stable), a
-// scale-tick always precedes the arrival that triggered it, kv-transfer
-// deliveries tied with trace arrivals at one instant are delivered
-// after them — ordered among themselves by (delivery time, request ID),
-// with no scale-tick of their own (the fleet scales on external
-// arrivals, not internal hand-offs) — and a station's window-exhausted
-// event at time t runs after every arrival and delivery at t (so
-// admission sees the newly routed request, exactly as a time-ordered
-// queue with arrival-first tie-breaking would order them). The
-// completion ledger is sorted by (finish time, request ID) before
-// aggregation, so Stats never depend on which station's events
-// happened to be appended first.
+// The kernel is one serial event loop. Stations with a pending event
+// sit in an indexed min-heap keyed by (next event time, station ID).
+// The next delivery instant t is the earlier of the next trace arrival
+// and the earliest pending kv-transfer. The loop runs heap events
+// strictly before t, one at a time in heap order, and recomputes t
+// after each (a prefill event can schedule a delivery earlier than
+// it). Then it delivers at t, in this tie order:
 //
-// # Parallelism
+//  1. scale-tick, fired immediately before each trace arrival;
+//  2. trace arrivals at t, in trace order (the arrival sort is stable);
+//  3. kv-transfer deliveries at t, ordered by request ID, with no
+//     scale-tick of their own (the fleet scales on external arrivals,
+//     not internal hand-offs);
+//  4. station events at t, which run after every delivery at t, so
+//     admission sees the newly routed request, exactly as a
+//     time-ordered queue with arrival-first tie-breaking would order
+//     them.
 //
-// Stations interact only at arrival instants (routing and scale
-// decisions read queue lengths across stations); between two
-// consecutive arrival times every station evolves independently. The
-// kernel exploits this with a conservative time-window barrier: all
-// station events strictly before the next arrival run concurrently on
-// persistent worker goroutines (Config.Parallelism ≥ 2), then the
-// kernel joins and processes the arrival serially. Because each
-// station's trajectory is a pure function of its own state and the
-// barrier time, Stats are byte-identical at any Parallelism — the
-// property tests assert serial == parallel == Stepped to the last
-// bit.
-//
-// Disaggregated fleets add a second interaction channel: kv-transfer
-// deliveries, whose instants are not in the trace. The barrier stays
-// conservative by never extending past the transfer horizon — the
-// earliest instant any not-yet-generated transfer could deliver
-// (every awake prefill station's next event time plus the
-// interconnect latency floor, see transferHorizon). Decode stations'
-// coalesced windows need no bound of their own: a delivery cuts the
-// receiving station's open window when it is enqueued, serially on
-// the kernel's goroutine. Transfers generated inside a barrier are
-// parked on their station (Station.xfers) and merged into the
-// kernel's pending queue serially after the join, keeping station
-// advances share-nothing.
+// Waking an idle station pushes it onto the heap; a cut and each
+// station event re-key it; a station that goes idle is popped off.
+// Run returns the first error in this order: among station events,
+// the one with the lowest (event time, station ID). The completion
+// ledger is sorted by (finish time, request ID) before aggregation,
+// so Stats never depend on which station's events happened to be
+// appended first.
 //
 // # Performance notes
 //
@@ -117,17 +102,14 @@
 //     station state between events (Station.win), committed at its
 //     last step's start or at a cut. Its step costs are summed once,
 //     when it opens; only a cut walks them again.
-//   - The kernel tracks awake stations (nextAt ≥ 0, plus — on
-//     streaming runs — stations with unflushed completions)
-//     incrementally, so barriers cost O(awake), not O(stations), and
-//     long-retired autoscaler stations stop being scanned entirely.
-//     Stations are woken only via the kernel (routing an arrival);
-//     writing Station.nextAt from outside would desynchronise the
-//     awake set.
-//   - Completion buffers drain through a cursor (finHead), not by
-//     re-copying the tail; flush order stays (finish time, request
-//     ID) because per-station appends are already in non-decreasing
-//     finish order.
+//   - The event heap holds only stations with a pending event, so an
+//     event costs O(log awake), and idle or long-retired autoscaler
+//     stations are never scanned. Stations are woken only via the
+//     kernel (routing a delivery); writing Station.nextAt from outside
+//     would desynchronise the heap.
+//   - Streamed completions collect in one kernel buffer that is sorted
+//     and flushed only once it grows past a fixed batch (and once at
+//     drain), not at every delivery.
 //   - A Kernel can recycle its slices and station shells (free lists
 //     included) across runs via Reuse/Release (see Scratch) — sweeps
 //     use this so per-point setup stops allocating once the first
@@ -187,11 +169,6 @@ type Config struct {
 	// Output is byte-identical either way; Stepped only costs time.
 	Stepped bool
 
-	// Parallelism ≥ 2 advances stations on that many persistent
-	// worker goroutines between arrival barriers; values ≤ 1 advance
-	// them serially. Stats are byte-identical at any setting.
-	Parallelism int
-
 	// Transfer prices kv-transfer events between a prefill pool and a
 	// decode pool. Required — and validated — as soon as any station
 	// has RolePrefill; ignored by aggregated fleets.
@@ -221,34 +198,32 @@ type Kernel struct {
 	RouteTransfer func(now float64) *Station
 	// Sink, when non-nil, receives each completed request's lifecycle
 	// incrementally instead of the kernel retaining a ledger:
-	// Result.Finished stays empty and per-station completion buffers
-	// are drained at every arrival barrier, so memory is bounded by
-	// in-flight work rather than trace length. Completions are
-	// delivered in the same global (finish time, request ID) order
-	// Result.Finished would have — the concatenation of the per-barrier
-	// flushes is exactly the sorted ledger, because once every station
-	// has advanced to barrier t any future completion finishes at or
-	// after t, and completions tied at one instant always flush
-	// together. Called on the kernel's goroutine, never concurrently.
+	// Result.Finished stays empty and completions are handed out in
+	// batches, so memory is bounded by in-flight work rather than
+	// trace length. Completions are delivered in the same global
+	// (finish time, request ID) order Result.Finished would have (see
+	// flush). Called on the kernel's goroutine.
 	Sink func(RequestStats)
 
 	cfg      Config
 	ran      bool
 	stations []*Station
-	due      []int          // reused per-barrier due-station index buffer
-	awake    []int          // stations with pending work (see advanceAll)
-	flushBuf []RequestStats // reused Sink merge buffer
+	heap     stationHeap    // stations with a pending event
+	done     []RequestStats // completions not yet ledgered or flushed
+	flushAt  int            // len(done) that triggers the next flush
 	scratch  *Scratch       // arena to Release into, when recycling
-	workers  *stationWorkers
+
+	// arrivals and transfers count deliveries (see EventCounts).
+	arrivals, transfers int
 
 	// Disaggregation state. pending[phead:] is the kv-transfer
 	// delivery queue, sorted by (delivery time, request ID) with the
-	// same cursor-and-compact discipline as station queues. hasPrefill
-	// gates all of it: an aggregated fleet never touches these fields.
+	// same cursor-and-compact discipline as station queues; it stays
+	// empty in an aggregated fleet. hasPrefill gates Run's
+	// disaggregation checks.
 	pending    []transfer
 	phead      int
 	hasPrefill bool
-	minXfer    float64 // Transfer.LatencyS, the lookahead floor
 }
 
 // New creates an empty kernel.
@@ -267,13 +242,14 @@ func (k *Kernel) NewStation(eng *engine.Engine, alloc kvcache.Allocator) *Statio
 		s = &Station{}
 	}
 	s.ID = len(k.stations)
+	s.k = k
 	s.Engine, s.Alloc = eng, alloc
 	// Assert the allocator's prefix-cache view once, here, so the
 	// admission hot loops test a cached field instead of repeating the
 	// interface assertion per request.
 	s.disc, _ = alloc.(kvcache.PrefillDiscounter)
 	s.cfg = k.cfg
-	s.nextAt = -1
+	s.nextAt, s.hidx = -1, -1
 	k.stations = append(k.stations, s)
 	return s
 }
@@ -295,11 +271,18 @@ func (k *Kernel) NewPoolStation(eng *engine.Engine, alloc kvcache.Allocator, rol
 // creation order.
 func (k *Kernel) Stations() []*Station { return k.stations }
 
-// EventCounts tallies a run's window-exhausted work across every
-// station. The counts describe how the kernel got to its Result, not
-// the Result itself — a Stepped run and a coalesced run agree on
-// DecodeSteps but not on Windows — so they live on the Kernel.
+// EventCounts tallies a run's events across every station. The
+// counts describe how the kernel got to its Result, not the Result
+// itself — a Stepped run and a coalesced run agree on DecodeSteps but
+// not on Windows — so they live on the Kernel.
 type EventCounts struct {
+	// Arrivals counts trace arrivals delivered; Transfers counts
+	// kv-transfer deliveries to the decode pool.
+	Arrivals, Transfers int
+	// Events counts station (window-exhausted) events run: stepped
+	// iterations, window opens and commits, static batches and
+	// admission-only events.
+	Events int
 	// Windows counts coalesced decode windows opened; always zero in
 	// Stepped mode.
 	Windows int
@@ -309,15 +292,19 @@ type EventCounts struct {
 	// Cuts counts open windows cut short by a delivery to their
 	// station.
 	Cuts int
+	// Completions counts completed requests.
+	Completions int
 }
 
 // Counts reports the kernel's event counts; read it after Run.
 func (k *Kernel) Counts() EventCounts {
-	var c EventCounts
+	c := EventCounts{Arrivals: k.arrivals, Transfers: k.transfers}
 	for _, s := range k.stations {
+		c.Events += s.events
 		c.Windows += s.windows
 		c.DecodeSteps += s.steps
 		c.Cuts += s.cuts
+		c.Completions += s.done
 	}
 	return c
 }
@@ -370,20 +357,6 @@ type Result struct {
 	PerStation []StationResult
 }
 
-// wake puts an idle station's next event at the current instant and
-// registers it in the awake set (once — a streaming station can
-// already be lingering there with unflushed completions).
-func (k *Kernel) wake(s *Station, t float64) {
-	if s.nextAt >= 0 {
-		return
-	}
-	s.nextAt = t
-	if !s.awake {
-		s.awake = true
-		k.awake = append(k.awake, s.ID)
-	}
-}
-
 // Run delivers the trace through the policy callbacks and drains
 // every station. It returns ErrKernelReused when called a second
 // time: stations carry run state, so a kernel is single-use.
@@ -422,15 +395,10 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		if k.RouteTransfer == nil {
 			return Result{}, errors.New("des: prefill stations require a RouteTransfer callback")
 		}
-		k.minXfer = k.cfg.Transfer.LatencyS
 	}
 	route := k.Route
 	if route == nil {
 		route = func(float64) *Station { return k.stations[0] }
-	}
-	if k.cfg.Parallelism >= 2 {
-		k.startWorkers(k.cfg.Parallelism)
-		defer k.stopWorkers()
 	}
 
 	// Arrivals at equal timestamps keep trace order: stable sort, and
@@ -447,12 +415,18 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 	}
 	for _, r := range ordered {
 		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
-			// A NaN arrival would never compare equal to the barrier
-			// time and the delivery loop would spin forever.
+			// A NaN arrival would never compare equal to the delivery
+			// instant and the delivery loop would spin forever.
 			return Result{}, fmt.Errorf("des: request %d has non-finite arrival %v", r.ID, r.Arrival)
 		}
 	}
 
+	if k.Sink == nil {
+		// The ledger holds every request once, and leaves with the
+		// Result: size it exactly, once.
+		k.done = slices.Grow(k.done[:0], len(reqs))
+	}
+	k.flushAt = flushBatch
 	for i := 0; ; {
 		// The next delivery instant: the earlier of the next trace
 		// arrival and the earliest pending kv-transfer. Ties go to the
@@ -464,31 +438,25 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		if k.phead < len(k.pending) && k.pending[k.phead].at < t {
 			t = k.pending[k.phead].at
 		}
-		// Conservative time-window barrier: every station event
-		// strictly before the next delivery is independent of it. In a
-		// disaggregated fleet the barrier additionally stops at the
-		// transfer horizon — a prefill event inside the window could
-		// generate a delivery earlier than t.
-		bound := t
-		if k.hasPrefill {
-			if h := k.transferHorizon(); h < bound {
-				bound = h
+		// Every station event strictly before t, in (time, ID) order. A
+		// prefill event may schedule a kv-transfer earlier than t, so t
+		// is recomputed after each event.
+		for len(k.heap) > 0 && k.heap[0].nextAt < t {
+			s := k.heap[0]
+			if err := s.event(); err != nil {
+				return Result{}, err
+			}
+			if s.nextAt < 0 {
+				k.heap.popRoot()
+			} else {
+				k.heap.down(0)
+			}
+			if k.phead < len(k.pending) && k.pending[k.phead].at < t {
+				t = k.pending[k.phead].at
 			}
 		}
-		if err := k.advanceAll(bound); err != nil {
-			return Result{}, err
-		}
-		if k.hasPrefill {
-			k.collectTransfers()
-		}
-		if k.Sink != nil {
-			k.flush(bound)
-		}
-		if bound < t {
-			// Horizon-limited barrier: at least one prefill event ran
-			// (the horizon sits strictly past some station's nextAt),
-			// possibly scheduling deliveries before t. Re-derive.
-			continue
+		if k.Sink != nil && len(k.done) >= k.flushAt {
+			k.flush(t)
 		}
 		if math.IsInf(t, 1) {
 			break
@@ -503,7 +471,10 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: router returned no station")
 			}
-			k.deliver(s, queued{req: ordered[i]}, t)
+			if err := k.deliver(s, queued{req: ordered[i]}, t); err != nil {
+				return Result{}, err
+			}
+			k.arrivals++
 			i++
 		}
 		for k.phead < len(k.pending) && k.pending[k.phead].at == t {
@@ -516,137 +487,130 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: transfer router returned no station")
 			}
-			k.deliver(s, queued{req: x.req, decode: true, carry: x.stats}, t)
+			if err := k.deliver(s, queued{req: x.req, decode: true, carry: x.stats}, t); err != nil {
+				return Result{}, err
+			}
+			k.transfers++
 		}
 	}
-
+	if k.Sink != nil {
+		k.flush(math.Inf(1))
+	}
 	return k.collect(), nil
 }
 
 // deliver hands a routed arrival or kv-transfer to its station at t:
 // an idle station wakes at t, and a station inside an open coalesced
 // window cuts it at the first step boundary at or after t, where the
-// request can be admitted.
-func (k *Kernel) deliver(s *Station, q queued, t float64) {
+// request can be admitted. A cut only moves the station's next event
+// earlier, so it re-keys toward the heap's root.
+func (k *Kernel) deliver(s *Station, q queued, t float64) error {
 	s.enqueue(q)
-	k.wake(s, t)
-	s.cut(t)
+	if s.nextAt < 0 {
+		s.nextAt = t
+		k.heap.push(s)
+		return nil
+	}
+	err := s.cut(t)
+	k.heap.up(s.hidx)
+	return err
 }
 
-// flush streams every completion that can no longer be reordered out
-// to the Sink: after all stations have advanced to the barrier, any
-// future completion finishes at or after it, so completions strictly
-// before the barrier are final. Each station's buffer is appended in
-// non-decreasing finish order (finish records at monotone event end
-// times), so the final prefix is a cursor advance (finHead) — the
-// unflushed suffix is never re-copied — and only awake stations are
-// scanned (advanceAll keeps a station registered until its buffer is
-// drained). The merged batch is sorted by (finish time, request ID)
-// before delivery, making the concatenated flushes exactly the order
-// Result.Finished would have. Runs on the kernel's goroutine between
-// barriers, when stations are quiescent — correct at any Parallelism.
-func (k *Kernel) flush(barrier float64) {
-	buf := k.flushBuf[:0]
-	for _, i := range k.awake {
-		s := k.stations[i]
-		n := s.finHead
-		for n < len(s.finished) && s.finished[n].Finished < barrier {
-			n++
-		}
-		if n == s.finHead {
-			continue
-		}
-		buf = append(buf, s.finished[s.finHead:n]...)
-		s.finHead = n
-		if s.finHead == len(s.finished) {
-			s.finished = s.finished[:0]
-			s.finHead = 0
-		}
-	}
-	k.flushBuf = buf
-	if len(buf) == 0 {
-		return
-	}
-	// Most barriers flush a single completion; the sort's setup cost
-	// is worth skipping a million times a day.
-	if len(buf) > 1 {
-		SortByCompletion(buf)
-	}
-	for _, r := range buf {
+// flushBatch is how many completions the Sink buffer gathers beyond
+// its carried-over tail before it is sorted and flushed.
+const flushBatch = 1024
+
+// flush streams every buffered completion that can no longer be
+// reordered out to the Sink. It runs at delivery instant t, after
+// every station event before t: any future completion finishes at or
+// after t, so the buffered completions strictly before t are final,
+// and completions tied at one instant always flush together. The
+// buffer is sorted by (finish time, request ID) and its final prefix
+// delivered, making the concatenated flushes exactly the order
+// Result.Finished would have; the rest is carried to the next flush.
+func (k *Kernel) flush(t float64) {
+	buf := k.done
+	SortByCompletion(buf)
+	n := sort.Search(len(buf), func(i int) bool { return buf[i].Finished >= t })
+	for _, r := range buf[:n] {
 		k.Sink(r)
 	}
+	k.done = buf[:copy(buf, buf[n:])]
+	k.flushAt = len(k.done) + flushBatch
 }
 
-// advanceAll runs every due station's events up to (strictly before)
-// the barrier, serially or on the persistent workers. Stations touch
-// only their own state and the engine's concurrency-safe memo tables,
-// so the two modes are
-// byte-identical; error selection is by lowest (event time, station
-// ID), a total order that cannot depend on scheduling. Only awake
-// stations are examined: the set holds exactly the stations with a
-// pending event (nextAt ≥ 0) — plus, on streaming runs, stations
-// whose completion buffer is not yet drained — so a barrier costs
-// O(awake), and idle or retired stations are not rescanned a million
-// times.
-func (k *Kernel) advanceAll(barrier float64) error {
-	stations := k.stations
-	// Fan out only the stations with due work: under dense arrivals
-	// most barriers wake one or two stations (a coalesced window ends
-	// at or after the arrival that cut it), and waking workers for
-	// idle stations would cost more than it buys. The post-trace
-	// drain (barrier = +Inf) is where every station is due at once —
-	// and where the big windows make goroutines pay.
-	k.due = k.due[:0]
-	for _, i := range k.awake {
-		if s := stations[i]; s.nextAt >= 0 && s.nextAt < barrier {
-			k.due = append(k.due, i)
-		}
-	}
-	if k.workers != nil && len(k.due) >= 2 {
-		k.workers.run(k, barrier)
-	} else {
-		for _, i := range k.due {
-			stations[i].advance(barrier)
-		}
-	}
-	// Drop settled stations from the awake set: idle (a streaming
-	// station lingers until its completions flush) and not errored —
-	// an errored station must stay visible to the selection below,
-	// which only examines this barrier's due list; errors are only
-	// set during advance, so the earliest error is always due here.
-	w := k.awake[:0]
-	for _, i := range k.awake {
-		s := stations[i]
-		if s.nextAt >= 0 || s.err != nil || (k.Sink != nil && len(s.finished) > s.finHead) {
-			w = append(w, i)
-		} else {
-			s.awake = false
-		}
-	}
-	k.awake = w
-	var firstErr error
-	at, atID := math.Inf(1), -1
-	for _, i := range k.due {
-		s := stations[i]
-		if s.err != nil && (firstErr == nil || s.errAt < at || (s.errAt == at && s.ID < atID)) {
-			firstErr, at, atID = s.err, s.errAt, s.ID
-		}
-	}
-	return firstErr
+// stationHeap is the kernel's event queue: an indexed binary min-heap
+// of the stations with a pending event, keyed by (nextAt, ID).
+// Station.hidx is each member's position (-1 off the heap), so a cut
+// re-keys its station without a search.
+type stationHeap []*Station
+
+func (h stationHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.nextAt < b.nextAt || (a.nextAt == b.nextAt && a.ID < b.ID)
 }
 
-// collect merges the per-station ledgers into a Result.
+func (h stationHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx, h[j].hidx = i, j
+}
+
+// up moves entry i toward the root while it precedes its parent.
+func (h stationHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+// down moves entry i toward the leaves while a child precedes it.
+func (h stationHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+func (h *stationHeap) push(s *Station) {
+	s.hidx = len(*h)
+	*h = append(*h, s)
+	h.up(s.hidx)
+}
+
+// popRoot removes the root station.
+func (h *stationHeap) popRoot() {
+	old := *h
+	n := len(old) - 1
+	old.swap(0, n)
+	old[n].hidx = -1
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
+}
+
+// collect assembles the Result. On ledgered runs the completion
+// buffer becomes Result.Finished, sorted; it leaves the kernel, so
+// Release cannot recycle it under the caller.
 func (k *Kernel) collect() Result {
-	total := 0
-	for _, s := range k.stations {
-		total += len(s.finished) - s.finHead
+	var res Result
+	if k.Sink == nil {
+		SortByCompletion(k.done)
+		res.Finished, k.done = k.done, nil
 	}
-	finished := make([]RequestStats, 0, total)
-	for _, s := range k.stations {
-		finished = append(finished, s.finished[s.finHead:]...)
-	}
-	SortByCompletion(finished)
-	res := Result{Finished: finished}
 	for _, s := range k.stations {
 		res.Completed += s.done
 		if s.lastDone > res.MakespanS {

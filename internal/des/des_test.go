@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"llmbench/internal/des"
@@ -62,30 +63,21 @@ func runKernel(t *testing.T, cfg des.Config, n int, capGiB float64, reqs []workl
 	return res
 }
 
-// modes returns the four kernel modes whose Results must be
-// byte-identical: serial and parallel, each coalesced and stepped.
+// modes returns the two kernel modes whose Results must be
+// byte-identical: coalesced and stepped.
 func modes(cfg des.Config) map[string]des.Config {
-	serial, parallel := cfg, cfg
-	serial.Parallelism = 1
-	parallel.Parallelism = 4
-	serialStepped, parallelStepped := serial, parallel
-	serialStepped.Stepped = true
-	parallelStepped.Stepped = true
-	return map[string]des.Config{
-		"serial":           serial,
-		"parallel":         parallel,
-		"serial-stepped":   serialStepped,
-		"parallel-stepped": parallelStepped,
-	}
+	stepped := cfg
+	stepped.Stepped = true
+	return map[string]des.Config{"coalesced": cfg, "stepped": stepped}
 }
 
 func assertModesIdentical(t *testing.T, name string, cfg des.Config, n int, capGiB float64, reqs []workload.Request) des.Result {
 	t.Helper()
-	ref := runKernel(t, modes(cfg)["serial"], n, capGiB, reqs)
+	ref := runKernel(t, cfg, n, capGiB, reqs)
 	for mode, mcfg := range modes(cfg) {
 		got := runKernel(t, mcfg, n, capGiB, reqs)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: %s Result differs from serial coalesced reference", name, mode)
+			t.Errorf("%s: %s Result differs from the coalesced reference", name, mode)
 		}
 	}
 	return ref
@@ -93,8 +85,8 @@ func assertModesIdentical(t *testing.T, name string, cfg des.Config, n int, capG
 
 // TestKernelModesIdenticalRandomized is the kernel's headline
 // property: over seeded random workloads at several load levels,
-// parallel == serial == stepped to the last bit — every timestamp,
-// every aggregate, every per-station share.
+// coalesced == stepped to the last bit — every timestamp, every
+// aggregate, every per-station share.
 func TestKernelModesIdenticalRandomized(t *testing.T) {
 	cases := []struct {
 		seed uint64
@@ -201,47 +193,51 @@ func TestKernelChunkedPrefillModes(t *testing.T) {
 // exactly the global (finish time, request ID) order of the ledger a
 // sink-less run returns — in every kernel mode, so a streaming
 // aggregator's float summation order is byte-identical to the exact
-// path's — the ledger stays empty, and Completed still counts.
+// path's — the ledger stays empty, and Completed still counts. The
+// dense trace completes thousands of requests, so the Sink buffer is
+// flushed mid-run as well as at drain.
 func TestKernelSinkOrderAndModes(t *testing.T) {
-	reqs, err := workload.PoissonTrace(workload.TraceConfig{
-		Seed: 21, Requests: 40, RatePerSec: 6,
-		InputMean: 256, OutputMean: 128, LengthJitter: 0.4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := des.Config{MaxBatch: 6, Preemptive: true}
-	ref := runKernel(t, modes(base)["serial"], 3, 16, reqs)
-	if len(ref.Finished) != len(reqs) {
-		t.Fatalf("reference completed %d/%d", len(ref.Finished), len(reqs))
-	}
-	for mode, mcfg := range modes(base) {
-		eng := testEngine(t)
-		k := des.New(mcfg)
-		stations := make([]*des.Station, 3)
-		for i := range stations {
-			stations[i] = k.NewStation(eng, testAlloc(t, 16))
-		}
-		rr := 0
-		k.Route = func(now float64) *des.Station {
-			s := stations[rr%len(stations)]
-			rr++
-			return s
-		}
-		var streamed []des.RequestStats
-		k.Sink = func(r des.RequestStats) { streamed = append(streamed, r) }
-		res, err := k.Run(reqs)
+	for _, tc := range []workload.TraceConfig{
+		{Seed: 21, Requests: 40, RatePerSec: 6, InputMean: 256, OutputMean: 128, LengthJitter: 0.4},
+		{Seed: 22, Requests: 4000, RatePerSec: 60, InputMean: 128, OutputMean: 32, LengthJitter: 0.4},
+	} {
+		reqs, err := workload.PoissonTrace(tc)
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatal(err)
 		}
-		if len(res.Finished) != 0 {
-			t.Errorf("%s: Sink runs must not also build the ledger (%d entries)", mode, len(res.Finished))
+		base := des.Config{MaxBatch: 6, Preemptive: true}
+		ref := runKernel(t, base, 3, 16, reqs)
+		if len(ref.Finished) != len(reqs) {
+			t.Fatalf("reference completed %d/%d", len(ref.Finished), len(reqs))
 		}
-		if res.Completed != len(reqs) {
-			t.Errorf("%s: Completed %d/%d", mode, res.Completed, len(reqs))
-		}
-		if !reflect.DeepEqual(streamed, ref.Finished) {
-			t.Errorf("%s: Sink sequence differs from the sorted ledger", mode)
+		for mode, mcfg := range modes(base) {
+			eng := testEngine(t)
+			k := des.New(mcfg)
+			stations := make([]*des.Station, 3)
+			for i := range stations {
+				stations[i] = k.NewStation(eng, testAlloc(t, 16))
+			}
+			rr := 0
+			k.Route = func(now float64) *des.Station {
+				s := stations[rr%len(stations)]
+				rr++
+				return s
+			}
+			var streamed []des.RequestStats
+			k.Sink = func(r des.RequestStats) { streamed = append(streamed, r) }
+			res, err := k.Run(reqs)
+			if err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			if len(res.Finished) != 0 {
+				t.Errorf("%s: Sink runs must not also build the ledger (%d entries)", mode, len(res.Finished))
+			}
+			if res.Completed != len(reqs) {
+				t.Errorf("%s: Completed %d/%d", mode, res.Completed, len(reqs))
+			}
+			if !reflect.DeepEqual(streamed, ref.Finished) {
+				t.Errorf("%d requests, %s: Sink sequence differs from the sorted ledger", len(reqs), mode)
+			}
 		}
 	}
 }
@@ -330,13 +326,51 @@ func TestKernelValidation(t *testing.T) {
 	if _, err := k.Run([]workload.Request{{ID: 0, Input: 100000, Output: 8, Arrival: 0}}); err == nil {
 		t.Error("an unadmittable request must error, not hang")
 	}
-	// Non-finite arrivals would never match the delivery barrier and
+	// Non-finite arrivals would never match the delivery instant and
 	// spin the loop forever; they must be rejected up front.
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		k = des.New(des.Config{MaxBatch: 4})
 		k.NewStation(testEngine(t), testAlloc(t, 1))
 		if _, err := k.Run([]workload.Request{{ID: 0, Input: 64, Output: 8, Arrival: bad}}); err == nil {
 			t.Errorf("arrival %v must error, not hang", bad)
+		}
+	}
+}
+
+// TestKernelEarliestError pins which error Run returns when several
+// stations fail: the one with the lowest (event time, station ID),
+// whatever order the stations were woken in. Each failing request is a
+// prompt too large for its station's KV pool.
+func TestKernelEarliestError(t *testing.T) {
+	cases := []struct {
+		name string
+		reqs []workload.Request // request ID i routes to station i%2
+		want string
+	}{
+		{"earlier-time-wins", []workload.Request{
+			{ID: 1, Input: 100000, Output: 8, Arrival: 1},
+			{ID: 2, Input: 100000, Output: 8, Arrival: 2},
+		}, "station 1 cannot admit request 1"},
+		{"equal-time-lower-id-wins", []workload.Request{
+			{ID: 1, Input: 100000, Output: 8, Arrival: 1},
+			{ID: 2, Input: 100000, Output: 8, Arrival: 1},
+		}, "station 0 cannot admit request 2"},
+	}
+	for _, c := range cases {
+		k := des.New(des.Config{MaxBatch: 4})
+		stations := []*des.Station{
+			k.NewStation(testEngine(t), testAlloc(t, 0.01)),
+			k.NewStation(testEngine(t), testAlloc(t, 0.01)),
+		}
+		id := 0
+		k.Route = func(float64) *des.Station {
+			s := stations[c.reqs[id].ID%2]
+			id++
+			return s
+		}
+		_, err := k.Run(c.reqs)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

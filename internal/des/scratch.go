@@ -21,9 +21,8 @@ package des
 // so a swept grid stays byte-identical with or without recycling.
 type Scratch struct {
 	stations []*Station
-	due      []int
-	awake    []int
-	flushBuf []RequestStats
+	heap     stationHeap
+	done     []RequestStats
 	pending  []transfer
 }
 
@@ -35,11 +34,10 @@ func (k *Kernel) Reuse(sc *Scratch) {
 		return
 	}
 	k.scratch = sc
-	k.due = sc.due[:0]
-	k.awake = sc.awake[:0]
-	k.flushBuf = sc.flushBuf[:0]
+	k.heap = sc.heap[:0]
+	k.done = sc.done[:0]
 	k.pending = sc.pending[:0]
-	sc.due, sc.awake, sc.flushBuf, sc.pending = nil, nil, nil, nil
+	sc.heap, sc.done, sc.pending = nil, nil, nil
 }
 
 // Release returns k's buffers and station shells to the Scratch
@@ -61,15 +59,15 @@ func (k *Kernel) Release() {
 			s.free = append(s.free, r)
 		}
 		s.run = s.run[:0]
-		s.Engine, s.Alloc, s.disc = nil, nil, nil
+		s.k, s.Engine, s.Alloc, s.disc = nil, nil, nil, nil
 		s.pricer = pricer{} // drop the snapshot so the arena cannot pin engine memo arrays
 		s.win = nil
 		sc.stations = append(sc.stations, s)
 	}
 	k.stations = nil
-	sc.due = k.due
-	sc.awake = k.awake
-	sc.flushBuf = k.flushBuf
+	clear(k.heap) // an aborted run leaves stations on the heap
+	sc.heap = k.heap[:0]
+	sc.done = k.done[:0]
 	sc.pending = k.pending[:0] // abandoned transfers hold no pointers
-	k.due, k.awake, k.flushBuf, k.pending = nil, nil, nil, nil
+	k.heap, k.done, k.pending = nil, nil, nil
 }

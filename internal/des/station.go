@@ -16,6 +16,7 @@ import (
 // and read its load.
 type Station struct {
 	ID     int
+	k      *Kernel // owner: completion buffer and kv-transfer queue
 	Engine *engine.Engine
 	Alloc  kvcache.Allocator
 
@@ -29,8 +30,8 @@ type Station struct {
 
 	// Retired marks a station drained by the autoscaler. The kernel
 	// itself ignores the flag — a retired station is empty and the
-	// router stops picking it, so it simply never wakes again (and the
-	// kernel's awake set stops scanning it at barriers).
+	// router stops picking it, so it simply never wakes again (and
+	// never re-enters the kernel's event heap).
 	Retired bool
 
 	cfg Config
@@ -45,6 +46,7 @@ type Station struct {
 	run []*runReq
 
 	nextAt   float64 // next window-exhausted event; < 0 when idle
+	hidx     int     // position in the kernel's event heap; -1 off it
 	busy     float64 // time spent executing iterations
 	maxIter  float64 // longest single iteration
 	lastDone float64 // end of this station's last completed work
@@ -57,19 +59,6 @@ type Station struct {
 	// admissions (decode sub-requests were prefilled elsewhere).
 	hitToks    int
 	promptToks int
-
-	// finished holds completion records not yet handed off;
-	// finished[finHead:] is the unflushed suffix when a Sink drains
-	// the buffer at barriers (finHead stays 0 on ledgered runs).
-	finished []RequestStats
-	finHead  int
-
-	err   error
-	errAt float64
-
-	// awake marks membership in the kernel's awake set (kernel-owned;
-	// guards against double registration).
-	awake bool
 
 	// win is the open coalesced window: the per-step costs of its
 	// decode iterations (a view of an immutable engine snapshot),
@@ -84,10 +73,11 @@ type Station struct {
 	winBusy float64
 	winMax  float64
 
-	// windows, steps and cuts count coalesced windows opened, decode
-	// iterations executed (coalesced or stepped) and open windows cut
-	// by a delivery; Kernel.Counts sums them.
-	windows, steps, cuts int
+	// events, windows, steps and cuts count station events run,
+	// coalesced windows opened, decode iterations executed (coalesced
+	// or stepped) and open windows cut by a delivery; Kernel.Counts
+	// sums them.
+	events, windows, steps, cuts int
 
 	seqs     []kvcache.Seq // reused sequence-handle buffer
 	decoding []*runReq     // reused chunked-mode partition buffer
@@ -104,11 +94,7 @@ type Station struct {
 
 	// role is the station's pool assignment (RoleBoth when
 	// aggregated); see NewPoolStation.
-	role Role
-	// xfers parks kv-transfers generated during the current barrier
-	// for serial kernel pickup (collectTransfers) after the join —
-	// stations never touch shared state mid-barrier.
-	xfers       []transfer
+	role        Role
 	transferred int
 }
 
@@ -184,20 +170,15 @@ func (s *Station) reset() {
 	s.queue = s.queue[:0]
 	s.qhead = 0
 	s.run = s.run[:0]
-	s.nextAt = -1
+	s.nextAt, s.hidx = -1, -1
 	s.busy, s.maxIter, s.lastDone = 0, 0, 0
 	s.done, s.preempts = 0, 0
 	s.disc = nil
 	s.hitToks, s.promptToks = 0, 0
-	s.finished = s.finished[:0]
-	s.finHead = 0
-	s.err, s.errAt = nil, 0
-	s.awake = false
 	s.win = nil
-	s.windows, s.steps, s.cuts = 0, 0, 0
+	s.events, s.windows, s.steps, s.cuts = 0, 0, 0, 0
 	s.pricer = pricer{}
 	s.role = RoleBoth
-	s.xfers = s.xfers[:0]
 	s.transferred = 0
 }
 
@@ -215,8 +196,8 @@ func (s *Station) popHead() queued {
 }
 
 // Outstanding is the station's queued plus running request count —
-// the load signal the routing and scaling policies read at arrival
-// barriers.
+// the load signal the routing and scaling policies read at each
+// delivery.
 func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
 
 // PendingPrefillTokens is the prompt-token backlog still chunking
@@ -226,7 +207,7 @@ func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
 // allocate, but until the establishing prompt finishes its slices,
 // co-located requests ride iterations inflated by them. A bounded
 // scan of the running set — O(MaxBatch), allocation-free — read at
-// the arrival barrier like Outstanding.
+// each delivery like Outstanding.
 func (s *Station) PendingPrefillTokens() int {
 	pending := 0
 	for _, r := range s.run {
@@ -259,44 +240,38 @@ func (s *Station) enqueue(q queued) {
 	live[i] = q
 }
 
-// advance runs the station's due events up to (strictly before) the
-// barrier. Everything it touches is station-local or immutable, so
-// concurrent advances of different stations are race-free.
-func (s *Station) advance(barrier float64) {
-	for s.err == nil && s.nextAt >= 0 && s.nextAt < barrier {
-		now := s.nextAt
-		end, err := s.step(now)
-		if err != nil {
-			s.err, s.errAt = err, now
-			return
-		}
-		if len(s.run) == 0 && s.queueLen() == 0 {
-			s.nextAt = -1 // idle; an arrival wakes the station
-			return
-		}
-		if end <= now {
-			// Work remains but the clock did not move: the event loop
-			// would spin. Cannot happen with positive step costs;
-			// guard it instead of hanging.
-			s.err, s.errAt = fmt.Errorf("des: station %d stalled at t=%g", s.ID, now), now
-			return
-		}
-		s.nextAt = end
+// event runs the station's event at nextAt and schedules the next
+// one: nextAt moves to the event's end, or to -1 when the station goes
+// idle (a delivery wakes it again).
+func (s *Station) event() error {
+	s.events++
+	now := s.nextAt
+	end, err := s.step(now)
+	if err != nil {
+		return err
 	}
+	if len(s.run) == 0 && s.queueLen() == 0 {
+		s.nextAt = -1
+		return nil
+	}
+	if end <= now {
+		// Work remains but the clock did not move: the event loop
+		// would spin. Cannot happen with positive step costs; guard it
+		// instead of hanging.
+		return fmt.Errorf("des: station %d stalled at t=%g", s.ID, now)
+	}
+	s.nextAt = end
+	return nil
 }
 
 // cut closes the open window, if any, because a request was just
 // delivered to the station at t: the first j steps — up to the first
 // step boundary at or after t, where the delivered request is
 // admitted — are applied and the station's next event moves to that
-// boundary. The kernel only delivers at t after advancing every event
+// boundary. The kernel only delivers at t after running every event
 // before t, so the window's last step starts at or after t: j is
 // below the window length and a cut never completes a request.
-// Called on the kernel's goroutine between barriers.
-func (s *Station) cut(t float64) {
-	if len(s.win) == 0 {
-		return
-	}
+func (s *Station) cut(t float64) error {
 	end := s.winAt
 	for j, c := range s.win {
 		if c > s.maxIter {
@@ -307,12 +282,10 @@ func (s *Station) cut(t float64) {
 		if end >= t {
 			s.cuts++
 			s.nextAt = end
-			if err := s.commit(j+1, end); err != nil {
-				s.err, s.errAt = err, t
-			}
-			return
+			return s.commit(j+1, end)
 		}
 	}
+	return nil
 }
 
 // commit applies k decode steps of the open window, ending at end,
@@ -714,8 +687,7 @@ func (s *Station) stepPrefill(now float64) (float64, error) {
 // handoff retires a prefill sub-request at time end: the local KV
 // reservation is released (the blocks travel to the decode pool), the
 // transfer is priced on the prompt's block footprint, and a transfer
-// record is parked on the station's buffer for kernel pickup at the
-// barrier join. The runReq goes straight back on the free list — the
+// record joins the kernel's pending delivery queue. The runReq goes straight back on the free list — the
 // transfer record carries the lifecycle by value, preserving the
 // zero-steady-state-allocation invariant across the pool boundary.
 // The outgoing request's Arrival is rewritten to the delivery instant
@@ -727,7 +699,7 @@ func (s *Station) handoff(r *runReq, end float64) {
 	r.stats.TransferS = d
 	req := r.req
 	req.Arrival = end + d
-	s.xfers = append(s.xfers, transfer{at: end + d, req: req, stats: r.stats})
+	s.k.insertPending(transfer{at: end + d, req: req, stats: r.stats})
 	s.putReq(r)
 	s.transferred++
 }
@@ -821,7 +793,7 @@ func (s *Station) stepStatic(now float64) (float64, error) {
 func (s *Station) finish(r *runReq, end float64) {
 	s.Alloc.Free(r.seq)
 	r.stats.Finished = end
-	s.finished = append(s.finished, r.stats)
+	s.k.done = append(s.k.done, r.stats)
 	s.putReq(r)
 	s.done++
 	if end > s.lastDone {

@@ -3,7 +3,7 @@ package des_test
 // Tiered-prefix serving tests: the admission path must price the
 // kvcache.PrefillDiscounter contract — cached prefix tokens skip
 // prefill compute, restored ones charge host-link seconds — and stay
-// byte-identical across serial/parallel/stepped, and the chunked
+// byte-identical between coalesced and stepped, and the chunked
 // prefill slot must schedule slices shortest-remaining-first so a hit
 // never serializes behind a cold prompt's establishment.
 
@@ -181,7 +181,7 @@ func TestKernelTieredRestoreCharged(t *testing.T) {
 		}
 		for i := range got.Finished {
 			if got.Finished[i] != withHost.Finished[i] {
-				t.Errorf("%s: request %d stats differ from serial reference", mode, got.Finished[i].ID)
+				t.Errorf("%s: request %d stats differ from the coalesced reference", mode, got.Finished[i].ID)
 				break
 			}
 		}
@@ -223,7 +223,7 @@ func TestStationChunkedShortestSliceFirst(t *testing.T) {
 }
 
 // TestStationPendingPrefillTokens reads the router-facing backlog
-// gauge at arrival barriers: positive while a chunked prompt is mid-
+// gauge at arrival instants: positive while a chunked prompt is mid-
 // establishment, always zero in monolithic admission (prefill is
 // charged whole at the admission event).
 func TestStationPendingPrefillTokens(t *testing.T) {

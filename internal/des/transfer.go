@@ -55,11 +55,7 @@ type TransferCost struct {
 	// (hw.Device.InterconnectGBs).
 	GBPerS float64
 	// LatencyS is the per-transfer latency floor in seconds
-	// (hw.Device.InterconnectLatencyUS × 1e-6). Beyond pricing, it is
-	// the kernel's conservative lookahead: no transfer can deliver
-	// sooner than LatencyS after the prefill event that produced it,
-	// so barriers may safely extend that far past a prefill station's
-	// next event without missing a delivery.
+	// (hw.Device.InterconnectLatencyUS × 1e-6).
 	LatencyS float64
 }
 
@@ -123,39 +119,4 @@ func (k *Kernel) insertPending(x transfer) {
 	live = k.pending[k.phead:]
 	copy(live[i+1:], live[i:])
 	live[i] = x
-}
-
-// collectTransfers moves the transfers generated during the last
-// barrier from the due stations' buffers into the pending queue. Runs
-// on the kernel's goroutine between barriers; the (at, ID) sort order
-// makes the result independent of station iteration order.
-func (k *Kernel) collectTransfers() {
-	for _, i := range k.due {
-		s := k.stations[i]
-		if len(s.xfers) == 0 {
-			continue
-		}
-		for _, x := range s.xfers {
-			k.insertPending(x)
-		}
-		s.xfers = s.xfers[:0]
-	}
-}
-
-// transferHorizon is a conservative lower bound on the delivery time
-// of any kv-transfer not yet in the pending queue: a prefill
-// station's next event runs at nextAt or later, hands off at the
-// event's end (strictly later — the stall guard forbids zero-length
-// events), and every transfer takes at least the interconnect
-// latency. Barriers never extend past this horizon, so a transfer
-// generated during a barrier always delivers strictly after it.
-func (k *Kernel) transferHorizon() float64 {
-	h := math.Inf(1)
-	for _, i := range k.awake {
-		s := k.stations[i]
-		if s.role == RolePrefill && s.nextAt >= 0 && s.nextAt+k.minXfer < h {
-			h = s.nextAt + k.minXfer
-		}
-	}
-	return h
 }

@@ -63,11 +63,11 @@ func runDisagg(t *testing.T, cfg des.Config, nPre, nDec int, capGiB float64,
 func assertDisaggModesIdentical(t *testing.T, name string, cfg des.Config,
 	nPre, nDec int, capGiB float64, reqs []workload.Request) des.Result {
 	t.Helper()
-	ref := runDisagg(t, modes(cfg)["serial"], nPre, nDec, capGiB, reqs, nil)
+	ref := runDisagg(t, cfg, nPre, nDec, capGiB, reqs, nil)
 	for mode, mcfg := range modes(cfg) {
 		got := runDisagg(t, mcfg, nPre, nDec, capGiB, reqs, nil)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: %s Result differs from serial coalesced reference", name, mode)
+			t.Errorf("%s: %s Result differs from the coalesced reference", name, mode)
 		}
 	}
 	return ref
@@ -75,8 +75,8 @@ func assertDisaggModesIdentical(t *testing.T, name string, cfg des.Config,
 
 // TestKernelDisaggModesMatchesSerial extends the kernel's headline
 // determinism property to disaggregated fleets: with kv-transfer
-// events in the total order, serial == parallel == Stepped to the
-// last bit over seeded random workloads at several load levels.
+// events in the total order, coalesced == Stepped to the last bit
+// over seeded random workloads at several load levels.
 func TestKernelDisaggModesMatchesSerial(t *testing.T) {
 	cases := []struct {
 		seed uint64
@@ -196,7 +196,7 @@ func TestKernelDisaggSinkOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := des.Config{MaxBatch: 6, Transfer: testTransferCost(t)}
-	ref := runDisagg(t, modes(cfg)["serial"], 1, 2, 16, reqs, nil)
+	ref := runDisagg(t, cfg, 1, 2, 16, reqs, nil)
 	if len(ref.Finished) != len(reqs) {
 		t.Fatalf("reference completed %d/%d", len(ref.Finished), len(reqs))
 	}

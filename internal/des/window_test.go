@@ -61,7 +61,9 @@ func TestStationCutBoundary(t *testing.T) {
 			cut, end = i+1, total
 		}
 	}
-	s.cut(w[0] * 10.5)
+	if err := s.cut(w[0] * 10.5); err != nil {
+		t.Fatal(err)
+	}
 	if len(s.win) != 0 {
 		t.Fatal("cut left the window open")
 	}
@@ -83,7 +85,9 @@ func TestStationCutBoundary(t *testing.T) {
 	if got := p.Sequences(); got != 2 {
 		t.Fatalf("%d live sequences after the cut, want 2", got)
 	}
-	s.cut(end) // no open window: a second delivery is a no-op
+	if err := s.cut(end); err != nil { // no open window: a second delivery is a no-op
+		t.Fatal(err)
+	}
 	if s.cuts != 1 {
 		t.Error("a cut without an open window counted")
 	}
@@ -98,14 +102,13 @@ func TestStationWindowCommit(t *testing.T) {
 		end += c
 		busy += c
 	}
-	s.advance(s.nextAt + 1e-12)
-	if s.err != nil {
-		t.Fatal(s.err)
+	if err := s.event(); err != nil {
+		t.Fatal(err)
 	}
 	if s.done != 2 || len(s.run) != 0 || s.nextAt != -1 {
 		t.Fatalf("commit left %d running, %d done, nextAt %v", len(s.run), s.done, s.nextAt)
 	}
-	for _, r := range s.finished {
+	for _, r := range s.k.done {
 		if r.Finished != end {
 			t.Errorf("request %d finished at %v, want the window's end %v", r.ID, r.Finished, end)
 		}

@@ -236,7 +236,8 @@ func TestDecodeStepCostsVector(t *testing.T) {
 }
 
 // TestDecodeStepCostsConcurrent hammers the vector memo from many
-// goroutines (the parallel kernel's access pattern); run with -race.
+// goroutines (concurrent sweep points sharing one engine); run with
+// -race.
 func TestDecodeStepCostsConcurrent(t *testing.T) {
 	e := rangeTestEngine(t, "vLLM")
 	var wg sync.WaitGroup

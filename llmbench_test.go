@@ -130,11 +130,10 @@ func TestServeClusterFacade(t *testing.T) {
 }
 
 // TestServeClusterParallelismIdentical pins the root-level promise:
-// the grid's worker budget changes wall-clock behaviour only. A
-// one-point sweep hands every worker to the point's kernel, and the
-// returned point (every percentile, every per-replica share, the
-// autoscaler's peak) is byte-identical to the serial run, for fixed
-// and autoscaled fleets alike.
+// the grid's worker budget changes wall-clock behaviour only. The
+// returned point of a one-point sweep (every percentile, every
+// per-replica share, the autoscaler's peak) is byte-identical at any
+// budget, for fixed and autoscaled fleets alike.
 func TestServeClusterParallelismIdentical(t *testing.T) {
 	cfg := ServeSweepConfig{
 		System:   System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},

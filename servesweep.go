@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -266,10 +265,9 @@ type ServeGrid struct {
 	Schemes    []Scheme
 
 	// Parallelism bounds the sweep's worker count; values below 1
-	// mean GOMAXPROCS. Workers beyond one per point advance each
-	// point's replicas on goroutines instead (see internal/des).
-	// Results are ordered by grid position regardless, so output is
-	// byte-identical at any setting.
+	// mean GOMAXPROCS. Each point runs on one worker. Results are
+	// ordered by grid position regardless, so output is byte-identical
+	// at any setting.
 	Parallelism int
 }
 
@@ -537,8 +535,8 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 // Rates) — never by completion — so output is byte-identical at any
 // Parallelism.
 //
-// A one-position grid is a single deployment simulation: the point
-// gets the whole worker budget for its replicas.
+// A one-position grid is a single deployment simulation, run on one
+// worker.
 //
 // An invalid grid or trace shape fails the whole call. A combination
 // that fails to build fails only its own points through
@@ -584,14 +582,6 @@ func ServeSweep(cfg ServeSweepConfig, grid ServeGrid) ([]ServeSweepPoint, error)
 	nMix := len(axes.mixes)
 	nRate := len(axes.rates)
 	out := make([]ServeSweepPoint, len(combos)*perCombo)
-	// Workers a point-level pool cannot use go to the kernels: a
-	// one-point sweep runs its replicas on every worker. Values ≤ 1 run
-	// serially, and kernel Stats are byte-identical at any setting.
-	workers := grid.Parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	kernelPar := workers / len(out)
 	_ = pool.ForEach(len(out), grid.Parallelism, func(i int) error {
 		combo := i / perCombo
 		rest := i % perCombo
@@ -629,7 +619,7 @@ func ServeSweep(cfg ServeSweepConfig, grid ServeGrid) ([]ServeSweepPoint, error)
 			// original per-rate seeding, keeping existing sweeps
 			// byte-identical.
 			traceIdx := ((shareIdx*nBurst+burstIdx)*nMix+mixIdx)*nRate + rateIdx
-			runServePoint(&p, c, engines[combo].eng, engines[combo].budget, cfg, axes, traceIdx, kernelPar)
+			runServePoint(&p, c, engines[combo].eng, engines[combo].budget, cfg, axes, traceIdx)
 		}
 		if cfg.LeanStats || cfg.StreamStats {
 			p.Stats.Requests = nil
@@ -697,14 +687,14 @@ func prefixTokensFor(share float64, inputMedian int) int {
 // determinism tests exercise exactly this path.
 var kernelScratch = sync.Pool{New: func() any { return new(des.Scratch) }}
 
-// runServePoint runs one grid point's simulation on par kernel
-// goroutines, recording failures in p.Err. Each point owns its trace
+// runServePoint runs one grid point's simulation, recording failures
+// in p.Err. Each point owns its trace
 // and allocators; the engine is shared (engines are immutable and
 // concurrency-safe). Every fixed fleet — continuous or static — runs
 // on the cluster kernel, so the full Policies × Replicas grid is
 // served without per-point gaps.
 func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget float64,
-	cfg ServeSweepConfig, axes serveAxes, traceIdx, par int) {
+	cfg ServeSweepConfig, axes serveAxes, traceIdx int) {
 	trace, err := axes.pointTrace(cfg, p, traceIdx)
 	if err != nil {
 		p.Err = err
@@ -749,7 +739,7 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 			cluster.Config{
 				MaxBatch: p.MaxBatch, Static: p.Policy.Static,
 				ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-				Parallelism: par, Streaming: cfg.StreamStats, Scratch: scratch,
+				Streaming: cfg.StreamStats, Scratch: scratch,
 			},
 			cluster.Autoscale{
 				Factory: factory, Min: 1, Max: p.Replicas,
@@ -768,7 +758,7 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 		Policy: routePolicy(p.Policy), MaxBatch: p.MaxBatch,
 		Static:         p.Policy.Static,
 		ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-		Parallelism: par, Streaming: cfg.StreamStats, Scratch: scratch,
+		Streaming: cfg.StreamStats, Scratch: scratch,
 	}
 	if p.Policy.Disagg() {
 		// The policy's pool split is a ratio: the point's fleet must
