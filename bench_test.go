@@ -16,7 +16,6 @@ import (
 	"llmbench/internal/kvcache"
 	"llmbench/internal/model"
 	"llmbench/internal/perplexity"
-	"llmbench/internal/sched"
 	"llmbench/internal/workload"
 )
 
@@ -165,8 +164,8 @@ func BenchmarkContinuousServing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sched.Serve(sched.Config{
-			Engine: eng, Policy: sched.Continuous, MaxBatch: 32, Alloc: alloc,
+		if _, err := cluster.Serve(cluster.Config{
+			Replicas: []cluster.Replica{{Engine: eng, Alloc: alloc}}, MaxBatch: 32,
 		}, reqs); err != nil {
 			b.Fatal(err)
 		}
@@ -249,8 +248,8 @@ func BenchmarkServeContinuous(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sched.Serve(sched.Config{
-			Engine: eng, Policy: sched.Continuous, MaxBatch: 16, Alloc: alloc,
+		if _, err := cluster.Serve(cluster.Config{
+			Replicas: []cluster.Replica{{Engine: eng, Alloc: alloc}}, MaxBatch: 16,
 		}, reqs); err != nil {
 			b.Fatal(err)
 		}

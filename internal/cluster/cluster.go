@@ -1,12 +1,23 @@
-// Package cluster simulates a multi-replica serving deployment: N
-// independent engine replicas behind a request router. It extends the
-// single-device scheduler (internal/sched) to the deployment question
-// the paper's data exists to answer — how many of which accelerator
+// Package cluster simulates a serving deployment: N independent
+// engine replicas behind a request router — the deployment question
+// the paper's data exists to answer, how many of which accelerator
 // meet a target load (§VII: "the choice … should be tailored to
-// specific user scenarios and infrastructure constraints").
+// specific user scenarios and infrastructure constraints"). A
+// single-replica scheduler is a one-replica Serve.
 //
-// Two routing policies are provided: round-robin and
-// join-the-shortest-queue (least outstanding work). The fleet can
+// Every aggregated continuous replica preempts under KV pressure: a
+// decode step that cannot extend its sequence's KV reservation evicts
+// the sequence and requeues it for recompute (Stats.Preemptions). A
+// request whose context overflows the pool even when it runs alone can
+// never finish, so it fails the run with kvcache.ErrOutOfMemory. A
+// decode-pool replica of a disaggregated fleet cannot recompute a
+// prompt prefilled elsewhere, so its KV running dry fails the run
+// with kvcache.ErrOutOfMemory. Static replicas reserve each request's
+// full context up front and never preempt.
+//
+// Three routing policies are provided: round-robin,
+// join-the-shortest-queue (least outstanding work) and prefix-cache
+// affinity within a load window (Prefix). The fleet can
 // additionally be disaggregated into a prefill pool and a decode pool
 // (Config.PrefillReplicas): arrivals route within the prefill pool,
 // and each completed prefill hands its KV blocks to a decode-pool
@@ -70,7 +81,10 @@ type Replica struct {
 	Alloc  kvcache.Allocator
 }
 
-// Config parameterises a cluster simulation.
+// Config parameterises a cluster simulation. Continuous aggregated
+// replicas preempt and recompute when their KV pool runs dry, unless
+// a request overflows the pool alone; decode-pool replicas
+// (PrefillReplicas > 0) fail the run instead.
 type Config struct {
 	Replicas []Replica
 	Policy   Policy

@@ -13,7 +13,12 @@ import (
 	"llmbench/internal/workload"
 )
 
-func makeReplicas(t *testing.T, n int) []Replica {
+func makeReplicas(t *testing.T, n int) []Replica { return kvReplicas(t, n, 16) }
+
+// kvReplicas builds n Mistral-7B replicas on A100s with capGiB of
+// paged KV each (128 KiB per fp16 token, so 0.3 GiB holds about 2.4k
+// tokens).
+func kvReplicas(t *testing.T, n int, capGiB float64) []Replica {
 	t.Helper()
 	out := make([]Replica, n)
 	m := model.MustGet("Mistral-7B")
@@ -26,7 +31,7 @@ func makeReplicas(t *testing.T, n int) []Replica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), 16*(1<<30))
+		alloc, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), capGiB*(1<<30))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,13 +83,11 @@ func TestDisaggServe(t *testing.T) {
 	}
 }
 
-// TestDisaggParallelMatchesSerial is the disaggregated determinism
+// TestDisaggMatchesStepped is the disaggregated determinism
 // suite: coalesced and Stepped runs of a disagg fleet must produce
 // byte-identical Stats — the same contract the aggregated fleet has,
-// with kv-transfer events in the total order. (The name predates the
-// serial kernel; it matches the CI `-race` determinism step's run
-// pattern.)
-func TestDisaggParallelMatchesSerial(t *testing.T) {
+// with kv-transfer events in the total order.
+func TestDisaggMatchesStepped(t *testing.T) {
 	reqs := longClusterTrace(t, 64, 3, 384)
 	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
 		for _, split := range []int{1, 2} {

@@ -132,11 +132,10 @@ func TestPrefixPolicyBlindAllocatorsDegrade(t *testing.T) {
 	}
 }
 
-// TestPrefixParallelMatchesSerial extends the cluster's byte-identity
+// TestPrefixMatchesStepped extends the cluster's byte-identity
 // to the new machinery all at once: Prefix routing over tiered
-// allocators with chunked prefill, coalesced == stepped. (The name
-// predates the serial kernel.)
-func TestPrefixParallelMatchesSerial(t *testing.T) {
+// allocators with chunked prefill, coalesced == stepped.
+func TestPrefixMatchesStepped(t *testing.T) {
 	reqs := prefixTrace(t, 96, 2048, 10)
 	build := func(stepped bool) Stats {
 		t.Helper()

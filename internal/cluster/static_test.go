@@ -12,12 +12,11 @@ import (
 	"llmbench/internal/workload"
 )
 
-// TestClusterStaticParallelMatchesSerial: multi-replica static
+// TestClusterStaticMatchesStepped: multi-replica static
 // batching — the grid hole this policy port closes — produces
 // byte-identical Stats on the coalesced and Stepped kernels, for both
-// routers, with every request completed and zero preemptions. (The
-// name predates the serial kernel.)
-func TestClusterStaticParallelMatchesSerial(t *testing.T) {
+// routers, with every request completed and zero preemptions.
+func TestClusterStaticMatchesStepped(t *testing.T) {
 	reqs := clusterTrace(t, 96, 6)
 	for _, policy := range []Policy{RoundRobin, LeastLoaded} {
 		coalesced, err := Serve(Config{Replicas: makeReplicas(t, 4), Policy: policy, MaxBatch: 8, Static: true}, reqs)
@@ -87,13 +86,13 @@ func TestClusterStaticArrivalTies(t *testing.T) {
 	}
 }
 
-// TestAutoscaleStaticParallelMatchesSerial: the autoscaler drives
+// TestAutoscaleStaticMatchesStepped: the autoscaler drives
 // static replicas like continuous ones — scale-ups under queue
 // pressure, retirement of drained replicas, and a byte-identical
 // trajectory coalesced and Stepped. The run must actually scale (a
 // static replica holds its queue through a whole batch run, so
-// pressure builds fast). (The name predates the serial kernel.)
-func TestAutoscaleStaticParallelMatchesSerial(t *testing.T) {
+// pressure builds fast).
+func TestAutoscaleStaticMatchesStepped(t *testing.T) {
 	as := Autoscale{
 		Factory:       factory(t),
 		Min:           1,

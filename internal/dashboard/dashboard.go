@@ -209,12 +209,14 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request) {
 		outMean:   q.atoiIn("outmean", "128", 1, 8192),
 		autoscale: q.get("autoscale", "") == "1",
 	}
-	// Positive-form bounds so NaN (which ParseFloat accepts) fails.
-	rate, err := strconv.ParseFloat(q.get("rate", "10"), 64)
-	if (err != nil || !(rate > 0 && rate <= 1000)) && q.err == nil {
+	// One entry of the llmbench.Axes rates row (positive and finite,
+	// so NaN fails), capped at 1000 req/s.
+	var grid llmbench.ServeGrid
+	if err := grid.Set("rates", q.get("rate", "10")); err == nil && len(grid.Rates) == 1 && grid.Rates[0] <= 1000 {
+		p.rate = grid.Rates[0]
+	} else if q.err == nil {
 		q.err = fmt.Errorf("dashboard: rate must be in (0, 1000]")
 	}
-	p.rate = rate
 	if q.err != nil {
 		http.Error(w, q.err.Error(), http.StatusBadRequest)
 		return

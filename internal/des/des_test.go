@@ -142,7 +142,7 @@ func TestKernelEqualTimestampTies(t *testing.T) {
 	}
 }
 
-// TestKernelPreemptionMidWindow drives the preemptive policy into KV
+// TestKernelPreemptionMidWindow drives aggregated stations into KV
 // exhaustion inside would-be coalesced windows on multiple stations
 // at once: evictions and requeues must reproduce identically in every
 // mode.
@@ -155,7 +155,7 @@ func TestKernelPreemptionMidWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := assertModesIdentical(t, "preemption",
-		des.Config{MaxBatch: 6, Preemptive: true}, 2, 0.3, reqs)
+		des.Config{MaxBatch: 6}, 2, 0.3, reqs)
 	if res.Preemptions == 0 {
 		t.Fatal("a tiny KV pool must force preemptions inside windows")
 	}
@@ -172,7 +172,7 @@ func TestKernelPreemptionMidWindow(t *testing.T) {
 }
 
 // TestKernelChunkedPrefillModes covers the fused prefill-slice path
-// (sched's Dynamic-SplitFuse policy) across every mode.
+// (Dynamic-SplitFuse admission) across every mode.
 func TestKernelChunkedPrefillModes(t *testing.T) {
 	reqs, err := workload.PoissonTrace(workload.TraceConfig{
 		Seed: 4, Requests: 30, RatePerSec: 4,
@@ -182,7 +182,7 @@ func TestKernelChunkedPrefillModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := assertModesIdentical(t, "chunked-prefill",
-		des.Config{MaxBatch: 8, Preemptive: true, ChunkedPrefill: true, PrefillChunk: 256}, 2, 16, reqs)
+		des.Config{MaxBatch: 8, ChunkedPrefill: true, PrefillChunk: 256}, 2, 16, reqs)
 	if len(res.Finished) != 30 {
 		t.Errorf("completed %d/30", len(res.Finished))
 	}
@@ -205,7 +205,7 @@ func TestKernelSinkOrderAndModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := des.Config{MaxBatch: 6, Preemptive: true}
+		base := des.Config{MaxBatch: 6}
 		ref := runKernel(t, base, 3, 16, reqs)
 		if len(ref.Finished) != len(reqs) {
 			t.Fatalf("reference completed %d/%d", len(ref.Finished), len(reqs))
@@ -270,7 +270,7 @@ func TestKernelScratchReuseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := testEngine(t)
-	cfg := des.Config{MaxBatch: 6, Preemptive: true}
+	cfg := des.Config{MaxBatch: 6}
 	sc := &des.Scratch{}
 	// Vary the station count so later runs both pop recycled shells
 	// and allocate fresh ones.
@@ -321,7 +321,7 @@ func TestKernelValidation(t *testing.T) {
 		t.Error("incomplete station must fail")
 	}
 	// An unadmittable request must fail fast, not hang the loop.
-	k = des.New(des.Config{MaxBatch: 4, Preemptive: true})
+	k = des.New(des.Config{MaxBatch: 4})
 	k.NewStation(testEngine(t), testAlloc(t, 0.01))
 	if _, err := k.Run([]workload.Request{{ID: 0, Input: 100000, Output: 8, Arrival: 0}}); err == nil {
 		t.Error("an unadmittable request must error, not hang")

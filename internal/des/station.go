@@ -52,6 +52,14 @@ type Station struct {
 	lastDone float64 // end of this station's last completed work
 	done     int
 	preempts int
+	// evicting is set when a request is evicted a second time with no
+	// completion on this station since its first eviction, and cleared
+	// by the next completion. While it is set, admission only refills
+	// an empty running set, one request at a time, so the running set
+	// drains until a request completes. Without it, an evicted request
+	// readmitted at once can evict its neighbour in turn, and the pair
+	// trade the pool forever.
+	evicting bool
 
 	// hitToks and promptToks accumulate the prefix-cache hit rate:
 	// prompt tokens admitted and the subset served from the cache.
@@ -99,10 +107,12 @@ type Station struct {
 }
 
 // queued is a waiting request; preempted counts prior evictions so
-// the lifecycle stats survive a requeue.
+// the lifecycle stats survive a requeue, and evictedAt is the
+// station's completion count at the last of them.
 type queued struct {
 	req       workload.Request
 	preempted int
+	evictedAt int
 	// decode marks a decode-phase sub-request delivered by a
 	// kv-transfer event; carry is its lifecycle so far (original
 	// arrival, prefill timing, transfer delay), resumed on admission.
@@ -120,6 +130,7 @@ type runReq struct {
 	generated      int
 	pendingPrefill int // prompt tokens not yet prefilled (chunked mode)
 	prefillSkip    int // prompt tokens served from the prefix cache
+	evictedAt      int // queued.evictedAt, carried while running
 	stats          RequestStats
 }
 
@@ -142,7 +153,7 @@ func (s *Station) getReq(q queued, now float64) *runReq {
 		s.slab = s.slab[1:]
 	}
 	*r = runReq{
-		req: q.req,
+		req: q.req, evictedAt: q.evictedAt,
 		stats: RequestStats{
 			ID: q.req.ID, Input: q.req.Input, Output: q.req.Output,
 			Arrival: q.req.Arrival, Started: now, Preempted: q.preempted,
@@ -172,7 +183,7 @@ func (s *Station) reset() {
 	s.run = s.run[:0]
 	s.nextAt, s.hidx = -1, -1
 	s.busy, s.maxIter, s.lastDone = 0, 0, 0
-	s.done, s.preempts = 0, 0
+	s.done, s.preempts, s.evicting = 0, 0, false
 	s.disc = nil
 	s.hitToks, s.promptToks = 0, 0
 	s.win = nil
@@ -300,25 +311,14 @@ func (s *Station) commit(k int, end float64) error {
 	next := s.run[:0]
 	for _, r := range s.run {
 		r.generated += k
-		if s.cfg.Preemptive {
-			// Preemptive bookkeeping extends before the completion
-			// check, exactly as its stepped path does: the completing
-			// step still grows the reservation.
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-				return err
-			}
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-		} else {
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-				return err
-			}
+		// Extend before the completion check, exactly as the stepped
+		// path does: the completing step still grows the reservation.
+		if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+			return err
+		}
+		if r.generated >= r.req.Output {
+			s.finish(r, end)
+			continue
 		}
 		next = append(next, r)
 	}
@@ -354,6 +354,9 @@ func (s *Station) step(now float64) (float64, error) {
 	s.admitted = s.admitted[:0]
 	var restoreS float64
 	for s.queueLen() > 0 && len(s.run)+len(s.admitted) < s.cfg.MaxBatch {
+		if s.evicting && len(s.run)+len(s.admitted) > 0 {
+			break
+		}
 		q := s.queue[s.qhead]
 		if q.decode != (s.role == RoleDecode) {
 			// A phase routed to the wrong pool: the simulation would
@@ -565,7 +568,7 @@ func (s *Station) step(now float64) (float64, error) {
 	end := now + step
 	s.busy += step
 	next := s.run[:0]
-	for _, r := range s.run {
+	for i, r := range s.run {
 		if r.pendingPrefill > 0 || (r == prefilling && r.generated == 1) {
 			// Still prefilling, or just emitted its first token this
 			// iteration — no decode advance yet.
@@ -573,37 +576,34 @@ func (s *Station) step(now float64) (float64, error) {
 			continue
 		}
 		r.generated++
-		if s.cfg.Preemptive {
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-				if errors.Is(err, kvcache.ErrOutOfMemory) {
-					// Preempt: evict and requeue at the tail of this
-					// station's queue (recompute later). The requeued
-					// request re-arrives at the eviction instant.
-					s.Alloc.Free(r.seq)
-					s.preempts++
-					requeued := r.req
-					requeued.Arrival = end
-					s.queue = append(s.queue, queued{req: requeued, preempted: r.stats.Preempted + 1})
-					s.putReq(r)
-					continue
-				}
-				return 0, err
+		// Every step extends its reservation, the completing one
+		// included; the coalesced commit mirrors that order.
+		if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
+			// A decode-pool request was prefilled on another station:
+			// this one cannot recompute it. A request that overflows
+			// the pool alone (no other sequence holds KV here) would
+			// overflow it again on every recompute.
+			alone := len(next) == 0 && i == len(s.run)-1
+			if s.role == RoleDecode || alone || !errors.Is(err, kvcache.ErrOutOfMemory) {
+				return 0, fmt.Errorf("des: station %d (%s) cannot extend request %d: %w", s.ID, s.role, r.req.ID, err)
 			}
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
+			// Preempt: evict and requeue at the tail of this station's
+			// queue (recompute later). The requeued request re-arrives
+			// at the eviction instant.
+			s.Alloc.Free(r.seq)
+			s.preempts++
+			if r.stats.Preempted > 0 && r.evictedAt == s.done {
+				s.evicting = true
 			}
-		} else {
-			// Completion is checked before Extend — a sequence
-			// emitting its final token does not grow its reservation —
-			// and the coalesced path above mirrors that order.
-			if r.generated >= r.req.Output {
-				s.finish(r, end)
-				continue
-			}
-			if err := s.Alloc.Extend(r.seq, r.req.Input+r.generated); err != nil {
-				return 0, err
-			}
+			requeued := r.req
+			requeued.Arrival = end
+			s.queue = append(s.queue, queued{req: requeued, preempted: r.stats.Preempted + 1, evictedAt: s.done})
+			s.putReq(r)
+			continue
+		}
+		if r.generated >= r.req.Output {
+			s.finish(r, end)
+			continue
 		}
 		next = append(next, r)
 	}
@@ -796,6 +796,7 @@ func (s *Station) finish(r *runReq, end float64) {
 	s.k.done = append(s.k.done, r.stats)
 	s.putReq(r)
 	s.done++
+	s.evicting = false
 	if end > s.lastDone {
 		s.lastDone = end
 	}

@@ -73,11 +73,11 @@ func assertDisaggModesIdentical(t *testing.T, name string, cfg des.Config,
 	return ref
 }
 
-// TestKernelDisaggModesMatchesSerial extends the kernel's headline
+// TestKernelDisaggModesMatchesStepped extends the kernel's headline
 // determinism property to disaggregated fleets: with kv-transfer
 // events in the total order, coalesced == Stepped to the last bit
 // over seeded random workloads at several load levels.
-func TestKernelDisaggModesMatchesSerial(t *testing.T) {
+func TestKernelDisaggModesMatchesStepped(t *testing.T) {
 	cases := []struct {
 		seed uint64
 		rate float64
@@ -352,9 +352,8 @@ func TestKernelDisaggValidation(t *testing.T) {
 		t.Errorf("invalid transfer pricing: got %v, want ErrBadTransfer", err)
 	}
 	for name, cfg := range map[string]des.Config{
-		"static":     {MaxBatch: 4, Static: true, Transfer: testTransferCost(t)},
-		"chunked":    {MaxBatch: 4, ChunkedPrefill: true, Transfer: testTransferCost(t)},
-		"preemptive": {MaxBatch: 4, Preemptive: true, Transfer: testTransferCost(t)},
+		"static":  {MaxBatch: 4, Static: true, Transfer: testTransferCost(t)},
+		"chunked": {MaxBatch: 4, ChunkedPrefill: true, Transfer: testTransferCost(t)},
 	} {
 		if _, err := mk(cfg).Run(reqs); err == nil {
 			t.Errorf("%s + pool roles must fail", name)

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 
+	"llmbench/internal/cluster"
 	"llmbench/internal/dtype"
 	"llmbench/internal/engine"
 	"llmbench/internal/framework"
@@ -23,7 +24,6 @@ import (
 	"llmbench/internal/model"
 	"llmbench/internal/nas"
 	"llmbench/internal/parallel"
-	"llmbench/internal/sched"
 	"llmbench/internal/specdec"
 	"llmbench/internal/workload"
 )
@@ -144,7 +144,7 @@ func ext3() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := sched.Serve(sched.Config{Engine: eng, Policy: sched.Continuous, MaxBatch: 32, Alloc: paged}, reqs)
+		ps, err := cluster.Serve(cluster.Config{Replicas: []cluster.Replica{{Engine: eng, Alloc: paged}}, MaxBatch: 32}, reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func ext3() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		ms, err := sched.Serve(sched.Config{Engine: eng, Policy: sched.Continuous, MaxBatch: 32, Alloc: mono}, reqs)
+		ms, err := cluster.Serve(cluster.Config{Replicas: []cluster.Replica{{Engine: eng, Alloc: mono}}, MaxBatch: 32}, reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -181,13 +181,13 @@ func ext4() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(chunk int) (sched.Stats, error) {
+	run := func(chunk int) (cluster.Stats, error) {
 		alloc, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), 18*(1<<30))
 		if err != nil {
-			return sched.Stats{}, err
+			return cluster.Stats{}, err
 		}
-		return sched.Serve(sched.Config{
-			Engine: eng, Policy: sched.Continuous, MaxBatch: 16, Alloc: alloc,
+		return cluster.Serve(cluster.Config{
+			Replicas: []cluster.Replica{{Engine: eng, Alloc: alloc}}, MaxBatch: 16,
 			ChunkedPrefill: chunk > 0, PrefillChunk: chunk,
 		}, reqs)
 	}

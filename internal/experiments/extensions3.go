@@ -18,7 +18,6 @@ import (
 	"llmbench/internal/metrics"
 	"llmbench/internal/model"
 	"llmbench/internal/parallel"
-	"llmbench/internal/sched"
 	"llmbench/internal/workload"
 )
 
@@ -62,7 +61,7 @@ func ext8() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps, err := sched.Serve(sched.Config{Engine: eng, Policy: sched.Continuous, MaxBatch: 48, Alloc: plain}, reqs)
+		ps, err := cluster.Serve(cluster.Config{Replicas: []cluster.Replica{{Engine: eng, Alloc: plain}}, MaxBatch: 48}, reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +71,7 @@ func ext8() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		ss, err := sched.Serve(sched.Config{Engine: eng, Policy: sched.Continuous, MaxBatch: 48, Alloc: shared}, reqs)
+		ss, err := cluster.Serve(cluster.Config{Replicas: []cluster.Replica{{Engine: eng, Alloc: shared}}, MaxBatch: 48}, reqs)
 		if err != nil {
 			return nil, err
 		}

@@ -1,17 +1,16 @@
-package sched
+package sched_test
 
 import (
 	"testing"
 
+	"llmbench/internal/cluster"
 	"llmbench/internal/workload"
 )
 
 func TestChunkedPrefillCompletesEverything(t *testing.T) {
 	e := testEngine(t)
-	stats, err := Serve(Config{
-		Engine: e, Policy: Continuous, MaxBatch: 16,
-		Alloc: testAlloc(t, 20), ChunkedPrefill: true, PrefillChunk: 256,
-	}, testTrace(t, 60, 6))
+	stats, err := serve(cluster.Config{MaxBatch: 16, ChunkedPrefill: true, PrefillChunk: 256},
+		e, testAlloc(t, 20), testTrace(t, 60, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +36,12 @@ func TestChunkedPrefillImprovesRunningRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Serve(Config{
-		Engine: e, Policy: Continuous, MaxBatch: 16, Alloc: testAlloc(t, 20),
-	}, reqs)
+	plain, err := serve(cluster.Config{MaxBatch: 16}, e, testAlloc(t, 20), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := Serve(Config{
-		Engine: e, Policy: Continuous, MaxBatch: 16, Alloc: testAlloc(t, 20),
-		ChunkedPrefill: true, PrefillChunk: 256,
-	}, reqs)
+	chunked, err := serve(cluster.Config{MaxBatch: 16, ChunkedPrefill: true, PrefillChunk: 256},
+		e, testAlloc(t, 20), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +65,7 @@ func TestChunkedPrefillImprovesRunningRequests(t *testing.T) {
 func TestChunkedPrefillDefaultChunk(t *testing.T) {
 	// PrefillChunk 0 falls back to the 512-token default.
 	e := testEngine(t)
-	stats, err := Serve(Config{
-		Engine: e, Policy: Continuous, MaxBatch: 8,
-		Alloc: testAlloc(t, 20), ChunkedPrefill: true,
-	}, testTrace(t, 20, 4))
+	stats, err := serve(cluster.Config{MaxBatch: 8, ChunkedPrefill: true}, e, testAlloc(t, 20), testTrace(t, 20, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

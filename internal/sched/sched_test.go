@@ -1,162 +1,36 @@
 package sched
 
-import (
-	"testing"
+import "testing"
 
-	"llmbench/internal/dtype"
-	"llmbench/internal/engine"
-	"llmbench/internal/framework"
-	"llmbench/internal/hw"
-	"llmbench/internal/kvcache"
-	"llmbench/internal/model"
-	"llmbench/internal/workload"
-)
-
-func testEngine(t *testing.T) *engine.Engine {
-	t.Helper()
-	e, err := engine.New(engine.Config{
-		Model:     model.MustGet("LLaMA-3-8B"),
-		Device:    hw.MustGet("A100"),
-		Framework: framework.MustGet("vLLM"),
-	})
+func TestSummarize(t *testing.T) {
+	done := []RequestStats{
+		{ID: 0, Input: 10, Output: 5, Arrival: 0, FirstTok: 1, Finished: 2},
+		{ID: 1, Input: 20, Output: 10, Arrival: 1, FirstTok: 3, Finished: 5},
+	}
+	s, err := Summarize(done, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
-}
-
-func testAlloc(t *testing.T, capGiB float64) *kvcache.Paged {
-	t.Helper()
-	m := model.MustGet("LLaMA-3-8B")
-	a, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), capGiB*(1<<30))
-	if err != nil {
-		t.Fatal(err)
+	if s.Completed != 2 || s.Preemptions != 3 {
+		t.Errorf("completed %d preemptions %d", s.Completed, s.Preemptions)
 	}
-	return a
-}
-
-func testTrace(t *testing.T, n int, rate float64) []workload.Request {
-	t.Helper()
-	reqs, err := workload.PoissonTrace(workload.TraceConfig{
-		Seed: 11, Requests: n, RatePerSec: rate,
-		InputMean: 512, OutputMean: 128, LengthJitter: 0.4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if want := (15.0 + 30.0) / 5.0; s.Throughput != want {
+		t.Errorf("throughput %v want %v", s.Throughput, want)
 	}
-	return reqs
-}
-
-func TestServeValidation(t *testing.T) {
-	e := testEngine(t)
-	if _, err := Serve(Config{}, testTrace(t, 5, 1)); err == nil {
-		t.Error("nil engine must fail")
+	if want := (2.0 + 4.0) / 2; s.MeanLatency != want {
+		t.Errorf("mean latency %v want %v", s.MeanLatency, want)
 	}
-	if _, err := Serve(Config{Engine: e, Alloc: testAlloc(t, 10), MaxBatch: 0}, testTrace(t, 5, 1)); err == nil {
-		t.Error("MaxBatch 0 must fail")
+	if want := (1.0 + 2.0) / 2; s.MeanTTFT != want {
+		t.Errorf("mean TTFT %v want %v", s.MeanTTFT, want)
 	}
-	if _, err := Serve(Config{Engine: e, Alloc: testAlloc(t, 10), MaxBatch: 8}, nil); err == nil {
-		t.Error("empty trace must fail")
+	if s.P99Latency != 2 { // index ⌊(n-1)·0.99⌋ = 0 of the sorted latencies
+		t.Errorf("p99 %v want 2", s.P99Latency)
 	}
-}
-
-func TestAllRequestsComplete(t *testing.T) {
-	e := testEngine(t)
-	for _, pol := range []Policy{Continuous, Static} {
-		stats, err := Serve(Config{Engine: e, Policy: pol, MaxBatch: 16, Alloc: testAlloc(t, 20)},
-			testTrace(t, 60, 4))
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if stats.Completed != 60 {
-			t.Errorf("%v: completed %d/60", pol, stats.Completed)
-		}
-		if stats.Throughput <= 0 || stats.MeanLatency <= 0 || stats.MeanTTFT <= 0 {
-			t.Errorf("%v: degenerate stats %+v", pol, stats)
-		}
-		if stats.P99Latency < stats.MeanLatency {
-			t.Errorf("%v: p99 %v below mean %v", pol, stats.P99Latency, stats.MeanLatency)
-		}
+	if _, err := Summarize(nil, 5, 0); err == nil {
+		t.Error("empty done must fail")
 	}
-}
-
-func TestContinuousBeatsStaticUnderLoad(t *testing.T) {
-	// §IV-A1: continuous batching "keeps the device busy, and new
-	// requests of variable length can be processed without waiting for
-	// the previous batch to be finished" — so at load it must deliver
-	// both higher throughput and lower mean latency than static
-	// batching.
-	e := testEngine(t)
-	reqs := testTrace(t, 120, 8)
-	cont, err := Serve(Config{Engine: e, Policy: Continuous, MaxBatch: 16, Alloc: testAlloc(t, 20)}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stat, err := Serve(Config{Engine: e, Policy: Static, MaxBatch: 16, Alloc: testAlloc(t, 20)}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cont.Throughput <= stat.Throughput {
-		t.Errorf("continuous throughput %.0f must beat static %.0f", cont.Throughput, stat.Throughput)
-	}
-	if cont.MeanLatency >= stat.MeanLatency {
-		t.Errorf("continuous latency %.2f must beat static %.2f", cont.MeanLatency, stat.MeanLatency)
-	}
-}
-
-func TestPreemptionUnderTinyCache(t *testing.T) {
-	// A cache that holds only a couple of sequences forces evictions;
-	// the system must still finish every request.
-	e := testEngine(t)
-	small := testAlloc(t, 0.5) // ~0.5 GiB: a few thousand tokens
-	stats, err := Serve(Config{Engine: e, Policy: Continuous, MaxBatch: 8, Alloc: small},
-		testTrace(t, 20, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Completed != 20 {
-		t.Errorf("completed %d/20 under preemption", stats.Completed)
-	}
-	if stats.Preemptions == 0 {
-		t.Error("a tiny cache must force preemptions")
-	}
-}
-
-func TestRequestStatsConsistency(t *testing.T) {
-	e := testEngine(t)
-	stats, err := Serve(Config{Engine: e, Policy: Continuous, MaxBatch: 8, Alloc: testAlloc(t, 20)},
-		testTrace(t, 30, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range stats.Requests {
-		if r.Started < r.Arrival {
-			t.Errorf("req %d started before arrival", r.ID)
-		}
-		if r.FirstTok < r.Started {
-			t.Errorf("req %d first token before start", r.ID)
-		}
-		if r.Finished < r.FirstTok {
-			t.Errorf("req %d finished before first token", r.ID)
-		}
-	}
-}
-
-func TestAllocatorDrained(t *testing.T) {
-	e := testEngine(t)
-	alloc := testAlloc(t, 20)
-	if _, err := Serve(Config{Engine: e, Policy: Continuous, MaxBatch: 8, Alloc: alloc},
-		testTrace(t, 25, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if alloc.Sequences() != 0 || alloc.UsedBytes() != 0 {
-		t.Error("allocator must be empty after serving completes")
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if Continuous.String() != "continuous" || Static.String() != "static" {
-		t.Error("policy strings wrong")
+	if _, err := Summarize(done, 0, 0); err == nil {
+		t.Error("zero makespan must fail")
 	}
 }
 

@@ -1,7 +1,7 @@
-package sched
+package sched_test
 
-// Golden-reference equivalence for the static scheduler's kernel
-// port: legacyServeStatic below is the hand-rolled loop Serve used
+// Golden-reference equivalence for static batching on the kernel:
+// legacyServeStatic below is the hand-rolled single-replica loop from
 // before static batching became a des station policy, captured
 // verbatim (including its pre-sorted-queue contract) so the
 // byte-identity contract outlives the deletion.
@@ -11,16 +11,27 @@ import (
 	"sort"
 	"testing"
 
+	"llmbench/internal/cluster"
+	"llmbench/internal/engine"
 	"llmbench/internal/kvcache"
+	"llmbench/internal/sched"
 	"llmbench/internal/workload"
 )
 
+// legacyConfig is the slice of the legacy scheduler's configuration
+// the static loop read.
+type legacyConfig struct {
+	Engine   *engine.Engine
+	MaxBatch int
+	Alloc    kvcache.Allocator
+}
+
 // legacyServeStatic is the pre-kernel static scheduler, verbatim. It
-// expects the queue sorted by arrival (stable), as Serve's Static
-// branch did before the port.
-func legacyServeStatic(cfg Config, queue []workload.Request) (Stats, error) {
+// expects the queue sorted by arrival (stable), as the legacy
+// scheduler's Static branch did before the port.
+func legacyServeStatic(cfg legacyConfig, queue []workload.Request) (sched.Stats, error) {
 	now := 0.0
-	done := make([]RequestStats, 0, len(queue))
+	done := make([]sched.RequestStats, 0, len(queue))
 	for len(queue) > 0 {
 		if queue[0].Arrival > now {
 			now = queue[0].Arrival
@@ -57,11 +68,11 @@ func legacyServeStatic(cfg Config, queue []workload.Request) (Stats, error) {
 		}
 		res, err := cfg.Engine.Run(workload.Spec{Batch: len(batch), Input: maxIn, Output: maxOut})
 		if err != nil {
-			return Stats{}, err
+			return sched.Stats{}, err
 		}
 		for i, r := range batch {
 			cfg.Alloc.Free(seqs[i])
-			done = append(done, RequestStats{
+			done = append(done, sched.RequestStats{
 				ID: r.ID, Input: r.Input, Output: r.Output,
 				Arrival: r.Arrival, Started: now,
 				FirstTok: now + res.TTFTSeconds,
@@ -70,10 +81,10 @@ func legacyServeStatic(cfg Config, queue []workload.Request) (Stats, error) {
 		}
 		now += res.E2ESeconds
 	}
-	return Summarize(done, now, 0)
+	return sched.Summarize(done, now, 0)
 }
 
-func legacyStatic(t *testing.T, cfg Config, reqs []workload.Request) Stats {
+func legacyStatic(t *testing.T, cfg legacyConfig, reqs []workload.Request) sched.Stats {
 	t.Helper()
 	queue := make([]workload.Request, len(reqs))
 	copy(queue, reqs)
@@ -113,8 +124,8 @@ func TestStaticKernelMatchesLegacy(t *testing.T) {
 		{"bursty chat trace", chat, 20, 16},
 	}
 	for _, c := range cases {
-		want := legacyStatic(t, Config{Engine: e, MaxBatch: c.batch, Alloc: testAlloc(t, c.capGiB)}, c.reqs)
-		got, err := Serve(Config{Engine: e, Policy: Static, MaxBatch: c.batch, Alloc: testAlloc(t, c.capGiB)}, c.reqs)
+		want := legacyStatic(t, legacyConfig{Engine: e, MaxBatch: c.batch, Alloc: testAlloc(t, c.capGiB)}, c.reqs)
+		got, err := serve(cluster.Config{Static: true, MaxBatch: c.batch}, e, testAlloc(t, c.capGiB), c.reqs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -142,11 +153,11 @@ func TestStaticKernelMatchesLegacy(t *testing.T) {
 func TestStaticKernelSteppedIdentical(t *testing.T) {
 	e := testEngine(t)
 	reqs := testTrace(t, 60, 8)
-	plain, err := Serve(Config{Engine: e, Policy: Static, MaxBatch: 16, Alloc: testAlloc(t, 20)}, reqs)
+	plain, err := serve(cluster.Config{Static: true, MaxBatch: 16}, e, testAlloc(t, 20), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepped, err := Serve(Config{Engine: e, Policy: Static, MaxBatch: 16, Alloc: testAlloc(t, 20), Stepped: true}, reqs)
+	stepped, err := serve(cluster.Config{Static: true, MaxBatch: 16, Stepped: true}, e, testAlloc(t, 20), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +171,7 @@ func TestStaticKernelSteppedIdentical(t *testing.T) {
 func TestStaticAllocatorDrained(t *testing.T) {
 	e := testEngine(t)
 	alloc := testAlloc(t, 20)
-	if _, err := Serve(Config{Engine: e, Policy: Static, MaxBatch: 8, Alloc: alloc},
-		testTrace(t, 25, 5)); err != nil {
+	if _, err := serve(cluster.Config{Static: true, MaxBatch: 8}, e, alloc, testTrace(t, 25, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if alloc.Sequences() != 0 || alloc.UsedBytes() != 0 {

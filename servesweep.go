@@ -363,8 +363,11 @@ type ReplicaStats = cluster.ReplicaStats
 // configuration fields record the effective values (identical to the
 // base config where the corresponding axis is unset). Err records
 // points that fail individually — a combination that cannot build, a
-// fleet the workload overruns — without aborting the rest of the
-// sweep.
+// prompt no replica's KV pool can admit, a request whose full context
+// overflows a replica's pool even alone, a disaggregated decode pool
+// whose KV runs dry — without aborting the rest of the sweep. Any
+// other KV overrun in an aggregated fleet is not an error: its
+// replicas preempt and recompute (Stats.Preemptions).
 type ServeSweepPoint struct {
 	Device    string
 	Framework string
