@@ -413,7 +413,9 @@ func BenchmarkServeClusterPrefix(b *testing.B) {
 // not a million-entry ledger plus sort. BenchmarkServeClusterMillionExact
 // is the ledgered reference the memory delta is measured against.
 // Both report events/s: kernel events (trace arrivals, kv-transfer
-// deliveries and station events, des.EventCounts) per wall second.
+// deliveries and station events, des.EventCounts) per wall second,
+// and priced/step: window step costs summed per decode step executed
+// (at most 1 when each committed window step is summed once).
 func benchServeClusterMillion(b *testing.B, streaming bool) {
 	b.Helper()
 	if testing.Short() {
@@ -464,6 +466,7 @@ func benchServeClusterMillion(b *testing.B, streaming bool) {
 	}
 	events := counts.Arrivals + counts.Transfers + counts.Events
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(counts.Priced)/float64(counts.DecodeSteps), "priced/step")
 }
 
 func BenchmarkServeClusterMillion(b *testing.B)      { benchServeClusterMillion(b, true) }

@@ -387,3 +387,32 @@ func TestKernelWindowsPerRequest(t *testing.T) {
 		t.Errorf("coalesced run executed %d decode steps, stepped %d", got, want)
 	}
 }
+
+// TestKernelLazyWindowCounts runs a scaled-down long-decode shape
+// (sparse 256:1024 requests on 8 least-loaded stations, the per-station
+// load of 32 stations at 8 req/s) and checks the lazy window keys in
+// the counters: each committed window step is summed once, so Priced
+// stays at or below DecodeSteps (summing every window whole when it
+// opened ran about twice DecodeSteps), and the re-keys leave every
+// other count where the kernel that priced windows eagerly left it.
+func TestKernelLazyWindowCounts(t *testing.T) {
+	reqs, err := workload.PoissonTrace(workload.TraceConfig{
+		Seed: 1, Requests: 2000, RatePerSec: 2,
+		InputMean: 256, OutputMean: 1024, LengthJitter: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, k := runFleet(t, des.Config{MaxBatch: 16}, llFleet(8, 30), reqs)
+	c := k.Counts()
+	if c.Priced > c.DecodeSteps || c.Rekeys == 0 {
+		t.Errorf("summed %d window steps with %d re-keys for %d decode steps; want ≤ the decode steps and some re-keys",
+			c.Priced, c.Rekeys, c.DecodeSteps)
+	}
+	want := des.EventCounts{Arrivals: 2000, Events: 7914, Windows: 3921, DecodeSteps: 632153, Cuts: 1932, Completions: 2000}
+	got := c
+	got.Priced, got.Rekeys = 0, 0
+	if got != want {
+		t.Errorf("event counts %+v, want %+v", got, want)
+	}
+}

@@ -76,6 +76,41 @@
 // so Stats never depend on which station's events happened to be
 // appended first.
 //
+// # Window keys
+//
+// A coalesced window's event time is the start of its last step, the
+// left-to-right float64 sum of every step cost before it. Summing that
+// chain when the window opens would add each step about twice, because
+// most windows are cut about halfway. So a window opens unsummed. The
+// station keeps a priced cursor: the steps summed so far, the next
+// step's start, and busy and maxIter with those steps applied. Until
+// the cursor reaches the last step, the heap key is a lower bound on
+// the last step's start. With r steps unsummed, the cursor at wt and
+// every cost at least the engine snapshot's floor
+// (engine.StepVec.Floor), the key is
+//
+//	max(wt, (wt + r·floor)·(1 − (r+8)·2⁻⁵²))
+//
+// Each of the r additions rounds down by at most a factor (1 − 2⁻⁵³),
+// so the true sum is at least (wt + r·floor)·(1 − r·2⁻⁵³). The key
+// takes twice that margin, plus slack for its own three roundings.
+//
+// A lazy key never runs an event. When a heap root has a lazy key
+// below the next delivery t, Run advances its cursor to the first step
+// start at or after t, or to the last step, which makes the key exact.
+// Then it re-keys the station (EventCounts.Rekeys). Only exact keys
+// run, and a lazy key is never later than the true time, so station
+// events run in exactly the (time, ID) order of eagerly summed keys.
+// A cut commits from the cursor: at it, or after summing on past t. A
+// delivery can land before the cursor only when a prefill event
+// schedules a kv-transfer after the kernel advanced the cursor for a
+// later delivery. The cut then rewinds and sums again from the
+// window's start. Every step is added in step order, and the full
+// commit adds the last step to the cursor's sums. So every timestamp,
+// busy total and output is bit-identical to summing the whole window
+// when it opens. A cut can move a key later, past its lower bound, so
+// a delivery re-keys its station both up and down the heap.
+//
 // # KV pressure
 //
 // A continuous station extends each running sequence's KV
@@ -120,8 +155,9 @@
 //     to its last step in one event and pays one MaxExtendSteps bound
 //     plus one Extend per running sequence. The open window is
 //     station state between events (Station.win), committed at its
-//     last step's start or at a cut. Its step costs are summed once,
-//     when it opens; only a cut walks them again.
+//     last step's start or at a cut. Its step costs are summed only as
+//     far as the cursor must go (see Window keys), so each committed
+//     step is added about once (EventCounts.Priced).
 //   - The event heap holds only stations with a pending event, so an
 //     event costs O(log awake), and idle or long-retired autoscaler
 //     stations are never scanned. Stations are woken only via the
@@ -224,8 +260,9 @@ type Kernel struct {
 	flushAt  int            // len(done) that triggers the next flush
 	scratch  *Scratch       // arena to Release into, when recycling
 
-	// arrivals and transfers count deliveries (see EventCounts).
-	arrivals, transfers int
+	// arrivals and transfers count deliveries, rekeys lazy window
+	// re-keys (see EventCounts).
+	arrivals, transfers, rekeys int
 
 	// Disaggregation state. pending[phead:] is the kv-transfer
 	// delivery queue, sorted by (delivery time, request ID) with the
@@ -305,17 +342,26 @@ type EventCounts struct {
 	Cuts int
 	// Completions counts completed requests.
 	Completions int
+	// Priced counts window step costs added to a station clock: each
+	// committed window step once, plus any steps summed again when a
+	// delivery lands before a window's priced cursor.
+	Priced int
+	// Rekeys counts lazy re-keys: heap roots whose window key was a
+	// lower bound below the next delivery, advanced without running an
+	// event.
+	Rekeys int
 }
 
 // Counts reports the kernel's event counts; read it after Run.
 func (k *Kernel) Counts() EventCounts {
-	c := EventCounts{Arrivals: k.arrivals, Transfers: k.transfers}
+	c := EventCounts{Arrivals: k.arrivals, Transfers: k.transfers, Rekeys: k.rekeys}
 	for _, s := range k.stations {
 		c.Events += s.events
 		c.Windows += s.windows
 		c.DecodeSteps += s.steps
 		c.Cuts += s.cuts
 		c.Completions += s.done
+		c.Priced += s.priced
 	}
 	return c
 }
@@ -453,6 +499,14 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		// is recomputed after each event.
 		for len(k.heap) > 0 && k.heap[0].nextAt < t {
 			s := k.heap[0]
+			if s.lazy() {
+				// A lower-bound key: price the window up to t (or its
+				// last step, which makes the key exact) and re-key.
+				s.advance(t)
+				k.rekeys++
+				k.heap.down(0)
+				continue
+			}
 			if err := s.event(); err != nil {
 				return Result{}, err
 			}
@@ -512,8 +566,9 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 // deliver hands a routed arrival or kv-transfer to its station at t:
 // an idle station wakes at t, and a station inside an open coalesced
 // window cuts it at the first step boundary at or after t, where the
-// request can be admitted. A cut only moves the station's next event
-// earlier, so it re-keys toward the heap's root.
+// request can be admitted. The cut boundary precedes the window's last
+// step but may follow its lower-bound key, so the station re-keys in
+// both directions.
 func (k *Kernel) deliver(s *Station, q queued, t float64) error {
 	s.enqueue(q)
 	if s.nextAt < 0 {
@@ -523,6 +578,7 @@ func (k *Kernel) deliver(s *Station, q queued, t float64) error {
 	}
 	err := s.cut(t)
 	k.heap.up(s.hidx)
+	k.heap.down(s.hidx)
 	return err
 }
 

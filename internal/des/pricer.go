@@ -9,9 +9,12 @@ package des
 // state at all. Step costs are pure functions of (batch, ctx), so a
 // snapshot anchored anywhere serves any window that lies inside it;
 // the cache is invalidated only by a batch change, which re-anchors.
-// A window is priced whole when it opens, bounded only by the
-// earliest completion and the allocator's headroom: only a delivery
-// to its own station can cut it short, so most windows run to the end.
+// A window's cost view is taken whole when it opens, bounded only by
+// the earliest completion and the allocator's headroom: only a
+// delivery to its own station can cut it short, so most windows run to
+// the end. Its costs are summed later, lazily, by the station's priced
+// cursor, which keys the event heap with a bound built from the
+// snapshot's floor.
 //
 // The pricer is plain station-local state: recycled through
 // des.Scratch with the station shell and cleared on reset/Release so
@@ -22,38 +25,44 @@ import (
 	"llmbench/internal/kvcache"
 )
 
-// pricer caches one immutable step-vector snapshot per station.
+// pricer caches one immutable step-vector snapshot per station. floor
+// is the snapshot's cost floor (engine.StepVec.Floor), read after the
+// last window view was taken, so it bounds every cost in that view.
 type pricer struct {
 	batch    int
 	ctxStart int
 	vec      engine.StepVec
+	floor    float64
 }
 
 // window returns the per-step costs of n consecutive decode steps at
 // (batch, ctx0): entry i is the step cost at context ctx0+i. The
 // returned slice is a shared immutable snapshot view; a warm call is a
-// bounds check and a reslice.
+// bounds check, a reslice and the floor load.
 func (p *pricer) window(eng *engine.Engine, batch, ctx0, n int) ([]float64, error) {
 	if batch == p.batch && ctx0 >= p.ctxStart {
 		off := ctx0 - p.ctxStart
-		if off+n <= p.vec.Len() {
-			return p.vec.Seconds()[off : off+n], nil
+		if off+n > p.vec.Len() {
+			// Same anchor, longer reach: grow the anchored snapshot (a
+			// lock-free read when any station already grew it this far).
+			v, err := eng.DecodeStepVec(batch, p.ctxStart, off+n)
+			if err != nil {
+				return nil, err
+			}
+			p.vec = v
 		}
-		// Same anchor, longer reach: grow the anchored snapshot (a
-		// lock-free read when any station already grew it this far).
-		v, err := eng.DecodeStepVec(batch, p.ctxStart, off+n)
-		if err != nil {
-			return nil, err
-		}
-		p.vec = v
-		return v.Seconds()[off : off+n], nil
+		w := p.vec.Seconds()[off : off+n]
+		p.floor = p.vec.Floor()
+		return w, nil
 	}
 	v, err := eng.DecodeStepVec(batch, ctx0, n)
 	if err != nil {
 		return nil, err
 	}
 	p.batch, p.ctxStart, p.vec = batch, ctx0, v
-	return v.Seconds()[:n], nil
+	w := v.Seconds()[:n]
+	p.floor = v.Floor()
+	return w, nil
 }
 
 // coalesce bounds and prices one coalesced run of identical decode

@@ -3,6 +3,7 @@ package des
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"llmbench/internal/engine"
@@ -71,21 +72,30 @@ type Station struct {
 	// win is the open coalesced window: the per-step costs of its
 	// decode iterations (a view of an immutable engine snapshot),
 	// starting at winAt. Nothing in it is applied until it commits —
-	// whole at its last step's start (nextAt), or in part when a
-	// delivery cuts it (cut). winEnd, winBusy and winMax are the
-	// uncut commit's end time, busy total and longest step, summed
-	// once when the window opens. Empty when no window is open.
-	win     []float64
-	winAt   float64
-	winEnd  float64
-	winBusy float64
-	winMax  float64
+	// whole at its last step's start, or in part when a delivery cuts
+	// it (cut). Empty when no window is open.
+	//
+	// The window's step starts are summed lazily, left to right, by a
+	// priced cursor: wi steps are summed so far, wt is the start of
+	// step wi, wp the start of step wi-1, and wbusy and wmax are busy
+	// and maxIter with those wi steps applied. While the cursor is
+	// short of the last step, nextAt is only a lower bound on that
+	// step's start (windowKey, built from wfloor, a lower bound on
+	// every step cost); the kernel advances the cursor before the key
+	// can pass a delivery, and only an exact key runs an event.
+	win         []float64
+	winAt       float64
+	wi          int
+	wt, wp      float64
+	wbusy, wmax float64
+	wfloor      float64
 
 	// events, windows, steps and cuts count station events run,
 	// coalesced windows opened, decode iterations executed (coalesced
-	// or stepped) and open windows cut by a delivery; Kernel.Counts
-	// sums them.
-	events, windows, steps, cuts int
+	// or stepped) and open windows cut by a delivery; priced counts
+	// window step costs added to a station clock. Kernel.Counts sums
+	// them.
+	events, windows, steps, cuts, priced int
 
 	seqs     []kvcache.Seq // reused sequence-handle buffer
 	decoding []*runReq     // reused chunked-mode partition buffer
@@ -187,7 +197,7 @@ func (s *Station) reset() {
 	s.disc = nil
 	s.hitToks, s.promptToks = 0, 0
 	s.win = nil
-	s.events, s.windows, s.steps, s.cuts = 0, 0, 0, 0
+	s.events, s.windows, s.steps, s.cuts, s.priced = 0, 0, 0, 0, 0
 	s.pricer = pricer{}
 	s.role = RoleBoth
 	s.transferred = 0
@@ -253,9 +263,15 @@ func (s *Station) enqueue(q queued) {
 
 // event runs the station's event at nextAt and schedules the next
 // one: nextAt moves to the event's end, or to -1 when the station goes
-// idle (a delivery wakes it again).
+// idle (a delivery wakes it again). A window still keyed by a lower
+// bound is priced to its last step first, so the event runs at exact
+// time; so is a window opened with a key that cannot show the clock
+// moved, so the stall guard compares exact times.
 func (s *Station) event() error {
 	s.events++
+	if s.lazy() {
+		s.advance(math.Inf(1))
+	}
 	now := s.nextAt
 	end, err := s.step(now)
 	if err != nil {
@@ -264,6 +280,10 @@ func (s *Station) event() error {
 	if len(s.run) == 0 && s.queueLen() == 0 {
 		s.nextAt = -1
 		return nil
+	}
+	if end <= now && s.lazy() {
+		s.advance(math.Inf(1))
+		end = s.nextAt
 	}
 	if end <= now {
 		// Work remains but the clock did not move: the event loop
@@ -275,6 +295,46 @@ func (s *Station) event() error {
 	return nil
 }
 
+// lazy reports whether an open window's event key is still a lower
+// bound: its cursor has not reached the last step.
+func (s *Station) lazy() bool { return s.wi < len(s.win)-1 }
+
+// advance moves the open window's cursor to the first step starting
+// at or after t, or to the last step if that comes first, and re-keys
+// nextAt. Each step cost is added once, in step order, so the sums are
+// bit-identical to a walk from the window's start.
+func (s *Station) advance(t float64) {
+	w, last := s.win, len(s.win)-1
+	i, wt, wp, busy, mx := s.wi, s.wt, s.wp, s.wbusy, s.wmax
+	for i < last && wt < t {
+		c := w[i]
+		if c > mx {
+			mx = c
+		}
+		busy += c
+		wp = wt
+		wt += c
+		i++
+	}
+	s.priced += i - s.wi
+	s.wi, s.wt, s.wp, s.wbusy, s.wmax = i, wt, wp, busy, mx
+	s.nextAt = s.windowKey()
+}
+
+// windowKey is the open window's event key: the start of its last step
+// once the cursor reaches it, and before that a lower bound on it.
+// The r unpriced costs are each at least wfloor, and each of the r
+// sequential additions loses at most a factor (1 - 2⁻⁵³), so the sum
+// is at least (wt + r·wfloor)·(1 - r·2⁻⁵³); the bound takes twice that
+// margin, plus slack for its own three roundings.
+func (s *Station) windowKey() float64 {
+	r := len(s.win) - 1 - s.wi
+	if r == 0 {
+		return s.wt
+	}
+	return max(s.wt, (s.wt+float64(r)*s.wfloor)*(1-float64(r+8)*0x1p-52))
+}
+
 // cut closes the open window, if any, because a request was just
 // delivered to the station at t: the first j steps — up to the first
 // step boundary at or after t, where the delivered request is
@@ -282,21 +342,26 @@ func (s *Station) event() error {
 // boundary. The kernel only delivers at t after running every event
 // before t, so the window's last step starts at or after t: j is
 // below the window length and a cut never completes a request.
+//
+// The cut commits from the priced cursor, resuming it past t when it
+// lags. A delivery before the cursor's previous step start (only a
+// kv-transfer scheduled after the kernel advanced the cursor lands
+// there) rewinds the cursor to the window's start and sums again.
 func (s *Station) cut(t float64) error {
-	end := s.winAt
-	for j, c := range s.win {
-		if c > s.maxIter {
-			s.maxIter = c
-		}
-		end += c
-		s.busy += c
-		if end >= t {
-			s.cuts++
-			s.nextAt = end
-			return s.commit(j+1, end)
-		}
+	if len(s.win) == 0 {
+		return nil
 	}
-	return nil
+	if s.wi >= 2 && s.wp >= t {
+		s.wi, s.wt, s.wbusy, s.wmax = 0, s.winAt, s.busy, s.maxIter
+	}
+	s.advance(t)
+	if s.wt < t {
+		return nil
+	}
+	s.busy, s.maxIter = s.wbusy, s.wmax
+	s.cuts++
+	s.nextAt = s.wt
+	return s.commit(s.wi, s.wt)
 }
 
 // commit applies k decode steps of the open window, ending at end,
@@ -336,11 +401,13 @@ func (s *Station) commit(k int, end float64) error {
 // the station stays idle).
 func (s *Station) step(now float64) (float64, error) {
 	if len(s.win) > 0 {
-		if s.winMax > s.maxIter {
-			s.maxIter = s.winMax
-		}
-		s.busy = s.winBusy
-		return s.winEnd, s.commit(len(s.win), s.winEnd)
+		// The event runs at the last step's start (event priced the
+		// cursor there): add the last step and commit the whole window.
+		c := s.win[len(s.win)-1]
+		end := s.wt + c
+		s.busy, s.maxIter = s.wbusy+c, max(s.wmax, c)
+		s.priced++
+		return end, s.commit(len(s.win), end)
 	}
 	if s.cfg.Static {
 		return s.stepStatic(now)
@@ -508,23 +575,15 @@ func (s *Station) step(now float64) (float64, error) {
 				return 0, err
 			}
 			if len(window) > 0 {
-				// One pass over the costs, left to right as the stepped
-				// path adds them, so every timestamp is bit-identical:
-				// the last step's start (the event time), the end, the
-				// busy total and the longest step.
-				lastStart, end, busy, mx := now, now, s.busy, 0.0
-				for _, c := range window {
-					if c > mx {
-						mx = c
-					}
-					lastStart = end
-					end += c
-					busy += c
-				}
+				// Open with nothing summed: the event key is a lower
+				// bound on the last step's start, and the cursor sums
+				// the costs left to right, as the stepped path adds
+				// them, only as far as deliveries and the kernel need.
 				s.win, s.winAt = window, now
-				s.winEnd, s.winBusy, s.winMax = end, busy, mx
+				s.wi, s.wt, s.wp, s.wbusy, s.wmax = 0, now, now, s.busy, s.maxIter
+				s.wfloor = s.pricer.floor
 				s.windows++
-				return lastStart, nil
+				return s.windowKey(), nil
 			}
 		}
 	}

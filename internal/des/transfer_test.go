@@ -380,3 +380,38 @@ func TestKernelDisaggValidation(t *testing.T) {
 		t.Error("decode-phase sub-request at a prefill station must fail")
 	}
 }
+
+// TestKernelDeliveryBeforeCursorMatchesStepped forces the one hazard
+// of lazy window keys: a kv-transfer delivered before a decode
+// station's priced cursor. Request 0 decodes a 3000-step window on the
+// decode station. Requests 1 and 2 reach the prefill station together
+// at t=37; its pool holds only request 1's 8180-token prompt, so
+// request 2 prefills in a second event. Request 1's transfer is slow
+// (a 10 GB/s link), so the kernel advances the decode station's cursor
+// up to that delivery while its key is a loose lower bound. Then the
+// second prefill event schedules request 2's short transfer well
+// before the cursor, and the cut must rewind and sum the window again
+// from its start: the window's steps are summed twice, so Priced
+// exceeds DecodeSteps. The run must still match Stepped bit-for-bit.
+func TestKernelDeliveryBeforeCursorMatchesStepped(t *testing.T) {
+	tc := testTransferCost(t)
+	tc.GBPerS, tc.LatencyS = 10, 1e-3
+	cfg := des.Config{MaxBatch: 8, Transfer: tc}
+	f := func(t *testing.T, k *des.Kernel) {
+		eng := testEngine(t)
+		pre := k.NewPoolStation(eng, testAlloc(t, 1), des.RolePrefill)
+		dec := k.NewPoolStation(eng, testAlloc(t, 16), des.RoleDecode)
+		k.Route = func(float64) *des.Station { return pre }
+		k.RouteTransfer = func(float64) *des.Station { return dec }
+	}
+	reqs := []workload.Request{
+		{ID: 0, Input: 64, Output: 3000, Arrival: 0},
+		{ID: 1, Input: 8180, Output: 8, Arrival: 37},
+		{ID: 2, Input: 16, Output: 8, Arrival: 37},
+	}
+	c := assertMatchesStepped(t, "delivery-before-cursor", cfg, f, reqs)
+	if c.Cuts == 0 || c.Priced <= c.DecodeSteps {
+		t.Errorf("%d cuts, %d window steps summed for %d decode steps: no delivery landed before a priced cursor",
+			c.Cuts, c.Priced, c.DecodeSteps)
+	}
+}

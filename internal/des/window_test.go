@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 
 	"llmbench/internal/kvcache"
@@ -10,7 +11,10 @@ import (
 // openWindowStation returns a station whose running set is two
 // established sequences at contexts 300 and 400 (mean 350), each 100
 // tokens from completion, with a coalesced window opened at t=0 — the
-// window TestCoalesceWindowBounds prices unconstrained.
+// window TestCoalesceWindowBounds prices unconstrained. The window is
+// open but unpriced: its event time is a lower bound on its last
+// step's start, and pricing it makes the event time that start
+// bit-for-bit.
 func openWindowStation(t *testing.T) (*Station, []float64) {
 	t.Helper()
 	s := allocTestStation(t, Config{MaxBatch: 8}, 20)
@@ -33,26 +37,47 @@ func openWindowStation(t *testing.T) (*Station, []float64) {
 	if len(s.win) != 100 {
 		t.Fatalf("opened window of %d steps, want 100", len(s.win))
 	}
-	want := 0.0
-	for _, c := range s.win[:99] {
-		want += c
+	if want := lastStart(s.win); last > want {
+		t.Fatalf("open window's event time %v, past its last step's start %v", last, want)
 	}
-	if last != want {
-		t.Fatalf("open window's event time %v, want its last step's start %v", last, want)
-	}
-	if s.busy != 0 || s.run[0].generated != 2 {
-		t.Fatal("opening a window must apply nothing")
+	if s.busy != 0 || s.run[0].generated != 2 || s.priced != 0 {
+		t.Fatal("opening a window must apply and sum nothing")
 	}
 	s.nextAt = last
 	return s, s.win
+}
+
+// lastStart is the sequential sum of all but the last of w's costs:
+// the window's last step start when it opens at t=0.
+func lastStart(w []float64) float64 {
+	sum := 0.0
+	for _, c := range w[:len(w)-1] {
+		sum += c
+	}
+	return sum
 }
 
 // TestStationCutBoundary: a delivery inside an open window commits
 // exactly the steps up to the first boundary at or after it — the
 // arrival cut TestCoalesceWindowBounds used to assert on the pricer —
 // moves the station's next event there, and completes no request.
+// The outcome is the same wherever the priced cursor stands: short of
+// the delivery (the cut resumes it), at its boundary (the cut commits
+// there), or at the last step, past the delivery (the cut rewinds and
+// sums again from the window's start).
 func TestStationCutBoundary(t *testing.T) {
-	s, w := openWindowStation(t)
+	for _, pricedTo := range []float64{0, 10.5, math.Inf(1)} {
+		s, w := openWindowStation(t)
+		s.advance(w[0] * pricedTo)
+		if pricedTo == math.Inf(1) && s.nextAt != lastStart(w) {
+			t.Fatalf("priced window's event time %v, want its last step's start %v", s.nextAt, lastStart(w))
+		}
+		checkCutBoundary(t, s, w)
+	}
+}
+
+func checkCutBoundary(t *testing.T, s *Station, w []float64) {
+	t.Helper()
 	total := 0.0
 	cut, end := 0, 0.0
 	for i, c := range w {
@@ -94,9 +119,24 @@ func TestStationCutBoundary(t *testing.T) {
 }
 
 // TestStationWindowCommit: an uncut window commits whole at its last
-// step's start, completing the requests that bound it at its end.
+// step's start, completing the requests that bound it at its end —
+// whether the window was priced to its last step before the event, or
+// the event itself prices the still-lazy window first.
 func TestStationWindowCommit(t *testing.T) {
-	s, w := openWindowStation(t)
+	for _, pricedFirst := range []bool{true, false} {
+		s, w := openWindowStation(t)
+		if pricedFirst {
+			s.advance(math.Inf(1))
+			if s.nextAt != lastStart(w) {
+				t.Fatalf("priced window's event time %v, want its last step's start %v", s.nextAt, lastStart(w))
+			}
+		}
+		checkWindowCommit(t, s, w)
+	}
+}
+
+func checkWindowCommit(t *testing.T, s *Station, w []float64) {
+	t.Helper()
 	end, busy := 0.0, 0.0
 	for _, c := range w {
 		end += c
@@ -113,8 +153,9 @@ func TestStationWindowCommit(t *testing.T) {
 			t.Errorf("request %d finished at %v, want the window's end %v", r.ID, r.Finished, end)
 		}
 	}
-	if s.busy != busy || s.steps != 100 || s.windows != 1 {
-		t.Errorf("commit charged busy %v, %d steps, %d windows; want %v, 100, 1", s.busy, s.steps, s.windows, busy)
+	if s.busy != busy || s.steps != 100 || s.windows != 1 || s.priced != 100 {
+		t.Errorf("commit charged busy %v, %d steps, %d windows, %d priced; want %v, 100, 1, 100",
+			s.busy, s.steps, s.windows, s.priced, busy)
 	}
 	if got := s.Alloc.(*kvcache.Paged).Sequences(); got != 0 {
 		t.Errorf("%d live sequences after the commit, want 0", got)

@@ -115,3 +115,64 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestStepVecFloorConcurrent (run with -race): goroutines grow one
+// engine's master step vectors upward in place, past capacity, and
+// downward (a re-base publishes a fresh generation) at once, and every
+// view they get back must carry a floor no greater than any cell it
+// covers — read after the cells, as the serving kernel reads it. Once
+// the builders are done, each generation's floor is exactly its
+// smallest published cell.
+func TestStepVecFloorConcurrent(t *testing.T) {
+	eng := rangeTestEngine(t, "vLLM")
+	const workers = 6
+	views := make([][]StepVec, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				batch := 2 + (w+i)%3
+				ctx := 1200 - 29*i + 7*w // falling anchors force re-bases
+				if w%2 == 1 {
+					ctx = 300 + 41*i // rising anchors grow in place
+				}
+				v, err := eng.DecodeStepVec(batch, ctx, 1+23*i)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				cells := v.Seconds()
+				floor := v.Floor()
+				for j, c := range cells {
+					if floor > c {
+						errs[w] = fmt.Errorf("batch %d ctx %d: floor %v above cell %d = %v", batch, ctx, floor, j, c)
+						return
+					}
+				}
+				views[w] = append(views[w], v)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, vs := range views {
+		for _, v := range vs {
+			gen := v.vec.seconds[:v.vec.n.Load()]
+			lowest := gen[0]
+			for _, c := range gen {
+				lowest = min(lowest, c)
+			}
+			if f := v.Floor(); f != lowest {
+				t.Fatalf("generation at base %d: floor %v, smallest published cell %v", v.vec.base, f, lowest)
+			}
+		}
+	}
+}

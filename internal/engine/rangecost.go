@@ -31,6 +31,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"llmbench/internal/parallel"
@@ -184,6 +185,13 @@ func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 // below base) or past capacity publishes a fresh generation; old
 // handles keep reading their generation unchanged.
 //
+// floor holds the float64 bits of a lower bound on every published
+// cell: fillMaster lowers it before the release-store of n that
+// publishes the new cells, and a re-base copies it into the fresh
+// generation, so a reader that loads n and then floor sees a floor no
+// greater than any cell below that n. The serving kernel keys an open
+// window's event by it (internal/des).
+//
 // One master per batch — rather than one vector per (batch, ctxStart)
 // anchor — is what keeps a million-request run's allocations flat:
 // per-step seconds are pure functions of (batch, ctx), so every window
@@ -192,7 +200,16 @@ func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 type stepVec struct {
 	base    int // context of cell 0; immutable per generation
 	n       atomic.Int64
+	floor   atomic.Uint64
 	seconds []float64
+}
+
+// newStepVec allocates an empty generation of capacity c whose floor
+// starts at +Inf, so the first fill sets it.
+func newStepVec(base, c int) *stepVec {
+	v := &stepVec{base: base, seconds: make([]float64, c)}
+	v.floor.Store(math.Float64bits(math.Inf(1)))
+	return v
 }
 
 // fillMaster computes the cells for contexts [lo, hi] of v. Callers
@@ -200,19 +217,25 @@ type stepVec struct {
 // contexts are priced with decodeStep directly and NOT inserted into
 // the per-step grid — the master is itself the memo for them, and
 // skipping the grid keeps a long fill from allocating one grid cell
-// per context.
+// per context. It lowers v's floor to the smallest cell it wrote; the
+// caller publishes the cells afterwards by storing n.
 func (e *Engine) fillMaster(v *stepVec, batch, lo, hi int) error {
+	floor := math.Float64frombits(v.floor.Load())
 	for ctx := lo; ctx <= hi; ctx++ {
+		sec := 0.0
 		if c := e.steps.get(batch-1, ctx-1); c != nil {
-			v.seconds[ctx-v.base] = c.seconds
-			continue
+			sec = c.seconds
+		} else {
+			st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
+			if err != nil {
+				return err
+			}
+			sec = st.Seconds
 		}
-		st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
-		if err != nil {
-			return err
-		}
-		v.seconds[ctx-v.base] = st.Seconds
+		v.seconds[ctx-v.base] = sec
+		floor = min(floor, sec)
 	}
+	v.floor.Store(math.Float64bits(floor))
 	return nil
 }
 
@@ -231,7 +254,7 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 		if c < 64 {
 			c = 64
 		}
-		v := &stepVec{base: lo, seconds: make([]float64, c)}
+		v := newStepVec(lo, c)
 		if err := e.fillMaster(v, batch, lo, hi); err != nil {
 			return nil, err
 		}
@@ -264,8 +287,9 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 			}
 		}
 		c += base - newBase
-		v := &stepVec{base: newBase, seconds: make([]float64, c)}
+		v := newStepVec(newBase, c)
 		copy(v.seconds[base-newBase:], latest.seconds[:n])
+		v.floor.Store(latest.floor.Load())
 		if err := e.fillMaster(v, batch, newBase, base-1); err != nil {
 			return nil, err
 		}
@@ -477,6 +501,16 @@ func (v StepVec) Seconds() []float64 {
 		return nil
 	}
 	return v.vec.seconds[v.off:v.vec.n.Load()]
+}
+
+// Floor returns a lower bound on every step cost of the batch's master
+// vector: no greater than any cell of Seconds read before it. The
+// bound only falls as the vector grows, and is 0 for an empty view.
+func (v StepVec) Floor() float64 {
+	if v.vec == nil {
+		return 0
+	}
+	return math.Float64frombits(v.vec.floor.Load())
 }
 
 // DecodeStepVec returns a view of the batch's master step-cost vector

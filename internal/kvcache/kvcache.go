@@ -241,7 +241,9 @@ func (p *Paged) CanAlloc(tokens int) bool { return p.blocksFor(tokens) <= p.free
 // cumulative demand that fits also fits at every intermediate step and
 // in any per-step extension order. The sequence states are read once
 // up front (into a reused buffer — the hot serving loop calls this
-// per coalesced window) so the search probes are pure arithmetic.
+// per coalesced window) so the search probes are pure arithmetic, and
+// the search is skipped when the free blocks cover the whole window
+// (fitsWhole).
 func (p *Paged) MaxExtendSteps(seqs []Seq, limit int) int {
 	if limit <= 0 {
 		return 0
@@ -257,6 +259,9 @@ func (p *Paged) MaxExtendSteps(seqs []Seq, limit int) int {
 		base += p.table.aux[slot]
 	}
 	p.scratch = toks
+	if fitsWhole(len(seqs), limit, p.BlockTokens, p.freeBlocks) {
+		return limit
+	}
 	b := p.BlockTokens
 	demand := func(k int) int {
 		blocks := -base
@@ -279,6 +284,15 @@ func (p *Paged) MaxExtendSteps(seqs []Seq, limit int) int {
 
 // Sequences returns the number of live sequences.
 func (p *Paged) Sequences() int { return p.table.live }
+
+// fitsWhole is MaxExtendSteps' free-block fast path: n sequences each
+// growing limit tokens need at most ceil(limit/blockTokens) new blocks
+// apiece (a sequence holds ceil(tokens/blockTokens) blocks, and
+// ceil(a+b) ≤ ceil(a)+ceil(b)), so when that many blocks are free the
+// whole limit fits and no search is needed.
+func fitsWhole(n, limit, blockTokens, freeBlocks int) bool {
+	return n*((limit+blockTokens-1)/blockTokens) <= freeBlocks
+}
 
 // --- Monolithic allocator ----------------------------------------------
 

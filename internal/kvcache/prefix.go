@@ -187,7 +187,9 @@ func (p *PrefixPaged) CanAlloc(tokens int) bool {
 // MaxExtendSteps implements Allocator: like Paged, but demand counts
 // private blocks only (the shared prefix never grows). The sequence
 // states are read once up front into a reused buffer, so the search
-// probes are pure arithmetic.
+// probes are pure arithmetic, and the same free-block fast path
+// (fitsWhole) skips the search: private blocks also grow by at most
+// ceil(limit/BlockTokens) per sequence.
 func (p *PrefixPaged) MaxExtendSteps(seqs []Seq, limit int) int {
 	if limit <= 0 {
 		return 0
@@ -203,6 +205,9 @@ func (p *PrefixPaged) MaxExtendSteps(seqs []Seq, limit int) int {
 		base += p.table.aux[slot]
 	}
 	p.scratch = toks
+	if fitsWhole(len(seqs), limit, p.BlockTokens, p.freeBlocks) {
+		return limit
+	}
 	demand := func(k int) int {
 		blocks := -base
 		for _, t := range toks {
