@@ -299,8 +299,18 @@ func benchClusterTrace(b *testing.B, requests int, rate float64) []workload.Requ
 }
 
 func benchServeClusterN(b *testing.B, replicas int, reqs []workload.Request, cfg cluster.Config) {
+	benchServeFleet(b, replicas, reqs, cfg, false)
+}
+
+// benchServeFleet serves reqs on replicas LLaMA-3-8B/A100/vLLM
+// replicas per iteration. The fleet shares one private engine, built
+// once (its step-cost memo warm after the first iteration) or, with
+// coldMemo, afresh each iteration so every iteration prices a cold
+// memo.
+func benchServeFleet(b *testing.B, replicas int, reqs []workload.Request, cfg cluster.Config, coldMemo bool) {
 	b.Helper()
-	eng, err := NewEngine(System{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM"})
+	sys := System{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM"}
+	eng, err := NewEngine(sys)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,6 +318,11 @@ func benchServeClusterN(b *testing.B, replicas int, reqs []workload.Request, cfg
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if coldMemo {
+			if eng, err = NewEngine(sys); err != nil {
+				b.Fatal(err)
+			}
+		}
 		reps := make([]cluster.Replica, replicas)
 		for j := range reps {
 			alloc, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), 30*(1<<30))
@@ -342,6 +357,15 @@ func BenchmarkServeCluster32(b *testing.B) {
 func BenchmarkServeClusterStatic(b *testing.B) {
 	benchServeClusterN(b, 8, benchClusterTrace(b, 128, 2),
 		cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 16, Static: true})
+}
+
+// BenchmarkServeClusterStaticColdMemo is BenchmarkServeClusterStatic
+// on a fresh engine per iteration, the cost a one-shot planner call
+// pays: every collected batch's engine.Run prices a range at a new
+// (batch, ctxStart) anchor, folded from the batch's master step table.
+func BenchmarkServeClusterStaticColdMemo(b *testing.B) {
+	benchServeFleet(b, 8, benchClusterTrace(b, 128, 2),
+		cluster.Config{Policy: cluster.LeastLoaded, MaxBatch: 16, Static: true}, true)
 }
 
 // BenchmarkServeClusterDisagg tracks the disaggregated topology at the

@@ -196,31 +196,38 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request) {
 	// engines, so unbounded query parameters would let clients grow
 	// server memory and burn CPU without limit.
 	q := query{values: r.URL.Query()}
+	// replicas and rate are one entry each of the llmbench.Axes rows
+	// replicas (integers ≥ 1) and rates (positive and finite, so NaN
+	// fails), capped at 64 replicas and 1000 req/s. An empty replicas=
+	// is a bad list, not the default.
+	var grid llmbench.ServeGrid
+	replicas := "4"
+	if vs, ok := q.values["replicas"]; ok {
+		replicas = vs[0]
+	}
+	if err := grid.Set("replicas", replicas); err != nil || len(grid.Replicas) != 1 || grid.Replicas[0] > 64 {
+		q.err = fmt.Errorf("dashboard: replicas must be one integer in [1, 64]")
+	}
 	p := serveParams{
 		sys: llmbench.System{
 			Model:     q.get("model", "LLaMA-3-8B"),
 			Device:    q.get("device", "A100"),
 			Framework: q.get("framework", "vLLM"),
 		},
-		replicas:  q.atoiIn("replicas", "4", 1, 64),
 		requests:  q.atoiIn("requests", "200", 1, 2000),
 		maxBatch:  q.atoiIn("maxbatch", "32", 1, 256),
 		inMean:    q.atoiIn("inmean", "512", 1, 8192),
 		outMean:   q.atoiIn("outmean", "128", 1, 8192),
 		autoscale: q.get("autoscale", "") == "1",
 	}
-	// One entry of the llmbench.Axes rates row (positive and finite,
-	// so NaN fails), capped at 1000 req/s.
-	var grid llmbench.ServeGrid
-	if err := grid.Set("rates", q.get("rate", "10")); err == nil && len(grid.Rates) == 1 && grid.Rates[0] <= 1000 {
-		p.rate = grid.Rates[0]
-	} else if q.err == nil {
+	if err := grid.Set("rates", q.get("rate", "10")); (err != nil || len(grid.Rates) != 1 || grid.Rates[0] > 1000) && q.err == nil {
 		q.err = fmt.Errorf("dashboard: rate must be in (0, 1000]")
 	}
 	if q.err != nil {
 		http.Error(w, q.err.Error(), http.StatusBadRequest)
 		return
 	}
+	p.replicas, p.rate = grid.Replicas[0], grid.Rates[0]
 	s.serveSim(w, p)
 }
 

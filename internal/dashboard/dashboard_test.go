@@ -188,6 +188,7 @@ func TestServeEndpoint(t *testing.T) {
 	for _, q := range []string{
 		"?model=GPT-5", "?replicas=100000", "?rate=-2", "?requests=zero",
 		"?rate=NaN", "?rate=nan", "?rate=Inf", "?rate=0", "?rate=1000.5", "?rate=ten", "?rate=5,10",
+		"?replicas=0", "?replicas=65", "?replicas=2,4", "?replicas=x", "?replicas=",
 	} {
 		r2, err := http.Get(srv.URL + "/api/serve" + q)
 		if err != nil {
@@ -198,14 +199,16 @@ func TestServeEndpoint(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", q, r2.StatusCode)
 		}
 	}
-	// The rate bound is inclusive.
-	r3, err := http.Get(srv.URL + "/api/serve?rate=1000&replicas=1&requests=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusOK {
-		t.Errorf("rate=1000: status %d, want 200", r3.StatusCode)
+	// The rate and replica bounds are inclusive.
+	for _, q := range []string{"rate=1000&replicas=1", "rate=10&replicas=64"} {
+		r3, err := http.Get(srv.URL + "/api/serve?requests=5&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r3.Body.Close()
+		if r3.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", q, r3.StatusCode)
+		}
 	}
 }
 

@@ -165,7 +165,8 @@ func assertMatchesStepped(t *testing.T, name string, cfg des.Config, f fleet, re
 // assertCounted checks the kernel's delivery and completion counters
 // against the trace and the Result: one arrival per trace request, one
 // kv-transfer delivery per prefill hand-off, one completion per
-// completed request, and at least one station event per completion.
+// completed request, at least one station event per completion, and
+// one scale tick per arrival when an autoscaler is set (none without).
 func assertCounted(t *testing.T, name string, res des.Result, k *des.Kernel, reqs []workload.Request) {
 	t.Helper()
 	c := k.Counts()
@@ -179,6 +180,13 @@ func assertCounted(t *testing.T, name string, res des.Result, k *des.Kernel, req
 	}
 	if c.Events < c.Windows || c.Events == 0 {
 		t.Errorf("%s: %d station events for %d windows", name, c.Events, c.Windows)
+	}
+	ticks := 0
+	if k.ScaleTick != nil {
+		ticks = c.Arrivals
+	}
+	if c.ScaleTicks != ticks {
+		t.Errorf("%s: counted %d scale ticks for %d arrivals, want %d", name, c.ScaleTicks, c.Arrivals, ticks)
 	}
 }
 

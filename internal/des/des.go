@@ -260,9 +260,9 @@ type Kernel struct {
 	flushAt  int            // len(done) that triggers the next flush
 	scratch  *Scratch       // arena to Release into, when recycling
 
-	// arrivals and transfers count deliveries, rekeys lazy window
-	// re-keys (see EventCounts).
-	arrivals, transfers, rekeys int
+	// arrivals and transfers count deliveries, scaleTicks ScaleTick
+	// calls, rekeys lazy window re-keys (see EventCounts).
+	arrivals, transfers, scaleTicks, rekeys int
 
 	// Disaggregation state. pending[phead:] is the kv-transfer
 	// delivery queue, sorted by (delivery time, request ID) with the
@@ -327,6 +327,9 @@ type EventCounts struct {
 	// Arrivals counts trace arrivals delivered; Transfers counts
 	// kv-transfer deliveries to the decode pool.
 	Arrivals, Transfers int
+	// ScaleTicks counts ScaleTick calls: one per arrival when a
+	// handler is set, zero otherwise.
+	ScaleTicks int
 	// Events counts station (window-exhausted) events run: stepped
 	// iterations, window opens and commits, static batches and
 	// admission-only events.
@@ -354,7 +357,7 @@ type EventCounts struct {
 
 // Counts reports the kernel's event counts; read it after Run.
 func (k *Kernel) Counts() EventCounts {
-	c := EventCounts{Arrivals: k.arrivals, Transfers: k.transfers, Rekeys: k.rekeys}
+	c := EventCounts{Arrivals: k.arrivals, Transfers: k.transfers, ScaleTicks: k.scaleTicks, Rekeys: k.rekeys}
 	for _, s := range k.stations {
 		c.Events += s.events
 		c.Windows += s.windows
@@ -527,6 +530,7 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		}
 		for i < len(ordered) && ordered[i].Arrival == t {
 			if k.ScaleTick != nil {
+				k.scaleTicks++
 				if err := k.ScaleTick(t); err != nil {
 					return Result{}, err
 				}

@@ -24,27 +24,34 @@
 //
 //   - Warm reads never lock. The memo tables live behind atomic
 //     pointers; DecodeStepCost, DecodeRangeSeconds, DecodeStepCosts,
-//     and DecodeStepVec on a cached key are a handful of atomic loads
-//     with zero allocations. Writers serialise on a small build
-//     mutex; racing builders compute identical pure values, so the
-//     tables are deterministic regardless of interleaving.
-//   - Published vector cells are immutable. Per-step seconds are pure
-//     functions of (batch, ctx), so one master vector per batch
-//     serves every window as a subslice view; it grows in place by
-//     filling cells past the published count and release-storing the
-//     new count, so a slice returned by DecodeStepCosts/
-//     StepVec.Seconds is shared between every caller and must never
-//     be written.
-//   - Prefix aggregates are summed in step order. Each (batch,
-//     ctxStart) anchor carries running Σseconds, Σbalance·seconds,
-//     running max, and per-step bounds accumulated left-to-right from
-//     its own anchor (never differenced from a shared prefix — that
-//     would round differently), and extensions continue the
-//     accumulators — so a warm DecodeRangeSeconds is one O(1) prefix
-//     read that is byte-identical to the stepped sum. Any change to
-//     how the aggregates are folded changes floating-point rounding
-//     and breaks the equivalence suites here, in internal/sched, and
-//     in internal/cluster.
+//     DecodeStepVec and PrefillSeconds on a cached key are a handful
+//     of atomic loads with zero allocations. Writers serialise on a
+//     small build mutex and re-check the table before pricing, so no
+//     price is computed twice; prices are pure values, so the tables
+//     are deterministic regardless of interleaving.
+//   - One priced table per batch. A step's seconds, balance·seconds
+//     product and roofline bound are pure functions of (batch, ctx),
+//     so one master vector per batch holds them all and is the only
+//     place a decode step is priced: each (batch, ctx) is evaluated
+//     once per engine. It serves every window as a subslice view and
+//     grows in place by filling cells past the published count and
+//     release-storing the new count, so a slice returned by
+//     DecodeStepCosts/StepVec.Seconds is shared between every caller
+//     and must never be written.
+//   - Prefix aggregates fold from that table in step order. Each
+//     (batch, ctxStart) anchor carries running Σseconds,
+//     Σbalance·seconds and running max accumulated left-to-right from
+//     its own anchor over the master's cells (never differenced from a
+//     shared prefix — that would round differently), and extensions
+//     continue the accumulators — so a warm DecodeRangeSeconds is one
+//     O(1) prefix read that is byte-identical to the stepped sum. Any
+//     change to how the aggregates are folded changes floating-point
+//     rounding and breaks the equivalence suites here, in
+//     internal/sched, and in internal/cluster.
+//   - Prefill is memoised too. PrefillSeconds prices each (batch,
+//     input) pair once per engine in its own lock-free grid; the
+//     serving kernel charges it on every admission. Run prices its
+//     one prefill per point directly.
 package engine
 
 import (
@@ -52,6 +59,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"llmbench/internal/framework"
 	"llmbench/internal/hw"
@@ -107,11 +115,11 @@ type Config struct {
 // safe for concurrent use: Run, Explain, and the step-cost helpers
 // only read the configuration, which is what lets sweeps share one
 // engine across workers and cache engines by system (engine.Cached,
-// llmbench.Sweep). The only mutable state is the step-cost memo
-// (rangecost.go): lock-free copy-on-write tables whose readers never
-// lock and whose writers serialise on buildMu — and deterministic
-// either way, since a cached step is byte-identical to a recomputed
-// one.
+// llmbench.Sweep). The only mutable state is the pricing memo (the
+// step tables of rangecost.go and the prefill grid): lock-free
+// copy-on-write tables whose readers never lock and whose writers
+// serialise on buildMu — and deterministic either way, since a cached
+// price is byte-identical to a recomputed one.
 type Engine struct {
 	cfg    Config
 	link   parallel.Link
@@ -122,9 +130,15 @@ type Engine struct {
 
 	// buildMu serialises memo writers only; see rangecost.go.
 	buildMu sync.Mutex
-	steps   costGrid[memoStep]
-	vecs    costGrid[stepVec] // per-batch master vectors, column 0
+	vecs    costGrid[stepVec] // per-batch master step tables, column 0
 	aggs    costGrid[aggVec]  // per-(batch, ctxStart) prefix aggregates
+	// prefills memoises PrefillSeconds keyed (input, batch): rows by
+	// prompt length keep each row as short as the batch cap, where
+	// rows by batch would each span the whole input range.
+	prefills costGrid[float64]
+	// decodeEvals and prefillEvals count decodeStep and prefill
+	// evaluations: with the memo, one per priced cell.
+	decodeEvals, prefillEvals atomic.Int64
 }
 
 // New validates and builds an engine.
@@ -400,6 +414,7 @@ func (e *Engine) memoryPlan(spec workload.Spec) (peak float64, conc int, err err
 
 // prefill times the prompt pass.
 func (e *Engine) prefill(spec workload.Spec) (roofline.Result, error) {
+	e.prefillEvals.Add(1)
 	m := e.cfg.Model
 	tokens := spec.Batch * spec.Input
 	div, infl := e.effectiveParallelism(tokens)
@@ -433,6 +448,7 @@ func (e *Engine) prefill(spec workload.Spec) (roofline.Result, error) {
 
 // decodeStep times one generation step at context length ctx.
 func (e *Engine) decodeStep(spec workload.Spec, ctx int) (roofline.Result, error) {
+	e.decodeEvals.Add(1)
 	m, fw := e.cfg.Model, e.cfg.Framework
 	div, infl := e.effectiveParallelism(spec.Batch)
 
@@ -579,28 +595,35 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 }
 
 // PrefillSeconds exposes the cost of prefilling a batch of prompts —
-// the serving scheduler charges it when admitting requests.
+// the serving scheduler charges it when admitting requests. Each
+// (batch, input) pair is priced once per engine, under the build
+// mutex, and memoised; warm reads are lock-free.
 func (e *Engine) PrefillSeconds(batch, input int) (float64, error) {
 	if batch < 1 || input < 1 {
 		return 0, errors.New("engine: non-positive batch or input")
+	}
+	if c := e.prefills.get(input-1, batch-1); c != nil {
+		return *c, nil
+	}
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	if c := e.prefills.get(input-1, batch-1); c != nil {
+		return *c, nil // a racer priced it first
 	}
 	pf, err := e.prefill(workload.Spec{Batch: batch, Input: input, Output: 1})
 	if err != nil {
 		return 0, err
 	}
-	return pf.Seconds, nil
+	sec := pf.Seconds
+	e.prefills.put(input-1, batch-1, &sec)
+	return sec, nil
 }
 
 // DecodeStepSeconds exposes the cost of one decode step at a given
-// context — the speculative-decoding study builds on it. Costs come
-// from the engine's memo table, so repeated queries are map lookups.
+// context — the speculative-decoding study builds on it. It reads
+// DecodeStepCost's cell of the batch's master table, so repeated
+// queries are a few atomic loads.
 func (e *Engine) DecodeStepSeconds(batch, ctx int) (float64, error) {
-	if batch < 1 || ctx < 1 {
-		return 0, errors.New("engine: non-positive batch or context")
-	}
-	c, err := e.stepCost(batch, ctx)
-	if err != nil {
-		return 0, err
-	}
-	return c.seconds, nil
+	c, err := e.DecodeStepCost(batch, ctx)
+	return c.Seconds, err
 }

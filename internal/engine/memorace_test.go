@@ -1,9 +1,10 @@
 package engine
 
 // Concurrent-memo property test (run with -race): N goroutines hammer
-// one engine's pricing entry points over a mix of cold keys (first
-// touch races the copy-on-write builders) and warm keys (pure atomic
-// reads), and every result must be byte-identical to a serial
+// one engine's pricing entry points (decode steps, ranges, vectors and
+// prefills) over a mix of cold keys (first touch races the
+// copy-on-write builders) and warm keys (pure atomic reads), and
+// every result must be byte-identical to a serial
 // reference computed on a separate engine. This is the determinism
 // contract of the lock-free memo grids: racing builders compute pure
 // values, so whichever racer's snapshot lands last, readers see the
@@ -11,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -36,9 +38,11 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 	// goroutine. Keep the full result bytes of every entry point.
 	ref := rangeTestEngine(t, "vLLM")
 	type expect struct {
-		step  StepCost
-		rng   RangeStats
-		costs []float64
+		step    StepCost
+		rng     RangeStats
+		costs   []float64
+		stepSec float64 // DecodeStepSeconds one step past the range
+		prefill float64 // PrefillSeconds(batch, ctx)
 	}
 	want := make([]expect, len(probes))
 	for i, p := range probes {
@@ -54,7 +58,15 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = expect{step: step, rng: rng, costs: costs}
+		stepSec, err := ref.DecodeStepSeconds(p.batch, p.ctx+p.steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefill, err := ref.PrefillSeconds(p.batch, p.ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = expect{step: step, rng: rng, costs: costs, stepSec: stepSec, prefill: prefill}
 	}
 
 	// Hammered engine: starts fully cold, so the first pass through
@@ -94,6 +106,20 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 					if costs[j] != want[i].costs[j] {
 						return fmt.Errorf("probe %v: cost[%d] %v, serial %v", p, j, costs[j], want[i].costs[j])
 					}
+				}
+				stepSec, err := eng.DecodeStepSeconds(p.batch, p.ctx+p.steps)
+				if err != nil {
+					return err
+				}
+				if math.Float64bits(stepSec) != math.Float64bits(want[i].stepSec) {
+					return fmt.Errorf("probe %v: step seconds %v, serial %v", p, stepSec, want[i].stepSec)
+				}
+				prefill, err := eng.PrefillSeconds(p.batch, p.ctx)
+				if err != nil {
+					return err
+				}
+				if math.Float64bits(prefill) != math.Float64bits(want[i].prefill) {
+					return fmt.Errorf("probe %v: prefill %v, serial %v", p, prefill, want[i].prefill)
 				}
 				return nil
 			}

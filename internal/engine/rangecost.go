@@ -5,10 +5,15 @@ package engine
 // cost depends only on (batch, context). This file prices whole runs
 // of consecutive steps in one call — engine.Run's decode loop, the
 // serving scheduler's coalesced iterations (internal/sched), and the
-// cluster simulator (internal/cluster) all sit on top of it — backed
-// by lock-free memo tables so each distinct (batch, ctx) pair is
-// evaluated once per engine lifetime and every warm read is a handful
-// of atomic loads.
+// cluster simulator (internal/cluster) all sit on top of it.
+//
+// One table of prices per batch: the batch's master vector (stepVec)
+// holds each step's seconds, balance·seconds product and roofline
+// bound, and is the only place a decode step is priced. Single steps
+// (DecodeStepCost), raw vectors (DecodeStepCosts, DecodeStepVec) and
+// the per-anchor prefix aggregates (aggVec) all read it, so each
+// distinct (batch, ctx) pair is evaluated once per engine lifetime and
+// every warm read is a handful of atomic loads.
 //
 // Invariant: the aggregates are summed in step order (ctxStart,
 // ctxStart+1, …), exactly the order the step-by-step loops used, so
@@ -16,17 +21,18 @@ package engine
 // floating-point summation order is part of the contract, and the
 // equivalence tests in this package, internal/sched, and
 // internal/cluster guard it. The prefix aggregates carried by each
-// anchored vector (see aggVec) are accumulated left-to-right in that
-// same order, which is what lets DecodeRangeSeconds answer a warm
-// range query with one O(1) prefix read instead of an O(steps) walk.
+// anchored vector (see aggVec) are folded left-to-right from the
+// master's cells in that same order, which is what lets
+// DecodeRangeSeconds answer a warm range query with one O(1) prefix
+// read instead of an O(steps) walk.
 //
 // Concurrency: readers never lock. The memo tables live behind atomic
 // pointers (costGrid); writers serialise on the engine's small build
 // mutex, and vectors grow in place by filling cells past the published
-// count and release-storing the new count (stepVec/aggVec). Step costs
-// are pure functions of the immutable configuration, so racing
-// builders compute identical values and the tables stay deterministic
-// no matter which racer's store lands last.
+// count and release-storing the new count (stepVec/aggVec). Every fill
+// runs under that mutex and re-checks what is already published, so
+// no cell is priced twice, and step costs are pure functions of the
+// immutable configuration, so the tables are deterministic.
 
 import (
 	"errors"
@@ -118,41 +124,6 @@ func (g *costGrid[T]) put(r, c int, v *T) {
 	(*cells)[c].Store(v)
 }
 
-// --- per-step memo -------------------------------------------------------
-
-// memoStep is the cached outcome of one decode step: everything Run
-// and the serving simulators consume, reduced from the full roofline
-// result.
-type memoStep struct {
-	seconds float64
-	balance float64 // powerBalance of the step's roofline outcome
-	bound   roofline.Bound
-}
-
-// stepCost returns the memoised price of the decode step at (batch,
-// ctx), evaluating it on first use. Warm reads are lock-free.
-// Concurrent callers may race to fill a missing entry; the computation
-// is pure, so every racer stores the identical value and the table
-// stays deterministic.
-func (e *Engine) stepCost(batch, ctx int) (memoStep, error) {
-	if c := e.steps.get(batch-1, ctx-1); c != nil {
-		return *c, nil
-	}
-	st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
-	if err != nil {
-		return memoStep{}, err
-	}
-	c := &memoStep{seconds: st.Seconds, balance: powerBalance(st), bound: st.Bound}
-	e.buildMu.Lock()
-	if cur := e.steps.get(batch-1, ctx-1); cur != nil {
-		c = cur // a racer already stored the identical pure value
-	} else {
-		e.steps.put(batch-1, ctx-1, c)
-	}
-	e.buildMu.Unlock()
-	return *c, nil
-}
-
 // StepCost is the memoised outcome of one decode step, the unit the
 // serving simulators advance by when they coalesce iterations.
 type StepCost struct {
@@ -160,30 +131,35 @@ type StepCost struct {
 	Bound   roofline.Bound
 }
 
-// DecodeStepCost returns the memoised cost of one decode step at the
-// given batch size and context length.
+// DecodeStepCost returns the cost of one decode step at the given
+// batch size and context length: one cell of the batch's master
+// vector, priced on first use. Warm reads are lock-free.
 func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 	if batch < 1 || ctx < 1 {
 		return StepCost{}, errors.New("engine: non-positive batch or context")
 	}
-	c, err := e.stepCost(batch, ctx)
+	v, err := e.masterFor(batch, ctx, ctx)
 	if err != nil {
 		return StepCost{}, err
 	}
-	return StepCost{Seconds: c.seconds, Bound: c.bound}, nil
+	i := ctx - v.base
+	return StepCost{Seconds: v.seconds[i], Bound: roofline.Bound(v.bounds[i])}, nil
 }
 
 // --- per-batch master step vectors ---------------------------------------
 
-// stepVec is one generation of a batch's master step-cost vector:
-// seconds[i] is the cost of the decode step at context base+i, and n
-// is the published cell count, so contexts [base, base+n) are covered.
-// The array is allocated at full capacity (len == cap) and filled
-// left-to-right; cells below n are immutable, cells at or above n are
-// written only under the engine's build mutex and become visible
-// through the release-acquire pair on n. Growing downward (a request
-// below base) or past capacity publishes a fresh generation; old
-// handles keep reading their generation unchanged.
+// stepVec is one generation of a batch's master step table, the one
+// priced copy of every decode step the engine has seen at that batch:
+// cell i holds the step at context base+i — its seconds, its
+// powerBalance·seconds product (the term DecodeRangeSeconds folds into
+// BalanceSeconds) and its roofline bound — and n is the published cell
+// count, so contexts [base, base+n) are covered. The arrays are
+// allocated at full capacity (len == cap) and filled left-to-right;
+// cells below n are immutable, cells at or above n are written only
+// under the engine's build mutex and become visible through the
+// release-acquire pair on n. Growing downward (a request below base)
+// or past capacity publishes a fresh generation; old handles keep
+// reading their generation unchanged.
 //
 // floor holds the float64 bits of a lower bound on every published
 // cell: fillMaster lowers it before the release-store of n that
@@ -194,46 +170,42 @@ func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 //
 // One master per batch — rather than one vector per (batch, ctxStart)
 // anchor — is what keeps a million-request run's allocations flat:
-// per-step seconds are pure functions of (batch, ctx), so every window
-// at every anchor is a subslice of the same vector, and steady-state
-// growth writes cells in place and bumps n.
+// a step's price is a pure function of (batch, ctx), so every window
+// at every anchor is a subslice of the same vector, every anchor's
+// aggregates fold from its cells, and steady-state growth writes cells
+// in place and bumps n.
 type stepVec struct {
 	base    int // context of cell 0; immutable per generation
 	n       atomic.Int64
 	floor   atomic.Uint64
 	seconds []float64
+	balSec  []float64 // powerBalance(step) · seconds
+	bounds  []uint8   // roofline.Bound
 }
 
 // newStepVec allocates an empty generation of capacity c whose floor
 // starts at +Inf, so the first fill sets it.
 func newStepVec(base, c int) *stepVec {
-	v := &stepVec{base: base, seconds: make([]float64, c)}
+	v := &stepVec{base: base, seconds: make([]float64, c), balSec: make([]float64, c), bounds: make([]uint8, c)}
 	v.floor.Store(math.Float64bits(math.Inf(1)))
 	return v
 }
 
-// fillMaster computes the cells for contexts [lo, hi] of v. Callers
-// hold the build mutex. Warm per-step memo cells are reused; cold
-// contexts are priced with decodeStep directly and NOT inserted into
-// the per-step grid — the master is itself the memo for them, and
-// skipping the grid keeps a long fill from allocating one grid cell
-// per context. It lowers v's floor to the smallest cell it wrote; the
-// caller publishes the cells afterwards by storing n.
+// fillMaster prices the cells for contexts [lo, hi] of v, one
+// decodeStep each: the master is the memo, so no context is ever
+// priced twice. Callers hold the build mutex. It lowers v's floor to
+// the smallest cell it wrote; the caller publishes the cells
+// afterwards by storing n.
 func (e *Engine) fillMaster(v *stepVec, batch, lo, hi int) error {
 	floor := math.Float64frombits(v.floor.Load())
 	for ctx := lo; ctx <= hi; ctx++ {
-		sec := 0.0
-		if c := e.steps.get(batch-1, ctx-1); c != nil {
-			sec = c.seconds
-		} else {
-			st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
-			if err != nil {
-				return err
-			}
-			sec = st.Seconds
+		st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
+		if err != nil {
+			return err
 		}
-		v.seconds[ctx-v.base] = sec
-		floor = min(floor, sec)
+		i := ctx - v.base
+		v.seconds[i], v.balSec[i], v.bounds[i] = st.Seconds, powerBalance(st)*st.Seconds, uint8(st.Bound)
+		floor = min(floor, st.Seconds)
 	}
 	v.floor.Store(math.Float64bits(floor))
 	return nil
@@ -248,6 +220,11 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 	}
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
+	return e.masterLocked(batch, lo, hi)
+}
+
+// masterLocked is masterFor for callers that hold the build mutex.
+func (e *Engine) masterLocked(batch, lo, hi int) (*stepVec, error) {
 	latest := e.vecs.get(batch-1, 0)
 	if latest == nil {
 		c := hi - lo + 1
@@ -289,6 +266,8 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 		c += base - newBase
 		v := newStepVec(newBase, c)
 		copy(v.seconds[base-newBase:], latest.seconds[:n])
+		copy(v.balSec[base-newBase:], latest.balSec[:n])
+		copy(v.bounds[base-newBase:], latest.bounds[:n])
 		v.floor.Store(latest.floor.Load())
 		if err := e.fillMaster(v, batch, newBase, base-1); err != nil {
 			return nil, err
@@ -314,13 +293,12 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 // stepAgg carries the running prefix aggregates of one anchored range
 // cell, accumulated left-to-right in step order: sec is Σ seconds of
 // steps 0..i from the anchor, bal Σ balance·seconds, max the running
-// max, bound the binding resource of step i. Aggregates cannot live on
-// the per-batch master — a prefix difference would round differently
-// than a direct sum — so each (batch, ctxStart) anchor folds its own,
+// max. Aggregates cannot live on the per-batch master — a prefix
+// difference would round differently than a direct sum — so each
+// (batch, ctxStart) anchor folds its own from the master's cells,
 // byte-identical to the stepped walk from that anchor.
 type stepAgg struct {
 	sec, bal, max float64
-	bound         roofline.Bound
 }
 
 // aggVec is the memoised prefix-aggregate vector of one (batch,
@@ -332,8 +310,9 @@ type aggVec struct {
 }
 
 // aggVecFor returns the anchor's aggregate vector with at least steps
-// published cells, building or extending it on first use. Warm calls
-// are lock-free.
+// published cells, building or extending it on first use. A build
+// folds the batch's master cells and prices only the contexts the
+// master does not cover yet. Warm calls are lock-free.
 func (e *Engine) aggVecFor(batch, ctxStart, steps int) (*aggVec, error) {
 	cur := e.aggs.get(batch-1, ctxStart-1)
 	if cur != nil && int(cur.n.Load()) >= steps {
@@ -348,6 +327,10 @@ func (e *Engine) aggVecFor(batch, ctxStart, steps int) (*aggVec, error) {
 		if n >= steps {
 			return latest, nil // a racer already grew this anchor far enough
 		}
+	}
+	m, err := e.masterLocked(batch, ctxStart, ctxStart+steps-1)
+	if err != nil {
+		return nil, err
 	}
 	if latest == nil || len(latest.aggs) < steps {
 		c := steps
@@ -364,33 +347,21 @@ func (e *Engine) aggVecFor(batch, ctxStart, steps int) (*aggVec, error) {
 	}
 	// Continue the running aggregates exactly as the stepped loop
 	// would: start from the accumulator values of the last published
-	// cell and fold each new step in left-to-right order. Warm
-	// per-step memo cells are reused; cold contexts are priced with
-	// decodeStep directly and NOT inserted into the per-step grid —
-	// the fold is pure either way, and skipping the grid keeps a long
-	// range from allocating one grid cell per step.
+	// cell and fold each new step's master cell in left-to-right order.
 	var sec, bal, max float64
 	if n > 0 {
 		a := latest.aggs[n-1]
 		sec, bal, max = a.sec, a.bal, a.max
 	}
+	off := ctxStart - m.base
 	for i := n; i < steps; i++ {
-		var c memoStep
-		if cell := e.steps.get(batch-1, ctxStart+i-1); cell != nil {
-			c = *cell
-		} else {
-			st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctxStart+i)
-			if err != nil {
-				return nil, err
-			}
-			c = memoStep{seconds: st.Seconds, balance: powerBalance(st), bound: st.Bound}
+		s := m.seconds[off+i]
+		sec += s
+		bal += m.balSec[off+i]
+		if s > max {
+			max = s
 		}
-		sec += c.seconds
-		bal += c.balance * c.seconds
-		if c.seconds > max {
-			max = c.seconds
-		}
-		latest.aggs[i] = stepAgg{sec: sec, bal: bal, max: max, bound: c.bound}
+		latest.aggs[i] = stepAgg{sec: sec, bal: bal, max: max}
 	}
 	latest.n.Store(int64(steps))
 	return latest, nil
@@ -414,9 +385,10 @@ type RangeStats struct {
 // DecodeRangeSeconds prices steps consecutive decode iterations of a
 // batch whose context starts at ctxStart. steps may be 0 (an empty
 // range). The result is one O(1) prefix read of the memoised vector at
-// (batch, ctxStart): the aggregates were accumulated in step order
-// when the vector was built, so the result is byte-identical to
-// calling DecodeStepCost step by step and accumulating.
+// (batch, ctxStart) plus the bound of the master's last cell: the
+// aggregates were accumulated in step order when the vector was built,
+// so the result is byte-identical to calling DecodeStepCost step by
+// step and accumulating.
 func (e *Engine) DecodeRangeSeconds(batch, ctxStart, steps int) (RangeStats, error) {
 	if batch < 1 || ctxStart < 1 {
 		return RangeStats{}, errors.New("engine: non-positive batch or context")
@@ -431,22 +403,26 @@ func (e *Engine) DecodeRangeSeconds(batch, ctxStart, steps int) (RangeStats, err
 	if err != nil {
 		return RangeStats{}, err
 	}
+	last := ctxStart + steps - 1
+	m, err := e.masterFor(batch, last, last) // covered since the anchor's fold
+	if err != nil {
+		return RangeStats{}, err
+	}
 	a := v.aggs[steps-1]
 	return RangeStats{
 		Seconds:        a.sec,
 		BalanceSeconds: a.bal,
 		MaxStepSeconds: a.max,
-		LastBound:      a.bound,
+		LastBound:      roofline.Bound(m.bounds[last-m.base]),
 	}, nil
 }
 
 // DecodeStepCosts returns the per-step seconds of steps consecutive
 // decode iterations of a batch whose context starts at ctxStart: entry
 // i is the cost of the step at context ctxStart+i, exactly the value
-// DecodeStepCost(batch, ctxStart+i) returns. Slices are memoised per
-// (batch, ctxStart), extended copy-on-write when a longer run is
-// requested, and shared between callers — the result must be treated
-// as immutable.
+// DecodeStepCost(batch, ctxStart+i) returns. The slice is a view of
+// the batch's master table, shared between callers — it must be
+// treated as immutable.
 //
 // This is the pricing primitive of the serving kernel (internal/des):
 // a coalesced window walks one cached slice, and a warm call takes no

@@ -51,7 +51,10 @@ func TestDecodeRangeMatchesSteppedSum(t *testing.T) {
 					t.Fatal(err)
 				}
 				sum += st.Seconds
-				balSum += powerBalance(st) * st.Seconds
+				// The master stores the rounded product, so the
+				// conversion keeps an FMA-fusing compiler from fusing
+				// this multiply-add.
+				balSum += float64(powerBalance(st) * st.Seconds)
 				if st.Seconds > maxStep {
 					maxStep = st.Seconds
 				}
