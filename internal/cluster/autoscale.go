@@ -13,6 +13,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"llmbench/internal/des"
 	"llmbench/internal/workload"
@@ -43,6 +44,8 @@ func (a *Autoscale) validate() error {
 		return fmt.Errorf("cluster: bad autoscale bounds [%d, %d]", a.Min, a.Max)
 	case a.UpOutstanding < 1:
 		return errors.New("cluster: UpOutstanding must be ≥ 1")
+	case math.IsNaN(a.DownIdleS) || math.IsInf(a.DownIdleS, 0) || math.IsNaN(a.CooldownS) || math.IsInf(a.CooldownS, 0):
+		return fmt.Errorf("cluster: non-finite idle/cooldown times (%v, %v)", a.DownIdleS, a.CooldownS)
 	case a.DownIdleS <= 0 || a.CooldownS < 0:
 		return errors.New("cluster: non-positive idle/cooldown times")
 	}

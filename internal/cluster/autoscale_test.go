@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"llmbench/internal/dtype"
@@ -66,6 +68,19 @@ func TestAutoscaleValidation(t *testing.T) {
 	bad.Max = 0
 	if _, err := ServeAutoscale(Config{MaxBatch: 16}, bad, reqs); err == nil {
 		t.Error("bad bounds must fail")
+	}
+	for _, mut := range []func(*Autoscale){
+		func(a *Autoscale) { a.DownIdleS = math.NaN() },
+		func(a *Autoscale) { a.DownIdleS = math.Inf(1) },
+		func(a *Autoscale) { a.CooldownS = math.NaN() },
+		func(a *Autoscale) { a.CooldownS = math.Inf(1) },
+	} {
+		bad = defaultAutoscale(t)
+		mut(&bad)
+		if _, err := ServeAutoscale(Config{MaxBatch: 16}, bad, reqs); err == nil ||
+			!strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("idle %v, cooldown %v must fail as non-finite, got %v", bad.DownIdleS, bad.CooldownS, err)
+		}
 	}
 	if _, err := ServeAutoscale(Config{MaxBatch: 0}, defaultAutoscale(t), reqs); err == nil {
 		t.Error("MaxBatch 0 must fail")

@@ -123,7 +123,8 @@ type Config struct {
 	// to fuse into) and with disaggregation (the prefill pool hands
 	// off whole prompts).
 	ChunkedPrefill bool
-	// PrefillChunk is the slice size in tokens (default 512).
+	// PrefillChunk is the slice size in tokens (0 means 512; negative
+	// values are rejected).
 	PrefillChunk int
 
 	// Deprecated: ignored; the kernel is serial.
@@ -232,6 +233,9 @@ func (cfg Config) validate(reqs []workload.Request) error {
 	}
 	if len(reqs) == 0 {
 		return errors.New("cluster: empty trace")
+	}
+	if cfg.PrefillChunk < 0 {
+		return fmt.Errorf("cluster: negative PrefillChunk %d", cfg.PrefillChunk)
 	}
 	if cfg.ChunkedPrefill && cfg.Static {
 		return errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"llmbench/internal/dtype"
@@ -65,6 +66,10 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Serve(Config{Replicas: []Replica{{}}, MaxBatch: 8}, reqs); err == nil {
 		t.Error("incomplete replica must fail")
+	}
+	if _, err := Serve(Config{Replicas: makeReplicas(t, 1), MaxBatch: 8, ChunkedPrefill: true, PrefillChunk: -1}, reqs); err == nil ||
+		!strings.Contains(err.Error(), "PrefillChunk") {
+		t.Errorf("negative PrefillChunk must fail, got %v", err)
 	}
 }
 

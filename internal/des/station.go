@@ -415,42 +415,9 @@ func (s *Station) step(now float64) (float64, error) {
 	if s.role == RolePrefill {
 		return s.stepPrefill(now)
 	}
-	// Admit from the head of the queue while batch slots and KV
-	// capacity remain. Admission is FIFO: a blocked head blocks
-	// everything behind it.
-	s.admitted = s.admitted[:0]
-	var restoreS float64
-	for s.queueLen() > 0 && len(s.run)+len(s.admitted) < s.cfg.MaxBatch {
-		if s.evicting && len(s.run)+len(s.admitted) > 0 {
-			break
-		}
-		q := s.queue[s.qhead]
-		if q.decode != (s.role == RoleDecode) {
-			// A phase routed to the wrong pool: the simulation would
-			// silently double-charge or skip the prefill. Router bug.
-			return 0, fmt.Errorf("des: station %d (%s) received a %s-phase request %d",
-				s.ID, s.role, phaseName(q.decode), q.req.ID)
-		}
-		if !s.Alloc.CanAlloc(q.req.Input) {
-			break
-		}
-		seq, err := s.Alloc.Alloc(q.req.Input)
-		if err != nil {
-			break
-		}
-		s.popHead()
-		r := s.getReq(q, now)
-		r.seq = seq
-		if s.disc != nil {
-			skip, rs := s.disc.TakePrefillDiscount()
-			r.prefillSkip = skip
-			restoreS += rs
-			if !q.decode {
-				s.hitToks += skip
-				s.promptToks += q.req.Input
-			}
-		}
-		s.admitted = append(s.admitted, r)
+	restoreS, err := s.admit(now)
+	if err != nil {
+		return 0, err
 	}
 	admitted := s.admitted
 	var step float64
@@ -670,27 +637,24 @@ func (s *Station) step(now float64) (float64, error) {
 	return end, nil
 }
 
-// phaseName names a queued entry's phase for error messages.
-func phaseName(decode bool) string {
-	if decode {
-		return "decode"
-	}
-	return "prefill"
-}
-
-// stepPrefill runs one prefill-pool event: admit up to MaxBatch
-// queued prompts, charge one batched prefill, and hand every admitted
-// sub-request off to the decode pool via a kv-transfer record. The
-// running set is empty between events — the prefilled KV leaves with
-// the transfer — so prefill stations never decode, never preempt, and
-// their allocator only bounds the prefill batch in flight.
-func (s *Station) stepPrefill(now float64) (float64, error) {
+// admit moves requests from the queue head into s.admitted while
+// batch slots and KV capacity remain, reserving each prompt's KV and
+// draining its prefix-cache discount; it returns the restore seconds
+// the admitted prompts accrued. Admission is FIFO: a blocked head
+// blocks everything behind it. Continuous and prefill-pool stations
+// share it — a prefill station's running set is always empty.
+func (s *Station) admit(now float64) (restoreS float64, err error) {
 	s.admitted = s.admitted[:0]
-	var restoreS float64
-	for s.queueLen() > 0 && len(s.admitted) < s.cfg.MaxBatch {
+	for s.queueLen() > 0 && len(s.run)+len(s.admitted) < s.cfg.MaxBatch {
+		if s.evicting && len(s.run)+len(s.admitted) > 0 {
+			break
+		}
 		q := s.queue[s.qhead]
-		if q.decode {
-			return 0, fmt.Errorf("des: station %d (prefill) received a decode-phase request %d", s.ID, q.req.ID)
+		if q.decode != (s.role == RoleDecode) {
+			// A phase routed to the wrong pool: the simulation would
+			// silently double-charge or skip the prefill. Router bug.
+			return 0, fmt.Errorf("des: station %d (%s) received a %s-phase request %d",
+				s.ID, s.role, phaseName(q.decode), q.req.ID)
 		}
 		if !s.Alloc.CanAlloc(q.req.Input) {
 			break
@@ -706,10 +670,34 @@ func (s *Station) stepPrefill(now float64) (float64, error) {
 			skip, rs := s.disc.TakePrefillDiscount()
 			r.prefillSkip = skip
 			restoreS += rs
-			s.hitToks += skip
-			s.promptToks += q.req.Input
+			if !q.decode {
+				s.hitToks += skip
+				s.promptToks += q.req.Input
+			}
 		}
 		s.admitted = append(s.admitted, r)
+	}
+	return restoreS, nil
+}
+
+// phaseName names a queued entry's phase for error messages.
+func phaseName(decode bool) string {
+	if decode {
+		return "decode"
+	}
+	return "prefill"
+}
+
+// stepPrefill runs one prefill-pool event: admit up to MaxBatch
+// queued prompts, charge one batched prefill, and hand every admitted
+// sub-request off to the decode pool via a kv-transfer record. The
+// running set is empty between events — the prefilled KV leaves with
+// the transfer — so prefill stations never decode, never preempt, and
+// their allocator only bounds the prefill batch in flight.
+func (s *Station) stepPrefill(now float64) (float64, error) {
+	restoreS, err := s.admit(now)
+	if err != nil {
+		return 0, err
 	}
 	if len(s.admitted) == 0 {
 		if s.queueLen() > 0 {

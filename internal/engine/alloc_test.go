@@ -1,12 +1,12 @@
 package engine
 
 // Allocation-regression gates for warm window pricing: once the memo
-// grids and the step vector at an anchor exist, every pricing entry
-// point — single step, prefix-aggregated range, raw vector, snapshot
-// handle, prefill — must answer from the copy-on-write snapshots with
-// zero allocations and zero locks. The serving kernel's steady state
-// (internal/des) prices every event through these paths, so one stray
-// allocation here multiplies by a million requests.
+// grids and the batch's master step table exist, every pricing entry
+// point — single step, range fold, vector view and its cells, prefill —
+// must answer from the published tables with zero allocations and zero
+// locks. The serving kernel's steady state (internal/des) prices every
+// event through these paths, so one stray allocation here multiplies
+// by a million requests.
 
 import "testing"
 
@@ -19,10 +19,7 @@ func TestWarmPricingAllocs(t *testing.T) {
 		if _, err := e.DecodeRangeSeconds(8, 300, 200); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DecodeStepCosts(8, 300, 200); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.DecodeStepVec(8, 300, 200); err != nil {
+		if _, err := stepCosts(e, 8, 300, 200); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.DecodeStepSeconds(8, 480); err != nil {
@@ -32,12 +29,12 @@ func TestWarmPricingAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm() // populate the batch-8 master, the (8, 300) anchor and the prefill grid
+	warm() // populate the batch-8 master and the prefill grid
 	if avg := testing.AllocsPerRun(100, warm); avg != 0 {
 		t.Errorf("warm window pricing allocates %.2f times, want 0", avg)
 	}
-	// Shorter reads of the same anchor are prefix reads of the same
-	// snapshot — also allocation-free.
+	// Shorter ranges at the same anchor fold a prefix of the same
+	// published cells — also allocation-free.
 	if avg := testing.AllocsPerRun(100, func() {
 		for steps := 1; steps <= 200; steps += 37 {
 			if _, err := e.DecodeRangeSeconds(8, 300, steps); err != nil {

@@ -23,12 +23,13 @@
 // contract. Policy layers must not break them:
 //
 //   - Warm reads never lock. The memo tables live behind atomic
-//     pointers; DecodeStepCost, DecodeRangeSeconds, DecodeStepCosts,
-//     DecodeStepVec and PrefillSeconds on a cached key are a handful
-//     of atomic loads with zero allocations. Writers serialise on a
-//     small build mutex and re-check the table before pricing, so no
-//     price is computed twice; prices are pure values, so the tables
-//     are deterministic regardless of interleaving.
+//     pointers; DecodeStepCost, DecodeRangeSeconds, DecodeStepVec and
+//     PrefillSeconds on a cached key take no lock and allocate
+//     nothing: a handful of atomic loads, plus a range's additions.
+//     Writers serialise on a small build mutex and re-check the table
+//     before pricing, so no price is computed twice; prices are pure
+//     values, so the tables are deterministic regardless of
+//     interleaving.
 //   - One priced table per batch. A step's seconds, balance·seconds
 //     product and roofline bound are pure functions of (batch, ctx),
 //     so one master vector per batch holds them all and is the only
@@ -36,22 +37,20 @@
 //     once per engine. It serves every window as a subslice view and
 //     grows in place by filling cells past the published count and
 //     release-storing the new count, so a slice returned by
-//     DecodeStepCosts/StepVec.Seconds is shared between every caller
-//     and must never be written.
-//   - Prefix aggregates fold from that table in step order. Each
-//     (batch, ctxStart) anchor carries running Σseconds,
-//     Σbalance·seconds and running max accumulated left-to-right from
-//     its own anchor over the master's cells (never differenced from a
-//     shared prefix — that would round differently), and extensions
-//     continue the accumulators — so a warm DecodeRangeSeconds is one
-//     O(1) prefix read that is byte-identical to the stepped sum. Any
-//     change to how the aggregates are folded changes floating-point
+//     StepVec.Seconds is shared between every caller and must never
+//     be written.
+//   - Ranges fold from that table in step order. DecodeRangeSeconds
+//     accumulates Σseconds, Σbalance·seconds and the running max
+//     left-to-right from its own anchor over the master's cells (never
+//     differenced from a shared prefix — that would round
+//     differently), so it is byte-identical to the stepped sum. Any
+//     change to how the range is folded changes floating-point
 //     rounding and breaks the equivalence suites here, in
 //     internal/sched, and in internal/cluster.
-//   - Prefill is memoised too. PrefillSeconds prices each (batch,
-//     input) pair once per engine in its own lock-free grid; the
-//     serving kernel charges it on every admission. Run prices its
-//     one prefill per point directly.
+//   - One prefill table. PrefillSeconds prices each (batch, input)
+//     pair once per engine in its own lock-free grid; Run and the
+//     serving kernel both read it. Only PowerTrace, which needs the
+//     prefill's roofline balance, prices a prefill directly.
 package engine
 
 import (
@@ -115,9 +114,9 @@ type Config struct {
 // safe for concurrent use: Run, Explain, and the step-cost helpers
 // only read the configuration, which is what lets sweeps share one
 // engine across workers and cache engines by system (engine.Cached,
-// llmbench.Sweep). The only mutable state is the pricing memo (the
-// step tables of rangecost.go and the prefill grid): lock-free
-// copy-on-write tables whose readers never lock and whose writers
+// llmbench.Sweep). The only mutable state is the pricing memo — one
+// master step table per batch (rangecost.go) plus the prefill grid:
+// lock-free tables whose readers never lock and whose writers
 // serialise on buildMu — and deterministic either way, since a cached
 // price is byte-identical to a recomputed one.
 type Engine struct {
@@ -131,7 +130,6 @@ type Engine struct {
 	// buildMu serialises memo writers only; see rangecost.go.
 	buildMu sync.Mutex
 	vecs    costGrid[stepVec] // per-batch master step tables, column 0
-	aggs    costGrid[aggVec]  // per-(batch, ctxStart) prefix aggregates
 	// prefills memoises PrefillSeconds keyed (input, batch): rows by
 	// prompt length keep each row as short as the batch cap, where
 	// rows by batch would each span the whole input range.
@@ -543,16 +541,14 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 		waveSpec.Batch = (spec.Batch + waves - 1) / waves
 	}
 
-	pf, err := e.prefill(waveSpec)
+	ttft, err := e.PrefillSeconds(waveSpec.Batch, waveSpec.Input)
 	if err != nil {
 		return Result{}, err
 	}
-	ttft := pf.Seconds
 
 	// The whole decode phase is one range of identical-batch steps at
-	// contexts Input+1 … Input+Output-1; price it in a single memoised
-	// call (summed in step order, so the result is byte-identical to
-	// the per-step loop this replaced).
+	// contexts Input+1 … Input+Output-1, folded from the batch's master
+	// table in step order.
 	rng, err := e.DecodeRangeSeconds(waveSpec.Batch, waveSpec.Input+1, waveSpec.Output-1)
 	if err != nil {
 		return Result{}, err
@@ -594,8 +590,8 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 	}, nil
 }
 
-// PrefillSeconds exposes the cost of prefilling a batch of prompts —
-// the serving scheduler charges it when admitting requests. Each
+// PrefillSeconds is the cost of prefilling a batch of prompts: Run's
+// TTFT and the serving kernel's admission charge. Each
 // (batch, input) pair is priced once per engine, under the build
 // mutex, and memoised; warm reads are lock-free.
 func (e *Engine) PrefillSeconds(batch, input int) (float64, error) {

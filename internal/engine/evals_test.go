@@ -6,22 +6,44 @@ package engine
 // read the same tables, so the engine's roofline evaluation counters
 // must equal the cells those tables publish, and every value must be
 // bit-identical to a direct roofline evaluation on a fresh engine.
+// Run prices its prefill through the same grid.
 
 import (
+	"math"
 	"testing"
 
 	"llmbench/internal/workload"
 )
 
+// directFold folds steps direct decodeStep evaluations on fresh, left
+// to right from ctxStart: the reference every range must equal. The
+// master stores the rounded balance·seconds product, so the conversion
+// keeps an FMA-fusing compiler from fusing the multiply-add.
+func directFold(t *testing.T, fresh *Engine, batch, ctxStart, steps int) RangeStats {
+	t.Helper()
+	var want RangeStats
+	for ctx := ctxStart; ctx < ctxStart+steps; ctx++ {
+		st, err := fresh.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Seconds += st.Seconds
+		want.BalanceSeconds += float64(powerBalance(st) * st.Seconds)
+		want.MaxStepSeconds = max(want.MaxStepSeconds, st.Seconds)
+		want.LastBound = st.Bound
+	}
+	return want
+}
+
 func TestMemoPricesEachPointOnce(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
 	fresh := rangeTestEngine(t, "vLLM") // direct evaluations, no memo
-	direct := func(batch, ctx int) (sec, balSec float64, st StepCost) {
+	direct := func(batch, ctx int) StepCost {
 		r, err := fresh.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Seconds, float64(powerBalance(r) * r.Seconds), StepCost{Seconds: r.Seconds, Bound: r.Bound}
+		return StepCost{Seconds: r.Seconds, Bound: r.Bound}
 	}
 
 	type band struct{ batch, ctx, steps int }
@@ -36,15 +58,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want RangeStats
-		for i := 0; i < b.steps; i++ {
-			sec, balSec, st := direct(b.batch, b.ctx+i)
-			want.Seconds += sec
-			want.BalanceSeconds += balSec
-			want.MaxStepSeconds = max(want.MaxStepSeconds, sec)
-			want.LastBound = st.Bound
-		}
-		if rng != want {
+		if want := directFold(t, fresh, b.batch, b.ctx, b.steps); rng != want {
 			t.Errorf("range %+v: %+v, direct fold %+v", b, rng, want)
 		}
 	}
@@ -58,7 +72,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 		}
 		cells := v.Seconds()
 		for i := 0; i < b.steps; i++ {
-			sec, _, st := direct(b.batch, b.ctx+i)
+			st := direct(b.batch, b.ctx+i)
 			got, err := eng.DecodeStepSeconds(b.batch, b.ctx+i)
 			if err != nil {
 				t.Fatal(err)
@@ -67,7 +81,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cells[i] != sec || got != sec || cost != st {
+			if cells[i] != st.Seconds || got != st.Seconds || cost != st {
 				t.Fatalf("batch %d ctx %d: vector %v, step %v, cost %+v; direct %+v",
 					b.batch, b.ctx+i, cells[i], got, cost, st)
 			}
@@ -103,4 +117,54 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 	if got := eng.prefillEvals.Load(); got != int64(len(keys)) {
 		t.Errorf("%d prefill evaluations for %d distinct keys", got, len(keys))
 	}
+
+	// Run's prefill reads the grid: a point whose wave key is already
+	// priced evaluates no prefill, and its TTFT is the memoised price.
+	evals := eng.prefillEvals.Load()
+	res, err := eng.Run(workload.Spec{Batch: 8, Input: 128, Output: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.prefillEvals.Load(); got != evals {
+		t.Errorf("Run at a priced prefill key evaluated %d prefills, want 0", got-evals)
+	}
+	pf, err := eng.PrefillSeconds(8, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(res.TTFTSeconds) != math.Float64bits(pf) {
+		t.Errorf("Run TTFT %v, PrefillSeconds %v", res.TTFTSeconds, pf)
+	}
+}
+
+// FuzzDecodeRangeMatchesSteps drives one engine through a sequence of
+// ranges — each 4 input bytes are one (batch, ctxStart, steps) query,
+// so rising, falling and overlapping anchors grow and re-base the
+// batch masters in any order — and requires every DecodeRangeSeconds
+// result to equal a left-to-right fold of direct decodeStep
+// evaluations on a fresh engine, bit for bit.
+func FuzzDecodeRangeMatchesSteps(f *testing.F) {
+	f.Add([]byte{3, 0, 100, 40, 3, 0, 140, 90})                   // rising, overlapping
+	f.Add([]byte{3, 7, 208, 60, 3, 3, 232, 60, 3, 0, 10, 200})    // falling: re-bases
+	f.Add([]byte{0, 0, 0, 1, 15, 15, 255, 255, 0, 0, 0, 0})       // smallest, largest, empty
+	f.Add([]byte{5, 1, 0, 30, 9, 1, 0, 30, 5, 0, 200, 120, 9, 0}) // two batches interleaved
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*16 {
+			data = data[:4*16]
+		}
+		eng := rangeTestEngine(t, "vLLM")
+		fresh := rangeTestEngine(t, "vLLM")
+		for ; len(data) >= 4; data = data[4:] {
+			batch := 1 + int(data[0]%16)
+			ctxStart := 1 + (int(data[1])<<8|int(data[2]))%4096
+			steps := int(data[3])
+			got, err := eng.DecodeRangeSeconds(batch, ctxStart, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := directFold(t, fresh, batch, ctxStart, steps); got != want {
+				t.Fatalf("range (%d, %d, %d): %+v, direct fold %+v", batch, ctxStart, steps, got, want)
+			}
+		}
+	})
 }

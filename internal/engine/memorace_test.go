@@ -54,7 +54,7 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs, err := ref.DecodeStepCosts(p.batch, p.ctx, p.steps)
+		costs, err := stepCosts(ref, p.batch, p.ctx, p.steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 				if rng != want[i].rng {
 					return fmt.Errorf("probe %v: range %+v, serial %+v", p, rng, want[i].rng)
 				}
-				costs, err := eng.DecodeStepCosts(p.batch, p.ctx, p.steps)
+				costs, err := stepCosts(eng, p.batch, p.ctx, p.steps)
 				if err != nil {
 					return err
 				}

@@ -2,36 +2,35 @@ package engine
 
 // Range pricing: every top-level metric this package produces is a sum
 // of per-token decode-step costs, and for an immutable engine a step's
-// cost depends only on (batch, context). This file prices whole runs
-// of consecutive steps in one call — engine.Run's decode loop, the
-// serving scheduler's coalesced iterations (internal/sched), and the
-// cluster simulator (internal/cluster) all sit on top of it.
+// cost depends only on (batch, context). This file prices single
+// steps, raw step vectors and whole runs of consecutive steps —
+// engine.Run's decode phase and the serving kernel's coalesced windows
+// (internal/des) both sit on top of it.
 //
 // One table of prices per batch: the batch's master vector (stepVec)
 // holds each step's seconds, balance·seconds product and roofline
 // bound, and is the only place a decode step is priced. Single steps
-// (DecodeStepCost), raw vectors (DecodeStepCosts, DecodeStepVec) and
-// the per-anchor prefix aggregates (aggVec) all read it, so each
-// distinct (batch, ctx) pair is evaluated once per engine lifetime and
-// every warm read is a handful of atomic loads.
+// (DecodeStepCost), vector views (DecodeStepVec) and ranges
+// (DecodeRangeSeconds) all read it, so each distinct (batch, ctx) pair
+// is evaluated once per engine lifetime and no warm read locks.
+// Beside it the engine keeps one more memo, the prefill grid of
+// PrefillSeconds (engine.go).
 //
-// Invariant: the aggregates are summed in step order (ctxStart,
-// ctxStart+1, …), exactly the order the step-by-step loops used, so
-// range-priced results are byte-identical to stepped results —
-// floating-point summation order is part of the contract, and the
-// equivalence tests in this package, internal/sched, and
-// internal/cluster guard it. The prefix aggregates carried by each
-// anchored vector (see aggVec) are folded left-to-right from the
-// master's cells in that same order, which is what lets
-// DecodeRangeSeconds answer a warm range query with one O(1) prefix
-// read instead of an O(steps) walk.
+// Invariant: a range is summed in step order (ctxStart, ctxStart+1,
+// …), exactly the order the step-by-step loops use, so range-priced
+// results are byte-identical to stepped results — floating-point
+// summation order is part of the contract, and the equivalence tests
+// in this package, internal/sched, and internal/cluster guard it.
+// DecodeRangeSeconds therefore folds the master's cells from its own
+// anchor on every call rather than differencing a shared prefix, which
+// would round differently.
 //
 // Concurrency: readers never lock. The memo tables live behind atomic
 // pointers (costGrid); writers serialise on the engine's small build
-// mutex, and vectors grow in place by filling cells past the published
-// count and release-storing the new count (stepVec/aggVec). Every fill
-// runs under that mutex and re-checks what is already published, so
-// no cell is priced twice, and step costs are pure functions of the
+// mutex, and a master grows in place by filling cells past the
+// published count and release-storing the new count. Every fill runs
+// under that mutex and re-checks what is already published, so no
+// cell is priced twice, and step costs are pure functions of the
 // immutable configuration, so the tables are deterministic.
 
 import (
@@ -171,9 +170,8 @@ func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 // One master per batch — rather than one vector per (batch, ctxStart)
 // anchor — is what keeps a million-request run's allocations flat:
 // a step's price is a pure function of (batch, ctx), so every window
-// at every anchor is a subslice of the same vector, every anchor's
-// aggregates fold from its cells, and steady-state growth writes cells
-// in place and bumps n.
+// and every range at every anchor is a subslice of the same vector,
+// and steady-state growth writes cells in place and bumps n.
 type stepVec struct {
 	base    int // context of cell 0; immutable per generation
 	n       atomic.Int64
@@ -220,11 +218,6 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 	}
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	return e.masterLocked(batch, lo, hi)
-}
-
-// masterLocked is masterFor for callers that hold the build mutex.
-func (e *Engine) masterLocked(batch, lo, hi int) (*stepVec, error) {
 	latest := e.vecs.get(batch-1, 0)
 	if latest == nil {
 		c := hi - lo + 1
@@ -288,85 +281,6 @@ func (e *Engine) masterLocked(batch, lo, hi int) (*stepVec, error) {
 	return latest, nil
 }
 
-// --- per-anchor prefix aggregates ----------------------------------------
-
-// stepAgg carries the running prefix aggregates of one anchored range
-// cell, accumulated left-to-right in step order: sec is Σ seconds of
-// steps 0..i from the anchor, bal Σ balance·seconds, max the running
-// max. Aggregates cannot live on the per-batch master — a prefix
-// difference would round differently than a direct sum — so each
-// (batch, ctxStart) anchor folds its own from the master's cells,
-// byte-identical to the stepped walk from that anchor.
-type stepAgg struct {
-	sec, bal, max float64
-}
-
-// aggVec is the memoised prefix-aggregate vector of one (batch,
-// ctxStart) anchor, with the same capacity-plus-published-count
-// discipline as stepVec.
-type aggVec struct {
-	n    atomic.Int64
-	aggs []stepAgg
-}
-
-// aggVecFor returns the anchor's aggregate vector with at least steps
-// published cells, building or extending it on first use. A build
-// folds the batch's master cells and prices only the contexts the
-// master does not cover yet. Warm calls are lock-free.
-func (e *Engine) aggVecFor(batch, ctxStart, steps int) (*aggVec, error) {
-	cur := e.aggs.get(batch-1, ctxStart-1)
-	if cur != nil && int(cur.n.Load()) >= steps {
-		return cur, nil
-	}
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
-	latest := e.aggs.get(batch-1, ctxStart-1)
-	n := 0
-	if latest != nil {
-		n = int(latest.n.Load())
-		if n >= steps {
-			return latest, nil // a racer already grew this anchor far enough
-		}
-	}
-	m, err := e.masterLocked(batch, ctxStart, ctxStart+steps-1)
-	if err != nil {
-		return nil, err
-	}
-	if latest == nil || len(latest.aggs) < steps {
-		c := steps
-		if latest != nil && 2*len(latest.aggs) > c {
-			c = 2 * len(latest.aggs)
-		}
-		grown := &aggVec{aggs: make([]stepAgg, c)}
-		if latest != nil {
-			copy(grown.aggs, latest.aggs[:n])
-		}
-		grown.n.Store(int64(n))
-		e.aggs.put(batch-1, ctxStart-1, grown)
-		latest = grown
-	}
-	// Continue the running aggregates exactly as the stepped loop
-	// would: start from the accumulator values of the last published
-	// cell and fold each new step's master cell in left-to-right order.
-	var sec, bal, max float64
-	if n > 0 {
-		a := latest.aggs[n-1]
-		sec, bal, max = a.sec, a.bal, a.max
-	}
-	off := ctxStart - m.base
-	for i := n; i < steps; i++ {
-		s := m.seconds[off+i]
-		sec += s
-		bal += m.balSec[off+i]
-		if s > max {
-			max = s
-		}
-		latest.aggs[i] = stepAgg{sec: sec, bal: bal, max: max}
-	}
-	latest.n.Store(int64(steps))
-	return latest, nil
-}
-
 // RangeStats aggregates a run of consecutive decode steps at constant
 // batch: steps at contexts ctxStart, ctxStart+1, …, ctxStart+steps-1,
 // summed in that order.
@@ -384,11 +298,12 @@ type RangeStats struct {
 
 // DecodeRangeSeconds prices steps consecutive decode iterations of a
 // batch whose context starts at ctxStart. steps may be 0 (an empty
-// range). The result is one O(1) prefix read of the memoised vector at
-// (batch, ctxStart) plus the bound of the master's last cell: the
-// aggregates were accumulated in step order when the vector was built,
-// so the result is byte-identical to calling DecodeStepCost step by
-// step and accumulating.
+// range). It folds the batch's master cells left to right from the
+// anchor — Σ seconds, Σ balance·seconds and the running max — and
+// takes the last cell's bound, so the result is byte-identical to
+// calling DecodeStepCost step by step and accumulating. A warm call
+// prices nothing and takes no lock: one master read plus O(steps)
+// additions.
 func (e *Engine) DecodeRangeSeconds(batch, ctxStart, steps int) (RangeStats, error) {
 	if batch < 1 || ctxStart < 1 {
 		return RangeStats{}, errors.New("engine: non-positive batch or context")
@@ -399,51 +314,22 @@ func (e *Engine) DecodeRangeSeconds(batch, ctxStart, steps int) (RangeStats, err
 	if steps == 0 {
 		return RangeStats{}, nil
 	}
-	v, err := e.aggVecFor(batch, ctxStart, steps)
+	m, err := e.masterFor(batch, ctxStart, ctxStart+steps-1)
 	if err != nil {
 		return RangeStats{}, err
 	}
-	last := ctxStart + steps - 1
-	m, err := e.masterFor(batch, last, last) // covered since the anchor's fold
-	if err != nil {
-		return RangeStats{}, err
+	off := ctxStart - m.base
+	bal := m.balSec[off : off+steps]
+	var r RangeStats
+	for i, s := range m.seconds[off : off+steps] {
+		r.Seconds += s
+		r.BalanceSeconds += bal[i]
+		if s > r.MaxStepSeconds {
+			r.MaxStepSeconds = s
+		}
 	}
-	a := v.aggs[steps-1]
-	return RangeStats{
-		Seconds:        a.sec,
-		BalanceSeconds: a.bal,
-		MaxStepSeconds: a.max,
-		LastBound:      roofline.Bound(m.bounds[last-m.base]),
-	}, nil
-}
-
-// DecodeStepCosts returns the per-step seconds of steps consecutive
-// decode iterations of a batch whose context starts at ctxStart: entry
-// i is the cost of the step at context ctxStart+i, exactly the value
-// DecodeStepCost(batch, ctxStart+i) returns. The slice is a view of
-// the batch's master table, shared between callers — it must be
-// treated as immutable.
-//
-// This is the pricing primitive of the serving kernel (internal/des):
-// a coalesced window walks one cached slice, and a warm call takes no
-// lock at all — which is what keeps window pricing O(1) per event in
-// steady state.
-func (e *Engine) DecodeStepCosts(batch, ctxStart, steps int) ([]float64, error) {
-	if batch < 1 || ctxStart < 1 {
-		return nil, errors.New("engine: non-positive batch or context")
-	}
-	if steps < 0 {
-		return nil, fmt.Errorf("engine: negative step count %d", steps)
-	}
-	if steps == 0 {
-		return nil, nil
-	}
-	v, err := e.masterFor(batch, ctxStart, ctxStart+steps-1)
-	if err != nil {
-		return nil, err
-	}
-	off := ctxStart - v.base
-	return v.seconds[off : off+steps], nil
+	r.LastBound = roofline.Bound(m.bounds[off+steps-1])
+	return r, nil
 }
 
 // StepVec is a shared view of a batch's master step-cost vector,

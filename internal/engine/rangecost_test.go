@@ -182,13 +182,23 @@ func TestDecodeRangeValidation(t *testing.T) {
 	}
 }
 
+// stepCosts returns the first steps per-step costs of the master view
+// DecodeStepVec anchors at ctxStart.
+func stepCosts(e *Engine, batch, ctxStart, steps int) ([]float64, error) {
+	v, err := e.DecodeStepVec(batch, ctxStart, steps)
+	if err != nil {
+		return nil, err
+	}
+	return v.Seconds()[:steps], nil
+}
+
 // TestDecodeStepCostsVector verifies the serving kernel's pricing
-// primitive: the memoised vector holds exactly the per-step costs
+// primitive: the memoised vector view holds exactly the per-step costs
 // DecodeStepCost returns, the cached slice is shared across calls,
 // and invalid arguments are rejected.
 func TestDecodeStepCostsVector(t *testing.T) {
 	e := rangeTestEngine(t, "vLLM")
-	vec, err := e.DecodeStepCosts(8, 300, 50)
+	vec, err := stepCosts(e, 8, 300, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,36 +214,36 @@ func TestDecodeStepCostsVector(t *testing.T) {
 			t.Fatalf("step %d cost %v, want %v", i, c, want.Seconds)
 		}
 	}
-	again, err := e.DecodeStepCosts(8, 300, 50)
+	again, err := stepCosts(e, 8, 300, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &again[0] != &vec[0] {
 		t.Error("repeated request must return the memoised slice")
 	}
-	// A longer run grows the entry in place; shorter runs then share
-	// the grown vector's storage — the map stays bounded by distinct
-	// (batch, ctxStart) pairs, not by every requested length.
-	longer, err := e.DecodeStepCosts(8, 300, 80)
+	// A longer run grows the batch's master; shorter runs then share
+	// the grown vector's storage — one table per batch, not one per
+	// requested length.
+	longer, err := stepCosts(e, 8, 300, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(longer) != 80 || longer[10] != vec[10] {
 		t.Fatalf("grown vector inconsistent with original at step 10")
 	}
-	short, err := e.DecodeStepCosts(8, 300, 30)
+	short, err := stepCosts(e, 8, 300, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &short[0] != &longer[0] {
 		t.Error("shorter request must slice the grown memoised vector")
 	}
-	if empty, err := e.DecodeStepCosts(8, 300, 0); err != nil || len(empty) != 0 {
+	if empty, err := stepCosts(e, 8, 300, 0); err != nil || len(empty) != 0 {
 		t.Errorf("zero steps = (%v, %v), want empty", empty, err)
 	}
 	for _, bad := range [][3]int{{0, 300, 5}, {8, 0, 5}, {8, 300, -1}} {
-		if _, err := e.DecodeStepCosts(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("DecodeStepCosts%v must error", bad)
+		if _, err := stepCosts(e, bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("DecodeStepVec%v must error", bad)
 		}
 	}
 }
@@ -251,7 +261,7 @@ func TestDecodeStepCostsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				vec, err := e.DecodeStepCosts(4+w%2, 200+i, 10)
+				vec, err := stepCosts(e, 4+w%2, 200+i, 10)
 				if err != nil {
 					errs[w] = err
 					return

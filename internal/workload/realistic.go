@@ -54,8 +54,11 @@ func ChatTrace(cfg ChatTraceConfig) ([]Request, error) {
 	if cfg.InputMedian < 16 || cfg.OutputMedian < 16 {
 		return nil, fmt.Errorf("workload: medians must be ≥ 16")
 	}
-	if cfg.Sigma < 0 || cfg.Sigma > 2 {
+	if !(cfg.Sigma >= 0 && cfg.Sigma <= 2) {
 		return nil, fmt.Errorf("workload: sigma %v out of [0, 2]", cfg.Sigma)
+	}
+	if math.IsNaN(cfg.BurstLenS) || math.IsInf(cfg.BurstLenS, 0) {
+		return nil, fmt.Errorf("workload: burst length %v must be finite", cfg.BurstLenS)
 	}
 	if cfg.BurstFactor < 1 {
 		return nil, fmt.Errorf("workload: burst factor %v must be ≥ 1", cfg.BurstFactor)

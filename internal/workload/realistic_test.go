@@ -106,6 +106,18 @@ func TestChatTraceErrors(t *testing.T) {
 	if _, err := ChatTrace(bad); err == nil {
 		t.Error("burst factor < 1 must fail")
 	}
+	bad = chatCfg()
+	bad.Sigma = math.NaN()
+	if _, err := ChatTrace(bad); err == nil {
+		t.Error("NaN sigma must fail")
+	}
+	for _, l := range []float64{math.NaN(), math.Inf(1)} {
+		bad = chatCfg()
+		bad.BurstLenS = l
+		if _, err := ChatTrace(bad); err == nil {
+			t.Errorf("burst length %v must fail", l)
+		}
+	}
 }
 
 func TestChatTraceArrivalsIncrease(t *testing.T) {

@@ -304,7 +304,8 @@ type ServeSweepConfig struct {
 	// prefills. Static or disaggregated policy entries reject it per
 	// point.
 	ChunkedPrefill bool
-	// PrefillChunk is the slice size in tokens (default 512).
+	// PrefillChunk is the slice size in tokens (0 means 512; negative
+	// values are rejected).
 	PrefillChunk int
 
 	// Trace parameters. Every point generates a private trace whose
@@ -515,13 +516,20 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 		return a, fmt.Errorf("llmbench: bad serve trace shape (requests %d, input %d, output %d)",
 			cfg.Requests, cfg.InputMean, cfg.OutputMean)
 	}
-	// Negative tuning values would otherwise fail every autoscale
-	// point individually (via cluster.Autoscale.validate) or be
-	// silently replaced by the trace generator's default (BurstLenS):
-	// fail the whole call up front like every other base-config field.
-	if cfg.UpOutstanding < 0 || cfg.DownIdleS < 0 || cfg.CooldownS < 0 || cfg.BurstLenS < 0 || cfg.Sigma < 0 {
-		return a, fmt.Errorf("llmbench: negative serve tuning (UpOutstanding %d, DownIdleS %v, CooldownS %v, BurstLenS %v, Sigma %v)",
-			cfg.UpOutstanding, cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma)
+	// Bad tuning values would otherwise fail every point individually
+	// (via cluster.Autoscale.validate or the trace generator), or be
+	// silently replaced by a default (BurstLenS, PrefillChunk) or
+	// silently change the run (a NaN cooldown never scales up): fail
+	// the whole call up front like every other base-config field.
+	if cfg.UpOutstanding < 0 || cfg.PrefillChunk < 0 || cfg.DownIdleS < 0 || cfg.CooldownS < 0 || cfg.BurstLenS < 0 || cfg.Sigma < 0 {
+		return a, fmt.Errorf("llmbench: negative serve tuning (UpOutstanding %d, PrefillChunk %d, DownIdleS %v, CooldownS %v, BurstLenS %v, Sigma %v)",
+			cfg.UpOutstanding, cfg.PrefillChunk, cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma)
+	}
+	for _, v := range []float64{cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return a, fmt.Errorf("llmbench: non-finite serve tuning (DownIdleS %v, CooldownS %v, BurstLenS %v, Sigma %v)",
+				cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma)
+		}
 	}
 	return a, nil
 }
