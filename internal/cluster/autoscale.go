@@ -146,18 +146,7 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 			}
 			return nil
 		}
-		k.Route = func(now float64) *des.Station {
-			var best *des.Station
-			for _, s := range k.Stations() {
-				if s.Retired {
-					continue
-				}
-				if best == nil || s.Outstanding() < best.Outstanding() {
-					best = s
-				}
-			}
-			return best
-		}
+		k.Route = func(float64) *des.Station { return leastLoaded(k.Stations()) }
 		return nil
 	})
 	if err != nil {

@@ -265,7 +265,7 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 	if cfg.Streaming {
 		stream := sched.NewStreamAggregator()
 		agg = stream
-		k.Sink = stream.Observe
+		k.Sink = func(r *des.RequestStats) { stream.Observe(*r) }
 	}
 	res, err := k.Run(reqs)
 	if err != nil {
@@ -382,12 +382,24 @@ func poolRouter(cfg Config, group []*des.Station) func(now float64) *des.Station
 			}
 			return group[best]
 		}
-		best := group[0]
-		for _, s := range group[1:] {
-			if s.Outstanding() < best.Outstanding() {
-				best = s
-			}
-		}
-		return best
+		return leastLoaded(group)
 	}
+}
+
+// leastLoaded returns the first live station of group with the fewest
+// outstanding requests, reading each station's load once; nil when
+// every station is retired. The least-loaded router and the
+// autoscaler's router share it.
+func leastLoaded(group []*des.Station) *des.Station {
+	var best *des.Station
+	bestLoad := 0
+	for _, s := range group {
+		if s.Retired {
+			continue
+		}
+		if o := s.Outstanding(); best == nil || o < bestLoad {
+			best, bestLoad = s, o
+		}
+	}
+	return best
 }

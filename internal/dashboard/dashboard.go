@@ -7,6 +7,7 @@ package dashboard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -455,6 +456,11 @@ func (q *query) atoiIn(key, def string, lo, hi int) int {
 	return v
 }
 
+// errTraceNotFile rejects a trace path that names a directory, a
+// device or a FIFO: the size cap cannot bound those, and a read from a
+// device or a FIFO can block the handler forever.
+var errTraceNotFile = errors.New("trace: not a regular file")
+
 // readTraceFile loads a recorded llmbench-trace file from the
 // server's filesystem — the upload-less replay path. The file is
 // capped at 64 MiB, and traces beyond 100k requests must opt into
@@ -470,6 +476,8 @@ func readTraceFile(path string, stream bool) ([]llmbench.TraceRequest, error) {
 	defer f.Close()
 	if st, err := f.Stat(); err != nil {
 		return nil, fmt.Errorf("trace: %v", err)
+	} else if !st.Mode().IsRegular() {
+		return nil, errTraceNotFile
 	} else if st.Size() > maxTraceBytes {
 		return nil, fmt.Errorf("trace file is %d bytes (max %d)", st.Size(), int64(maxTraceBytes))
 	}

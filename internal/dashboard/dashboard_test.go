@@ -426,6 +426,17 @@ func TestServeSweepEndpointTraceDoesNotLeak(t *testing.T) {
 	}
 }
 
+// TestServeSweepEndpointTraceNotFile: a trace path naming a directory
+// fails at the boundary with errTraceNotFile instead of being read.
+func TestServeSweepEndpointTraceNotFile(t *testing.T) {
+	rec := httptest.NewRecorder()
+	Handler(1).ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		"/api/servesweep?trace="+url.QueryEscape(t.TempDir()), nil))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), errTraceNotFile.Error()) {
+		t.Errorf("directory as trace: status %d, body %q; want 400 with %q", rec.Code, rec.Body.String(), errTraceNotFile)
+	}
+}
+
 // TestServeSweepEndpointShaped: the trace-shape axes (bursts, mixes)
 // and the cluster-capable static policy reach the endpoint — one
 // series per replica count × trace shape, shape columns in the table,

@@ -71,10 +71,10 @@
 // Waking an idle station pushes it onto the heap; a cut and each
 // station event re-key it; a station that goes idle is popped off.
 // Run returns the first error in this order: among station events,
-// the one with the lowest (event time, station ID). The completion
-// ledger is sorted by (finish time, request ID) before aggregation,
-// so Stats never depend on which station's events happened to be
-// appended first.
+// the one with the lowest (event time, station ID). Each completion is
+// inserted into the kernel's completion buffer at its (finish time,
+// request ID) position, so Stats never depend on which station's
+// events happened to record first.
 //
 // # Window keys
 //
@@ -142,14 +142,15 @@
 //     preemption, and — on prefill stations — at hand-off. A pointer
 //     into a station's running set is therefore only valid until the
 //     request finishes — nothing outside the station may retain one.
-//     RequestStats cross the API boundary by value (ledger, Sink),
-//     never by pointer. Phase sub-requests obey the same rule: the
-//     prefill sub-request's record goes straight back on its
-//     station's free list when the transfer is scheduled (the
-//     transfer record carries the lifecycle by value), and the decode
-//     sub-request draws a fresh record from the decode station's
-//     slab. A policy layer must never thread a record across the
-//     pool boundary.
+//     RequestStats leave the kernel by value in the ledger; the Sink
+//     gets a pointer into the kernel's completion buffer that is valid
+//     only for the call, never one into a request record. Phase
+//     sub-requests obey the same rule: the prefill sub-request's
+//     record goes straight back on its station's free list when the
+//     transfer is scheduled (the transfer record carries the lifecycle
+//     by value), and the decode sub-request draws a fresh record from
+//     the decode station's slab. A policy layer must never thread a
+//     record across the pool boundary.
 //   - A coalesced window is cut only by a delivery to its own
 //     station, so under dense fleet-wide arrivals a window still runs
 //     to its last step in one event and pays one MaxExtendSteps bound
@@ -163,9 +164,11 @@
 //     stations are never scanned. Stations are woken only via the
 //     kernel (routing a delivery); writing Station.nextAt from outside
 //     would desynchronise the heap.
-//   - Streamed completions collect in one kernel buffer that is sorted
-//     and flushed only once it grows past a fixed batch (and once at
-//     drain), not at every delivery.
+//   - Completions collect in one kernel buffer kept in completion
+//     order as they arrive: each is inserted by a short backward scan
+//     (see record), so nothing is sorted. A streamed run flushes the
+//     buffer's final prefix only once it grows past a fixed batch (and
+//     once at drain), not at every delivery.
 //   - A Kernel can recycle its slices and station shells (free lists
 //     included) across runs via Reuse/Release (see Scratch) — sweeps
 //     use this so per-point setup stops allocating once the first
@@ -249,14 +252,16 @@ type Kernel struct {
 	// batches, so memory is bounded by in-flight work rather than
 	// trace length. Completions are delivered in the same global
 	// (finish time, request ID) order Result.Finished would have (see
-	// flush). Called on the kernel's goroutine.
-	Sink func(RequestStats)
+	// flush). Called on the kernel's goroutine, with a pointer into the
+	// kernel's completion buffer that is valid only during the call:
+	// copy the record to keep it.
+	Sink func(*RequestStats)
 
 	cfg      Config
 	ran      bool
 	stations []*Station
 	heap     stationHeap    // stations with a pending event
-	done     []RequestStats // completions not yet ledgered or flushed
+	done     []RequestStats // completions not yet flushed, in completion order
 	flushAt  int            // len(done) that triggers the next flush
 	scratch  *Scratch       // arena to Release into, when recycling
 
@@ -389,8 +394,8 @@ type StationResult struct {
 
 // Result is a completed kernel run.
 type Result struct {
-	// Finished holds every completed request, sorted by (finish time,
-	// request ID) — the representation-independent order both the
+	// Finished holds every completed request, in (finish time,
+	// request ID) order — the representation-independent order both the
 	// stepped and coalesced paths agree on byte-for-byte. Empty when a
 	// Sink streamed the completions out instead.
 	Finished []RequestStats
@@ -500,13 +505,14 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		// Every station event strictly before t, in (time, ID) order. A
 		// prefill event may schedule a kv-transfer earlier than t, so t
 		// is recomputed after each event.
-		for len(k.heap) > 0 && k.heap[0].nextAt < t {
-			s := k.heap[0]
+		for len(k.heap) > 0 && k.heap[0].at < t {
+			s := k.heap[0].s
 			if s.lazy() {
 				// A lower-bound key: price the window up to t (or its
 				// last step, which makes the key exact) and re-key.
 				s.advance(t)
 				k.rekeys++
+				k.heap.rekey(0)
 				k.heap.down(0)
 				continue
 			}
@@ -516,6 +522,7 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s.nextAt < 0 {
 				k.heap.popRoot()
 			} else {
+				k.heap.rekey(0)
 				k.heap.down(0)
 			}
 			if k.phead < len(k.pending) && k.pending[k.phead].at < t {
@@ -581,48 +588,88 @@ func (k *Kernel) deliver(s *Station, q queued, t float64) error {
 		return nil
 	}
 	err := s.cut(t)
+	k.heap.rekey(s.hidx)
 	k.heap.up(s.hidx)
 	k.heap.down(s.hidx)
 	return err
 }
 
 // flushBatch is how many completions the Sink buffer gathers beyond
-// its carried-over tail before it is sorted and flushed.
+// its carried-over tail before it is flushed.
 const flushBatch = 1024
+
+// record inserts a completion into the buffer at its (finish time,
+// request ID) position, so the buffer is always in completion order.
+// Stations append completions in event order, which depends on how
+// many iterations each event carries — a coalesced window surfaces its
+// completions when the window ends, a stepped run interleaves them
+// with other stations' events — so the raw append order is
+// representation-dependent. Completion times are not: ordering on them
+// makes Stats (including the float summation order inside
+// sched.Summarize) identical for every kernel mode. (finish time,
+// request ID) is a total order — IDs are unique — so the position is
+// unique too.
+//
+// The insert scans back from the tail. A completion recorded at kernel
+// time T finishes at the end of the iteration that starts at T (a
+// static batch at T itself), and every completion already buffered
+// finished by the end of an iteration that started at or before T. So
+// only completions less than one iteration after T can follow it: the
+// scan is short.
+func (k *Kernel) record(r *RequestStats) {
+	done := append(k.done, RequestStats{})
+	i := len(done) - 1
+	for i > 0 && (done[i-1].Finished > r.Finished ||
+		(done[i-1].Finished == r.Finished && done[i-1].ID > r.ID)) {
+		done[i] = done[i-1]
+		i--
+	}
+	done[i] = *r
+	k.done = done
+}
 
 // flush streams every buffered completion that can no longer be
 // reordered out to the Sink. It runs at delivery instant t, after
 // every station event before t: any future completion finishes at or
 // after t, so the buffered completions strictly before t are final,
 // and completions tied at one instant always flush together. The
-// buffer is sorted by (finish time, request ID) and its final prefix
-// delivered, making the concatenated flushes exactly the order
-// Result.Finished would have; the rest is carried to the next flush.
+// buffer is in (finish time, request ID) order (record), so its final
+// prefix is found by binary search and delivered, making the
+// concatenated flushes exactly the order Result.Finished would have;
+// the rest is carried to the next flush.
 func (k *Kernel) flush(t float64) {
 	buf := k.done
-	SortByCompletion(buf)
 	n := sort.Search(len(buf), func(i int) bool { return buf[i].Finished >= t })
-	for _, r := range buf[:n] {
-		k.Sink(r)
+	for i := range buf[:n] {
+		k.Sink(&buf[i])
 	}
 	k.done = buf[:copy(buf, buf[n:])]
 	k.flushAt = len(k.done) + flushBatch
 }
 
 // stationHeap is the kernel's event queue: an indexed binary min-heap
-// of the stations with a pending event, keyed by (nextAt, ID).
-// Station.hidx is each member's position (-1 off the heap), so a cut
-// re-keys its station without a search.
-type stationHeap []*Station
+// of the stations with a pending event, keyed by (at, id). Each entry
+// carries its station's key inline, so a comparison never follows the
+// station pointer: at is a copy of the station's nextAt, and every
+// code path that moves nextAt on a member writes the copy before it
+// sifts (rekey). Station.hidx is each member's position (-1 off the
+// heap), so a cut re-keys its station without a search.
+type stationHeap []heapEntry
+
+type heapEntry struct {
+	at float64
+	id int
+	s  *Station
+}
 
 func (h stationHeap) less(i, j int) bool {
-	a, b := h[i], h[j]
-	return a.nextAt < b.nextAt || (a.nextAt == b.nextAt && a.ID < b.ID)
+	a, b := &h[i], &h[j]
+	return a.at < b.at || (a.at == b.at && a.id < b.id)
 }
 
 func (h stationHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].hidx, h[j].hidx = i, j
+	h[i].s.hidx, h[j].s.hidx = i, j
 }
 
 // up moves entry i toward the root while it precedes its parent.
@@ -655,9 +702,13 @@ func (h stationHeap) down(i int) {
 	}
 }
 
+// rekey copies entry i's station key after its nextAt moved: the
+// caller sifts the entry afterwards.
+func (h stationHeap) rekey(i int) { h[i].at = h[i].s.nextAt }
+
 func (h *stationHeap) push(s *Station) {
 	s.hidx = len(*h)
-	*h = append(*h, s)
+	*h = append(*h, heapEntry{at: s.nextAt, id: s.ID, s: s})
 	h.up(s.hidx)
 }
 
@@ -666,19 +717,19 @@ func (h *stationHeap) popRoot() {
 	old := *h
 	n := len(old) - 1
 	old.swap(0, n)
-	old[n].hidx = -1
-	old[n] = nil
+	old[n].s.hidx = -1
+	old[n] = heapEntry{}
 	*h = old[:n]
 	h.down(0)
 }
 
 // collect assembles the Result. On ledgered runs the completion
-// buffer becomes Result.Finished, sorted; it leaves the kernel, so
-// Release cannot recycle it under the caller.
+// buffer, already in completion order (record), becomes
+// Result.Finished; it leaves the kernel, so Release cannot recycle it
+// under the caller.
 func (k *Kernel) collect() Result {
 	var res Result
 	if k.Sink == nil {
-		SortByCompletion(k.done)
 		res.Finished, k.done = k.done, nil
 	}
 	for _, s := range k.stations {
@@ -700,32 +751,6 @@ func (k *Kernel) collect() Result {
 		})
 	}
 	return res
-}
-
-// SortByCompletion puts finished requests in completion order with a
-// request-ID tie-break. Stations append completions in event order,
-// which depends on how many iterations each event carries — a
-// coalesced window surfaces its completions when the window ends, a
-// stepped run interleaves them with other stations' events — so the
-// raw append order is representation-dependent. Completion times are
-// not: sorting on them makes Stats (including the float summation
-// order inside sched.Summarize) identical for every kernel mode.
-// (finish time, request ID) is a total order — IDs are unique — so
-// the unstable, allocation-free sort is still deterministic.
-func SortByCompletion(done []RequestStats) {
-	slices.SortFunc(done, func(a, b RequestStats) int {
-		switch {
-		case a.Finished < b.Finished:
-			return -1
-		case a.Finished > b.Finished:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
 }
 
 // RequestStats records one request's lifecycle. (internal/sched

@@ -224,7 +224,7 @@ func TestKernelSinkOrderAndModes(t *testing.T) {
 				return s
 			}
 			var streamed []des.RequestStats
-			k.Sink = func(r des.RequestStats) { streamed = append(streamed, r) }
+			k.Sink = func(r *des.RequestStats) { streamed = append(streamed, *r) }
 			res, err := k.Run(reqs)
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)

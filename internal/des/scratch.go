@@ -17,7 +17,7 @@ package des
 //
 // A Scratch is not concurrency-safe: use one per worker (or guard it
 // externally). Recycled state never affects results — stations are
-// fully reset on reuse, and RequestStats leave the kernel by value —
+// fully reset on reuse, and the ledger leaves the kernel by value —
 // so a swept grid stays byte-identical with or without recycling.
 type Scratch struct {
 	stations []*Station

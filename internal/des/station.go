@@ -149,8 +149,9 @@ type runReq struct {
 const reqSlabLen = 64
 
 // getReq takes a recycled (or slab-fresh) record and initialises it
-// for an admission at time now.
-func (s *Station) getReq(q queued, now float64) *runReq {
+// for an admission at time now. q is read before anything is written,
+// so it may point into the admission queue.
+func (s *Station) getReq(q *queued, now float64) *runReq {
 	var r *runReq
 	if n := len(s.free); n > 0 {
 		r = s.free[n-1]
@@ -162,13 +163,10 @@ func (s *Station) getReq(q queued, now float64) *runReq {
 		r = &s.slab[0]
 		s.slab = s.slab[1:]
 	}
-	*r = runReq{
-		req: q.req, evictedAt: q.evictedAt,
-		stats: RequestStats{
-			ID: q.req.ID, Input: q.req.Input, Output: q.req.Output,
-			Arrival: q.req.Arrival, Started: now, Preempted: q.preempted,
-		},
-	}
+	// Field by field: a composite literal of the whole record would be
+	// built in a temporary and copied.
+	*r = runReq{}
+	r.req, r.evictedAt = q.req, q.evictedAt
 	if q.decode {
 		// Decode sub-request: resume the carried lifecycle — original
 		// arrival, prefill timing, transfer delay — with the prompt
@@ -176,6 +174,9 @@ func (s *Station) getReq(q queued, now float64) *runReq {
 		// there, so generated starts at 1).
 		r.stats = q.carry
 		r.generated = 1
+	} else {
+		r.stats.ID, r.stats.Input, r.stats.Output = q.req.ID, q.req.Input, q.req.Output
+		r.stats.Arrival, r.stats.Started, r.stats.Preempted = q.req.Arrival, now, q.preempted
 	}
 	return r
 }
@@ -206,14 +207,13 @@ func (s *Station) reset() {
 // queueLen is the number of live queued requests.
 func (s *Station) queueLen() int { return len(s.queue) - s.qhead }
 
-// popHead removes and returns the queue's head.
-func (s *Station) popHead() queued {
-	q := s.queue[s.qhead]
+// popHead removes the queue's head. The entry stays in the backing
+// array until the next enqueue.
+func (s *Station) popHead() {
 	s.qhead++
 	if s.qhead == len(s.queue) {
 		s.queue, s.qhead = s.queue[:0], 0
 	}
-	return q
 }
 
 // Outstanding is the station's queued plus running request count —
@@ -649,7 +649,7 @@ func (s *Station) admit(now float64) (restoreS float64, err error) {
 		if s.evicting && len(s.run)+len(s.admitted) > 0 {
 			break
 		}
-		q := s.queue[s.qhead]
+		q := &s.queue[s.qhead] // valid until the next enqueue
 		if q.decode != (s.role == RoleDecode) {
 			// A phase routed to the wrong pool: the simulation would
 			// silently double-charge or skip the prefill. Router bug.
@@ -779,7 +779,7 @@ func (s *Station) stepStatic(now float64) (float64, error) {
 	for _, q := range live {
 		if len(s.admitted) < s.cfg.MaxBatch && s.Alloc.CanAlloc(q.req.Input+q.req.Output) {
 			if seq, err := s.Alloc.Alloc(q.req.Input + q.req.Output); err == nil {
-				r := s.getReq(q, now)
+				r := s.getReq(&q, now)
 				r.seq = seq
 				if s.disc != nil {
 					// Static batches run one padded graph, so cached
@@ -840,7 +840,7 @@ func (s *Station) stepStatic(now float64) (float64, error) {
 func (s *Station) finish(r *runReq, end float64) {
 	s.Alloc.Free(r.seq)
 	r.stats.Finished = end
-	s.k.done = append(s.k.done, r.stats)
+	s.k.record(&r.stats)
 	s.putReq(r)
 	s.done++
 	s.evicting = false

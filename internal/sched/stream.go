@@ -137,6 +137,11 @@ type P2Quantile struct {
 	pos  [5]float64 // marker positions (1-based observation counts)
 	want [5]float64 // desired marker positions
 	inc  [5]float64 // desired-position increments per observation
+	// sorted records that the markers are non-decreasing and NaN-free,
+	// which makes Observe's branch-light cell count exact. Only NaN,
+	// infinite or near-overflow samples can break it; the cell search
+	// then takes over.
+	sorted bool
 }
 
 // Init configures the estimator for quantile p ∈ (0, 1). The zero
@@ -161,48 +166,89 @@ func (s *P2Quantile) Observe(x float64) {
 			s.pos = [5]float64{1, 2, 3, 4, 5}
 			p := s.p
 			s.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
+			// A NaN among the first five leaves the collection out of
+			// order, as it compares false in the insertion.
+			s.sorted = s.q[0] <= s.q[1] && s.q[1] <= s.q[2] && s.q[2] <= s.q[3] && s.q[3] <= s.q[4]
 		}
 		return
 	}
 	s.n++
-	// Locate the cell containing x, extending the extreme markers.
-	var k int
+	// Extend the extreme markers and move every marker above x's cell
+	// one position up.
+	if s.sorted {
+		// x < q[i] holds exactly for the markers above x's cell, and a
+		// NaN lands in the last cell, as it compares false everywhere.
+		if x < s.q[0] {
+			s.q[0] = x
+		}
+		if x >= s.q[4] {
+			s.q[4] = x
+		}
+		s.pos[1] += b2f(x < s.q[1])
+		s.pos[2] += b2f(x < s.q[2])
+		s.pos[3] += b2f(x < s.q[3])
+	} else {
+		s.searchCell(x)
+	}
+	s.pos[4]++
+	// Only the interior markers' desired positions are ever read.
+	s.want[1] += s.inc[1]
+	s.want[2] += s.inc[2]
+	s.want[3] += s.inc[3]
+	// Adjust the interior markers toward their desired positions.
+	for i := 1; i <= 3; i++ {
+		d := s.want[i] - s.pos[i]
+		if d >= 1 && s.pos[i+1]-s.pos[i] > 1 {
+			s.move(i, 1)
+		} else if d <= -1 && s.pos[i-1]-s.pos[i] < -1 {
+			s.move(i, -1)
+		}
+	}
+}
+
+// b2f is 1 for true and 0 for false, selected without a branch.
+func b2f(b bool) float64 {
+	i := 0
+	if b {
+		i = 1
+	}
+	return float64(i)
+}
+
+// searchCell is the cell search for markers that are out of order
+// (see sorted): extend an extreme marker, or else find the first
+// interior marker above x, and move the interior markers above x's
+// cell one position up.
+func (s *P2Quantile) searchCell(x float64) {
+	k := 3
 	switch {
 	case x < s.q[0]:
 		s.q[0] = x
 		k = 0
 	case x >= s.q[4]:
 		s.q[4] = x
-		k = 3
 	default:
-		for k = 0; k < 3; k++ {
-			if x < s.q[k+1] {
-				break
-			}
+		for k = 0; k < 3 && !(x < s.q[k+1]); k++ {
 		}
 	}
-	for i := k + 1; i < 5; i++ {
+	for i := k + 1; i < 4; i++ {
 		s.pos[i]++
 	}
-	for i := range s.want {
-		s.want[i] += s.inc[i]
+}
+
+// move shifts interior marker i one position in direction sign, to
+// the parabolic height prediction when it stays strictly inside its
+// neighbours' bracket and to the linear one otherwise. A linear height
+// from an infinite or overflowing bracket can be NaN or leave the
+// bracket, which clears sorted.
+func (s *P2Quantile) move(i int, sign float64) {
+	if qp := s.parabolic(i, sign); s.q[i-1] < qp && qp < s.q[i+1] {
+		s.q[i] = qp
+	} else {
+		s.q[i] = s.linear(i, sign)
+		s.sorted = s.sorted && s.q[i-1] <= s.q[i] && s.q[i] <= s.q[i+1]
 	}
-	// Adjust the interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := s.want[i] - s.pos[i]
-		if (d >= 1 && s.pos[i+1]-s.pos[i] > 1) || (d <= -1 && s.pos[i-1]-s.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			if qp := s.parabolic(i, sign); s.q[i-1] < qp && qp < s.q[i+1] {
-				s.q[i] = qp
-			} else {
-				s.q[i] = s.linear(i, sign)
-			}
-			s.pos[i] += sign
-		}
-	}
+	s.pos[i] += sign
 }
 
 // parabolic is the P² piecewise-parabolic height prediction for

@@ -192,3 +192,199 @@ func TestSummarizeValidatesFirst(t *testing.T) {
 		t.Error("empty ledger must be rejected")
 	}
 }
+
+// p2Reference is the plain form of the P² update: a cell search, then
+// loops over every marker. With its own copies of the two height
+// predictors it is the bit-identity oracle for P2Quantile.Observe's
+// branch-light form. It ignores every field but p, n, q, pos, want and
+// inc.
+func p2Reference(s *P2Quantile, x float64) {
+	if s.n < 5 {
+		// Collect the first five samples, keeping them sorted.
+		i := s.n
+		for i > 0 && s.q[i-1] > x {
+			s.q[i] = s.q[i-1]
+			i--
+		}
+		s.q[i] = x
+		s.n++
+		if s.n == 5 {
+			s.pos = [5]float64{1, 2, 3, 4, 5}
+			p := s.p
+			s.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
+		}
+		return
+	}
+	s.n++
+	// Locate the cell containing x, extending the extreme markers.
+	var k int
+	switch {
+	case x < s.q[0]:
+		s.q[0] = x
+		k = 0
+	case x >= s.q[4]:
+		s.q[4] = x
+		k = 3
+	default:
+		for k = 0; k < 3; k++ {
+			if x < s.q[k+1] {
+				break
+			}
+		}
+	}
+	for i := k + 1; i < 5; i++ {
+		s.pos[i]++
+	}
+	for i := range s.want {
+		s.want[i] += s.inc[i]
+	}
+	// Adjust the interior markers toward their desired positions.
+	for i := 1; i <= 3; i++ {
+		d := s.want[i] - s.pos[i]
+		if (d >= 1 && s.pos[i+1]-s.pos[i] > 1) || (d <= -1 && s.pos[i-1]-s.pos[i] < -1) {
+			sign := 1.0
+			if d < 0 {
+				sign = -1
+			}
+			if qp := p2RefParabolic(s, i, sign); s.q[i-1] < qp && qp < s.q[i+1] {
+				s.q[i] = qp
+			} else {
+				s.q[i] = p2RefLinear(s, i, sign)
+			}
+			s.pos[i] += sign
+		}
+	}
+}
+
+func p2RefParabolic(s *P2Quantile, i int, sign float64) float64 {
+	return s.q[i] + sign/(s.pos[i+1]-s.pos[i-1])*
+		((s.pos[i]-s.pos[i-1]+sign)*(s.q[i+1]-s.q[i])/(s.pos[i+1]-s.pos[i])+
+			(s.pos[i+1]-s.pos[i]-sign)*(s.q[i]-s.q[i-1])/(s.pos[i]-s.pos[i-1]))
+}
+
+func p2RefLinear(s *P2Quantile, i int, sign float64) float64 {
+	j := i + int(sign)
+	return s.q[i] + sign*(s.q[j]-s.q[i])/(s.pos[j]-s.pos[i])
+}
+
+// sameBits reports whether two float arrays are equal bit for bit, so
+// NaN matches NaN and -0 does not match +0.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkP2MatchesReference feeds xs to the production sketch and to
+// p2Reference side by side and fails at the first observation after
+// which the marker heights, positions, desired positions or the
+// estimate differ in any bit.
+func checkP2MatchesReference(t *testing.T, name string, p float64, xs []float64) {
+	t.Helper()
+	var got, ref P2Quantile
+	got.Init(p)
+	ref.Init(p)
+	for i, x := range xs {
+		got.Observe(x)
+		p2Reference(&ref, x)
+		gv, rv := got.Value(), ref.Value()
+		if got.n != ref.n || !sameBits(got.q[:], ref.q[:]) || !sameBits(got.pos[:], ref.pos[:]) ||
+			!sameBits(got.want[1:4], ref.want[1:4]) || !sameBits([]float64{gv}, []float64{rv}) {
+			t.Fatalf("%s, p=%v: after observation %d (x=%v) got q=%v pos=%v value=%v, reference q=%v pos=%v value=%v",
+				name, p, i, x, got.q, got.pos, gv, ref.q, ref.pos, rv)
+		}
+	}
+}
+
+// p2Streams are the oracle's input shapes: heavy ties, sorted and
+// reverse-sorted runs, the accuracy contract's lognormal and
+// exponential samples, and streams mixing NaN, ±Inf and extreme
+// finite values, including inside the first five observations.
+func p2Streams() map[string][]float64 {
+	const n = 20000
+	rng := trace.NewRNG(0x5eed)
+	ties := make([]float64, n)
+	sorted := make([]float64, n)
+	reverse := make([]float64, n)
+	special := make([]float64, n)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 0}
+	for i := range ties {
+		ties[i] = float64(rng.Intn(4))
+		sorted[i] = float64(i / 3)
+		reverse[i] = float64(n - i/3)
+		special[i] = rng.Exp(1)
+		if rng.Intn(8) == 0 {
+			special[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return map[string][]float64{
+		"ties":              ties,
+		"sorted":            sorted,
+		"reverse":           reverse,
+		"lognormal":         accuracySamples("lognormal", n),
+		"exponential":       accuracySamples("exponential", n),
+		"special":           special,
+		"nan-first":         {math.NaN(), 1, 2, math.NaN(), 0, 3, 1, 5, 0.5, 4, 2},
+		"unsorted-nan-fill": {5, math.NaN(), 7, math.NaN(), 1, 2, 6, 9, 0, 3, 8, 4, 4},
+		"inf-markers":       {math.Inf(1), math.Inf(1), math.Inf(1), 1, 2, 3, math.Inf(1), 0, 1, 2, math.Inf(-1), math.Inf(-1), 4, 5, 1, 1, 2},
+		"overflow":          {-math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, 0, 1, -1, 2, math.MaxFloat64, -2, 3, 0, 0, 1},
+	}
+}
+
+// TestP2MatchesReference pins the production sketch to p2Reference
+// bit for bit after every observation, on every stream shape and at
+// the aggregator's three quantiles plus a low one.
+func TestP2MatchesReference(t *testing.T) {
+	for name, xs := range p2Streams() {
+		for _, p := range []float64{0.1, 0.5, 0.95, 0.99} {
+			checkP2MatchesReference(t, name, p, xs)
+			for n := 0; n <= 5 && n <= len(xs); n++ {
+				checkP2MatchesReference(t, name, p, xs[:n])
+			}
+		}
+	}
+}
+
+// p2FuzzStream decodes fuzz bytes into a sample stream: each leading
+// byte picks a small integer (ties), a special value, or eight raw
+// bytes of float64 bits.
+func p2FuzzStream(data []byte) []float64 {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 0, math.Copysign(0, -1)}
+	var xs []float64
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		switch {
+		case b < 192:
+			xs = append(xs, float64(b%16))
+		case b < 224:
+			xs = append(xs, specials[int(b-192)%len(specials)])
+		case len(data) >= 8:
+			var bits uint64
+			for _, c := range data[:8] {
+				bits = bits<<8 | uint64(c)
+			}
+			data = data[8:]
+			xs = append(xs, math.Float64frombits(bits))
+		}
+	}
+	return xs
+}
+
+// FuzzP2MatchesReference extends TestP2MatchesReference to arbitrary
+// streams and quantiles.
+func FuzzP2MatchesReference(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 0, 3, 1, 1, 2, 0, 0, 3, 2, 1, 3, 0, 2, 2, 1}, uint8(50))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint8(95))
+	f.Add([]byte{15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(99))
+	f.Add([]byte{192, 5, 192, 7, 1, 2, 6, 9, 0, 3, 8, 4, 4}, uint8(50))
+	f.Add([]byte{193, 193, 193, 1, 2, 3, 193, 0, 1, 2, 194, 194, 4, 5, 1, 1, 2}, uint8(10))
+	f.Add([]byte{196, 195, 196, 195, 0, 1, 9, 2, 195, 7, 3, 0, 0, 1}, uint8(50))
+	f.Fuzz(func(t *testing.T, data []byte, pb uint8) {
+		p := float64(pb%99+1) / 100
+		checkP2MatchesReference(t, "fuzz", p, p2FuzzStream(data))
+	})
+}
