@@ -82,10 +82,15 @@
 // left-to-right float64 sum of every step cost before it. Summing that
 // chain when the window opens would add each step about twice, because
 // most windows are cut about halfway. So a window opens unsummed. The
-// station keeps a priced cursor: the steps summed so far, the next
-// step's start, and busy and maxIter with those steps applied. Until
-// the cursor reaches the last step, the heap key is a lower bound on
-// the last step's start. With r steps unsummed, the cursor at wt and
+// station keeps a priced cursor that carries two float chains: the
+// next step's start (wt, with the previous start in wp) and busy with
+// the steps summed so far applied. It does not carry maxIter. A commit
+// folds maxIter from the committed costs, and when the engine's rising
+// certificate (engine.StepVec.Rise) shows the window's costs are
+// nondecreasing from its start context, it reads the longest step off
+// the last committed cost. Max is exact and independent of order, so
+// that equals a running max. Until the cursor reaches the last step,
+// the heap key is a lower bound on the last step's start. With r steps unsummed, the cursor at wt and
 // every cost at least the engine snapshot's floor
 // (engine.StepVec.Floor), the key is
 //
@@ -107,8 +112,8 @@
 // later delivery. The cut then rewinds and sums again from the
 // window's start. Every step is added in step order, and the full
 // commit adds the last step to the cursor's sums. So every timestamp,
-// busy total and output is bit-identical to summing the whole window
-// when it opens. A cut can move a key later, past its lower bound, so
+// busy total, maxIter and output is bit-identical to summing the whole
+// window when it opens. A cut can move a key later, past its lower bound, so
 // a delivery re-keys its station both up and down the heap.
 //
 // # KV pressure

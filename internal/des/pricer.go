@@ -13,8 +13,12 @@ package des
 // the earliest completion and the allocator's headroom: only a
 // delivery to its own station can cut it short, so most windows run to
 // the end. Its costs are summed later, lazily, by the station's priced
-// cursor, which keys the event heap with a bound built from the
-// snapshot's floor.
+// cursor, which carries only the clock (wt, wp) and busy chains and
+// keys the event heap with a bound built from the snapshot's floor.
+// The window's longest step is not tracked per step: a commit folds
+// maxIter from the committed costs, reading it off the last one when
+// the snapshot's rising certificate (engine.StepVec.Rise) shows the
+// costs are nondecreasing from the window's start context.
 //
 // The pricer is plain station-local state: recycled through
 // des.Scratch with the station shell and cleared on reset/Release so
@@ -26,19 +30,22 @@ import (
 )
 
 // pricer caches one immutable step-vector snapshot per station. floor
-// is the snapshot's cost floor (engine.StepVec.Floor), read after the
-// last window view was taken, so it bounds every cost in that view.
+// is the snapshot's cost floor (engine.StepVec.Floor) and rising
+// reports whether its rising certificate (engine.StepVec.Rise) is at
+// or below the last window's start context; both are read after that
+// window's view was taken, so they hold for every cost in it.
 type pricer struct {
 	batch    int
 	ctxStart int
 	vec      engine.StepVec
 	floor    float64
+	rising   bool
 }
 
 // window returns the per-step costs of n consecutive decode steps at
 // (batch, ctx0): entry i is the step cost at context ctx0+i. The
 // returned slice is a shared immutable snapshot view; a warm call is a
-// bounds check, a reslice and the floor load.
+// bounds check, a reslice and the floor and certificate loads.
 func (p *pricer) window(eng *engine.Engine, batch, ctx0, n int) ([]float64, error) {
 	if batch == p.batch && ctx0 >= p.ctxStart {
 		off := ctx0 - p.ctxStart
@@ -52,7 +59,7 @@ func (p *pricer) window(eng *engine.Engine, batch, ctx0, n int) ([]float64, erro
 			p.vec = v
 		}
 		w := p.vec.Seconds()[off : off+n]
-		p.floor = p.vec.Floor()
+		p.floor, p.rising = p.vec.Floor(), p.vec.Rise() <= ctx0
 		return w, nil
 	}
 	v, err := eng.DecodeStepVec(batch, ctx0, n)
@@ -61,7 +68,7 @@ func (p *pricer) window(eng *engine.Engine, batch, ctx0, n int) ([]float64, erro
 	}
 	p.batch, p.ctxStart, p.vec = batch, ctx0, v
 	w := v.Seconds()[:n]
-	p.floor = v.Floor()
+	p.floor, p.rising = v.Floor(), v.Rise() <= ctx0
 	return w, nil
 }
 

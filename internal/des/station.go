@@ -76,19 +76,23 @@ type Station struct {
 	// it (cut). Empty when no window is open.
 	//
 	// The window's step starts are summed lazily, left to right, by a
-	// priced cursor: wi steps are summed so far, wt is the start of
-	// step wi, wp the start of step wi-1, and wbusy and wmax are busy
-	// and maxIter with those wi steps applied. While the cursor is
-	// short of the last step, nextAt is only a lower bound on that
+	// priced cursor that carries two float chains: wi steps are summed
+	// so far, wt is the start of step wi, wp the start of step wi-1,
+	// and wbusy is busy with those wi steps applied. While the cursor
+	// is short of the last step, nextAt is only a lower bound on that
 	// step's start (windowKey, built from wfloor, a lower bound on
 	// every step cost); the kernel advances the cursor before the key
 	// can pass a delivery, and only an exact key runs an event.
-	win         []float64
-	winAt       float64
-	wi          int
-	wt, wp      float64
-	wbusy, wmax float64
-	wfloor      float64
+	// maxIter is not carried: a commit folds it from the committed
+	// costs (iterMax), off the last one when wrise certifies the
+	// window's costs nondecreasing (engine.StepVec.Rise).
+	win    []float64
+	winAt  float64
+	wi     int
+	wt, wp float64
+	wbusy  float64
+	wfloor float64
+	wrise  bool
 
 	// events, windows, steps and cuts count station events run,
 	// coalesced windows opened, decode iterations executed (coalesced
@@ -304,21 +308,35 @@ func (s *Station) lazy() bool { return s.wi < len(s.win)-1 }
 // nextAt. Each step cost is added once, in step order, so the sums are
 // bit-identical to a walk from the window's start.
 func (s *Station) advance(t float64) {
-	w, last := s.win, len(s.win)-1
-	i, wt, wp, busy, mx := s.wi, s.wt, s.wp, s.wbusy, s.wmax
-	for i < last && wt < t {
-		c := w[i]
-		if c > mx {
-			mx = c
-		}
-		busy += c
+	w := s.win[s.wi : len(s.win)-1]
+	wt, wp, busy := s.wt, s.wp, s.wbusy
+	n := 0
+	for ; n < len(w) && wt < t; n++ {
+		busy += w[n]
 		wp = wt
-		wt += c
-		i++
+		wt += w[n]
 	}
-	s.priced += i - s.wi
-	s.wi, s.wt, s.wp, s.wbusy, s.wmax = i, wt, wp, busy, mx
+	s.priced += n
+	s.wi, s.wt, s.wp, s.wbusy = s.wi+n, wt, wp, busy
 	s.nextAt = s.windowKey()
+}
+
+// iterMax is maxIter with the open window's first k step costs
+// applied. A window certified rising has its longest step last;
+// otherwise the costs are folded with a running max. Max is exact and
+// independent of order, so both equal a left-to-right running max.
+func (s *Station) iterMax(k int) float64 {
+	w := s.win[:k]
+	if s.wrise && k > 0 {
+		w = w[k-1:] // nondecreasing: the longest step is the last
+	}
+	m := s.maxIter
+	for _, c := range w {
+		if c > m {
+			m = c
+		}
+	}
+	return m
 }
 
 // windowKey is the open window's event key: the start of its last step
@@ -352,13 +370,13 @@ func (s *Station) cut(t float64) error {
 		return nil
 	}
 	if s.wi >= 2 && s.wp >= t {
-		s.wi, s.wt, s.wbusy, s.wmax = 0, s.winAt, s.busy, s.maxIter
+		s.wi, s.wt, s.wbusy = 0, s.winAt, s.busy
 	}
 	s.advance(t)
 	if s.wt < t {
 		return nil
 	}
-	s.busy, s.maxIter = s.wbusy, s.wmax
+	s.busy, s.maxIter = s.wbusy, s.iterMax(s.wi)
 	s.cuts++
 	s.nextAt = s.wt
 	return s.commit(s.wi, s.wt)
@@ -366,9 +384,9 @@ func (s *Station) cut(t float64) error {
 
 // commit applies k decode steps of the open window, ending at end,
 // to the running set and closes the window; the caller has already
-// charged their busy and maxIter. One batched Extend to each final
-// context: headroom was verified for the whole window, so none of
-// these can OOM, and the allocator lands in the same state as k
+// charged their busy and maxIter (iterMax). One batched Extend to each
+// final context: headroom was verified for the whole window, so none
+// of these can OOM, and the allocator lands in the same state as k
 // single-token extends.
 func (s *Station) commit(k int, end float64) error {
 	s.win = nil
@@ -405,7 +423,7 @@ func (s *Station) step(now float64) (float64, error) {
 		// cursor there): add the last step and commit the whole window.
 		c := s.win[len(s.win)-1]
 		end := s.wt + c
-		s.busy, s.maxIter = s.wbusy+c, max(s.wmax, c)
+		s.busy, s.maxIter = s.wbusy+c, s.iterMax(len(s.win))
 		s.priced++
 		return end, s.commit(len(s.win), end)
 	}
@@ -547,8 +565,8 @@ func (s *Station) step(now float64) (float64, error) {
 				// the costs left to right, as the stepped path adds
 				// them, only as far as deliveries and the kernel need.
 				s.win, s.winAt = window, now
-				s.wi, s.wt, s.wp, s.wbusy, s.wmax = 0, now, now, s.busy, s.maxIter
-				s.wfloor = s.pricer.floor
+				s.wi, s.wt, s.wp, s.wbusy = 0, now, now, s.busy
+				s.wfloor, s.wrise = s.pricer.floor, s.pricer.rising
 				s.windows++
 				return s.windowKey(), nil
 			}

@@ -146,9 +146,10 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 // engine's master step vectors upward in place, past capacity, and
 // downward (a re-base publishes a fresh generation) at once, and every
 // view they get back must carry a floor no greater than any cell it
-// covers — read after the cells, as the serving kernel reads it. Once
+// covers and a rising certificate no lower than any descent in it —
+// both read after the cells, as the serving kernel reads them. Once
 // the builders are done, each generation's floor is exactly its
-// smallest published cell.
+// smallest published cell and its certificate its highest descent.
 func TestStepVecFloorConcurrent(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
 	const workers = 6
@@ -172,10 +173,14 @@ func TestStepVecFloorConcurrent(t *testing.T) {
 					return
 				}
 				cells := v.Seconds()
-				floor := v.Floor()
+				floor, rise := v.Floor(), v.Rise()
 				for j, c := range cells {
 					if floor > c {
 						errs[w] = fmt.Errorf("batch %d ctx %d: floor %v above cell %d = %v", batch, ctx, floor, j, c)
+						return
+					}
+					if j > 0 && ctx+j > rise && !(c >= cells[j-1]) {
+						errs[w] = fmt.Errorf("batch %d ctx %d: certificate %d, but cell %d = %v falls from %v", batch, ctx, rise, j, c, cells[j-1])
 						return
 					}
 				}
@@ -198,6 +203,9 @@ func TestStepVecFloorConcurrent(t *testing.T) {
 			}
 			if f := v.Floor(); f != lowest {
 				t.Fatalf("generation at base %d: floor %v, smallest published cell %v", v.vec.base, f, lowest)
+			}
+			if r, want := v.Rise(), bruteRise(v.vec); r != want {
+				t.Fatalf("generation at base %d: certificate %d, highest descent %d", v.vec.base, r, want)
 			}
 		}
 	}

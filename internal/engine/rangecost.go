@@ -167,6 +167,18 @@ func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 // greater than any cell below that n. The serving kernel keys an open
 // window's event by it (internal/des).
 //
+// rise is the generation's rising certificate: the highest context
+// whose cell is below its left neighbour (a descent), or 0 when there
+// is none, so the cells from any context at or above rise are
+// nondecreasing. It follows floor's publication order: fillMaster
+// raises it — over the pairs the new cells join, including the
+// (base−1, base) pair a downward re-base creates — before the
+// release-store of n, and a re-base copies it, so a reader that loads
+// n and then rise sees a certificate no lower than the highest descent
+// below that n. It only rises, so a later load is still safe. The
+// serving kernel's window commits read the longest step of a certified
+// window off its last cell.
+//
 // One master per batch — rather than one vector per (batch, ctxStart)
 // anchor — is what keeps a million-request run's allocations flat:
 // a step's price is a pure function of (batch, ctx), so every window
@@ -176,6 +188,7 @@ type stepVec struct {
 	base    int // context of cell 0; immutable per generation
 	n       atomic.Int64
 	floor   atomic.Uint64
+	rise    atomic.Int64
 	seconds []float64
 	balSec  []float64 // powerBalance(step) · seconds
 	bounds  []uint8   // roofline.Bound
@@ -189,24 +202,45 @@ func newStepVec(base, c int) *stepVec {
 	return v
 }
 
-// fillMaster prices the cells for contexts [lo, hi] of v, one
-// decodeStep each: the master is the memo, so no context is ever
-// priced twice. Callers hold the build mutex. It lowers v's floor to
-// the smallest cell it wrote; the caller publishes the cells
-// afterwards by storing n.
-func (e *Engine) fillMaster(v *stepVec, batch, lo, hi int) error {
+// priceFunc prices the decode step at one context of a batch: its
+// seconds, its powerBalance·seconds product and its roofline bound.
+type priceFunc func(ctx int) (seconds, balSec float64, bound uint8, err error)
+
+// fillMaster prices the cells for contexts [lo, hi] of v, one price
+// call each: the master is the memo, so no context is ever priced
+// twice. top is the end of the band the caller will publish, so a cell
+// at hi+1 below top was written before (a downward re-base). Callers
+// hold the build mutex. It lowers v's floor to the smallest cell it
+// wrote and raises v's rising certificate over the pairs those cells
+// join; the caller publishes the cells afterwards by storing n.
+func fillMaster(v *stepVec, lo, hi, top int, price priceFunc) error {
 	floor := math.Float64frombits(v.floor.Load())
 	for ctx := lo; ctx <= hi; ctx++ {
-		st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
+		sec, bal, bound, err := price(ctx)
 		if err != nil {
 			return err
 		}
 		i := ctx - v.base
-		v.seconds[i], v.balSec[i], v.bounds[i] = st.Seconds, powerBalance(st)*st.Seconds, uint8(st.Bound)
-		floor = min(floor, st.Seconds)
+		v.seconds[i], v.balSec[i], v.bounds[i] = sec, bal, bound
+		floor = min(floor, sec)
 	}
 	v.floor.Store(math.Float64bits(floor))
+	v.rise.Store(int64(highestDescent(int(v.rise.Load()), v.seconds, v.base, lo, min(hi+1, top-1))))
 	return nil
+}
+
+// highestDescent raises the rising certificate rise to the highest
+// context c in [lo, hi] whose cell is not at least its left
+// neighbour's, where cells[i] holds context base+i (context base has no
+// left neighbour). It scans down from hi and stops at rise, so a
+// certificate already above the range costs nothing.
+func highestDescent(rise int, cells []float64, base, lo, hi int) int {
+	for c := hi; c >= lo && c > base && c > rise; c-- {
+		if !(cells[c-base] >= cells[c-base-1]) {
+			return c
+		}
+	}
+	return rise
 }
 
 // masterFor returns the batch's master vector covering contexts
@@ -219,17 +253,38 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	latest := e.vecs.get(batch-1, 0)
+	v, err := growMaster(latest, lo, hi, func(ctx int) (float64, float64, uint8, error) {
+		st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		return st.Seconds, powerBalance(st) * st.Seconds, uint8(st.Bound), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if v != latest {
+		e.vecs.put(batch-1, 0, v)
+	}
+	return v, nil
+}
+
+// growMaster returns a generation of a batch's master covering
+// contexts [lo, hi], given the batch's latest generation (nil before
+// the first): latest itself when it already covers the band or grows
+// in place, else a fresh generation the caller must publish. New cells
+// come from price. Callers hold the build mutex.
+func growMaster(latest *stepVec, lo, hi int, price priceFunc) (*stepVec, error) {
 	if latest == nil {
 		c := hi - lo + 1
 		if c < 64 {
 			c = 64
 		}
 		v := newStepVec(lo, c)
-		if err := e.fillMaster(v, batch, lo, hi); err != nil {
+		if err := fillMaster(v, lo, hi, hi+1, price); err != nil {
 			return nil, err
 		}
 		v.n.Store(int64(hi - lo + 1))
-		e.vecs.put(batch-1, 0, v)
 		return v, nil
 	}
 	base, n := latest.base, int(latest.n.Load())
@@ -262,19 +317,19 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 		copy(v.balSec[base-newBase:], latest.balSec[:n])
 		copy(v.bounds[base-newBase:], latest.bounds[:n])
 		v.floor.Store(latest.floor.Load())
-		if err := e.fillMaster(v, batch, newBase, base-1); err != nil {
+		v.rise.Store(latest.rise.Load())
+		if err := fillMaster(v, newBase, base-1, top, price); err != nil {
 			return nil, err
 		}
-		if err := e.fillMaster(v, batch, base+n, top-1); err != nil {
+		if err := fillMaster(v, base+n, top-1, top, price); err != nil {
 			return nil, err
 		}
 		v.n.Store(int64(top - newBase))
-		e.vecs.put(batch-1, 0, v)
 		return v, nil
 	}
 	// Upward growth within capacity: write the new cells in place,
 	// then publish the count — the steady-state path, zero allocations.
-	if err := e.fillMaster(latest, batch, base+n, top-1); err != nil {
+	if err := fillMaster(latest, base+n, top-1, top, price); err != nil {
 		return nil, err
 	}
 	latest.n.Store(int64(top - newBase))
@@ -373,6 +428,20 @@ func (v StepVec) Floor() float64 {
 		return 0
 	}
 	return math.Float64frombits(v.vec.floor.Load())
+}
+
+// Rise returns the batch master's rising certificate: the highest
+// context whose step cost is below its left neighbour's, or 0 when
+// there is none. Every cell of Seconds read before it at a context
+// above Rise() is at least the cell before it, so a window of the view
+// starting at or above Rise() is nondecreasing and has its longest
+// step last. It only rises as the vector grows, and is 0 for an empty
+// view.
+func (v StepVec) Rise() int {
+	if v.vec == nil {
+		return 0
+	}
+	return int(v.vec.rise.Load())
 }
 
 // DecodeStepVec returns a view of the batch's master step-cost vector
