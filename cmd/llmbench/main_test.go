@@ -33,6 +33,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"run", "fig99"}); err == nil {
 		t.Error("unknown experiment must fail")
 	}
+	if err := run([]string{"explain", "-tp", "-4"}); err == nil {
+		t.Error("a negative TP degree must fail")
+	}
 }
 
 func TestRunOneWritesCSV(t *testing.T) {

@@ -261,7 +261,7 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 	if err := setup(k); err != nil {
 		return Stats{}, err
 	}
-	var agg sched.Aggregator
+	var agg *sched.StreamAggregator
 	if cfg.Streaming {
 		stream := sched.NewStreamAggregator()
 		agg = stream

@@ -15,6 +15,14 @@
 // KV block overhead, batched-GEMM limits, pipeline bubbles, dataflow
 // graph setup — enters as an explicit term.
 //
+// Each phase's roofline terms are defined once: prefillTerms for the
+// prompt pass, stepTerms for a decode step (the eager full recompute
+// when the KV cache is disabled). One combine step (phaseTerms.cost)
+// applies the device overlap, the bound and the balance. Run prices
+// through the memo tables below, Explain reports the same terms, and
+// both start from one memory plan (memoryPlan), so Explain's totals
+// equal Run's bit for bit.
+//
 // # Performance notes
 //
 // The step-cost memo (rangecost.go) is the pricing hot path of the
@@ -32,11 +40,11 @@
 //     interleaving.
 //   - One priced table per batch. A step's seconds, balance·seconds
 //     product and roofline bound are pure functions of (batch, ctx),
-//     so one master vector per batch holds them all and is the only
-//     place a decode step is priced: each (batch, ctx) is evaluated
-//     once per engine. It serves every window as a subslice view and
-//     grows in place by filling cells past the published count and
-//     release-storing the new count, so a slice returned by
+//     so one master vector per batch holds them all and is where Run
+//     and the serving kernel price a decode step: each (batch, ctx) is
+//     evaluated once per engine. It serves every window as a subslice
+//     view and grows in place by filling cells past the published
+//     count and release-storing the new count, so a slice returned by
 //     StepVec.Seconds is shared between every caller and must never
 //     be written.
 //   - Ranges fold from that table in step order. DecodeRangeSeconds
@@ -49,8 +57,7 @@
 //     internal/sched, and in internal/cluster.
 //   - One prefill table. PrefillSeconds prices each (batch, input)
 //     pair once per engine in its own lock-free grid; Run and the
-//     serving kernel both read it. Only PowerTrace, which needs the
-//     prefill's roofline balance, prices a prefill directly.
+//     serving kernel both read it.
 package engine
 
 import (
@@ -109,12 +116,13 @@ type Config struct {
 	DisableKVCache bool
 }
 
-// Engine evaluates benchmark points for one configuration. An
-// Engine's configuration is immutable after New and every method is
-// safe for concurrent use: Run, Explain, and the step-cost helpers
-// only read the configuration, which is what lets sweeps share one
-// engine across workers and cache engines by system (engine.Cached,
-// llmbench.Sweep). The only mutable state is the pricing memo — one
+// Engine evaluates benchmark points for one configuration: Run for
+// the paper's metrics, Explain for where the time goes, and the
+// step-cost helpers for the serving kernel. An Engine's configuration
+// is immutable after New and every method is safe for concurrent use:
+// they only read the configuration, which is what lets sweeps share
+// one engine across workers and cache engines by system
+// (engine.Cached, llmbench.Sweep). The only mutable state is the pricing memo — one
 // master step table per batch (rangecost.go) plus the prefill grid:
 // lock-free tables whose readers never lock and whose writers
 // serialise on buildMu — and deterministic either way, since a cached
@@ -134,8 +142,9 @@ type Engine struct {
 	// prompt length keep each row as short as the batch cap, where
 	// rows by batch would each span the whole input range.
 	prefills costGrid[float64]
-	// decodeEvals and prefillEvals count decodeStep and prefill
-	// evaluations: with the memo, one per priced cell.
+	// decodeEvals and prefillEvals count the decode steps and prefills
+	// the memo fills price: one per priced cell. Explain's direct
+	// pricing is not counted.
 	decodeEvals, prefillEvals atomic.Int64
 }
 
@@ -204,9 +213,6 @@ func New(cfg Config) (*Engine, error) {
 		blkEff: blk,
 	}, nil
 }
-
-// Config returns the engine's (normalised) configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Result is one benchmark point's outcome.
 type Result struct {
@@ -318,6 +324,11 @@ func (e *Engine) kvStreamBW(division float64) float64 {
 	return e.cfg.Device.MemBW() * e.effM * division * e.cfg.Framework.KVEff * e.blkEff
 }
 
+// kvWriteBW is the effective bandwidth of KV-cache writes.
+func (e *Engine) kvWriteBW(division float64) float64 {
+	return e.cfg.Device.MemBW() * e.effM * division
+}
+
 // weightStreamBW is the effective bandwidth of weight reads. MoE
 // affinity also scales it: expert weight streaming is where MoE
 // kernel quality shows (DS-MII's grouped-expert GEMMs vs vLLM's, the
@@ -348,13 +359,27 @@ func (e *Engine) kvTrafficFactor() float64 {
 	return e.cfg.Framework.KVTrafficRatio(group) / group
 }
 
-// memoryPlan computes the per-device footprint and the largest number
-// of sequences that fit concurrently. Paged, continuously-batching
-// frameworks size sequences at their *average* context (preempting the
-// occasional overflow, as vLLM does); static paged frameworks size at
-// peak; non-paged frameworks reserve the monolithic maximum — the
-// fragmentation contrast of §IV-B2 that OOMs Gaudi2 at large batch.
-func (e *Engine) memoryPlan(spec workload.Spec) (peak float64, conc int, err error) {
+// memoryPlan validates a benchmark point and plans its memory: the
+// per-device peak footprint, and the waves the batch runs in with the
+// batch of each wave. Run and Explain both start from it.
+//
+// Paged, continuously-batching frameworks size sequences at their
+// *average* context (preempting the occasional overflow, as vLLM
+// does); static paged frameworks size at peak; non-paged frameworks
+// reserve the monolithic maximum — the fragmentation contrast of
+// §IV-B2 that OOMs Gaudi2 at large batch. When the whole batch's KV
+// does not fit at once, frameworks with iteration-level scheduling run
+// the requests in sequential waves (vLLM preemption / TRT-LLM
+// in-flight batching); static executors simply fail — the paper's
+// Gaudi2 OOMs.
+func (e *Engine) memoryPlan(spec workload.Spec) (peak float64, waves, batch int, err error) {
+	if err := spec.Validate(); err != nil {
+		return 0, 0, 0, err
+	}
+	if lim := e.cfg.Device.ServiceBatchLimit; lim > 0 && spec.Batch > lim {
+		return 0, 0, 0, fmt.Errorf("%w: %d > %s limit %d",
+			ErrUnsupportedBatch, spec.Batch, e.cfg.Device.Name, lim)
+	}
 	m, fw := e.cfg.Model, e.cfg.Framework
 	weights := m.WeightBytes(e.cfg.Scheme.Weights) * e.cfg.Plan.WeightShare(m)
 
@@ -399,149 +424,126 @@ func (e *Engine) memoryPlan(spec workload.Spec) (peak float64, conc int, err err
 	perSeq := perSeqKV + perSeqAct
 	if avail <= 0 || avail < perSeq {
 		need := weights + perSeq
-		return need, 0, fmt.Errorf("%w: need %.1f GiB of %.1f GiB usable on %s (%s)",
+		return need, 0, 0, fmt.Errorf("%w: need %.1f GiB of %.1f GiB usable on %s (%s)",
 			ErrOOM, need/(1<<30), usable/(1<<30), e.cfg.Device.Name, e.cfg.Plan)
 	}
-	conc = int(avail / perSeq)
-	if conc > spec.Batch {
-		conc = spec.Batch
-	}
+	conc := min(int(avail/perSeq), spec.Batch)
 	peak = weights + float64(conc)*perSeq
-	return peak, conc, nil
+	if conc == spec.Batch {
+		return peak, 1, spec.Batch, nil
+	}
+	if !fw.BatchWaves {
+		return peak, 0, 0, fmt.Errorf(
+			"%w: only %d of %d sequences fit on %s (%s) and %s cannot schedule waves",
+			ErrOOM, conc, spec.Batch, e.cfg.Device.Name, e.cfg.Plan, fw.Name)
+	}
+	waves = (spec.Batch + conc - 1) / conc
+	return peak, waves, (spec.Batch + waves - 1) / waves, nil
 }
 
-// prefill times the prompt pass.
-func (e *Engine) prefill(spec workload.Spec) (roofline.Result, error) {
-	e.prefillEvals.Add(1)
-	m := e.cfg.Model
-	tokens := spec.Batch * spec.Input
-	div, infl := e.effectiveParallelism(tokens)
+// phaseTerms are one phase's roofline terms — the split the paper
+// explains each result by (§III-5, §VII). prefillTerms and stepTerms
+// define them once per phase; cost combines them into the phase's
+// price, and Explain reports them.
+type phaseTerms struct {
+	compute float64 // compute wall: FLOPs / effective FLOP/s
+	// Memory streams in seconds, before the saturation stall.
+	weight, kvRead, kvWrite float64
+	stall                   float64 // saturation stall on the memory wall
+	infl                    float64 // parallelism inflation of the overlapped walls
+	overlap                 float64 // device engine overlap; 0 for eager execution
+	// Additive serial terms.
+	overhead, comm, setup, logits float64
+}
 
-	flops := float64(spec.Batch) * m.PrefillFLOPs(spec.Input)
-	// Weight sweep once, KV written for the whole prompt.
-	weightBytes := m.DecodeWeightBytes(spec.Batch*spec.Input, e.cfg.Scheme.Weights)
-	kvWrite := m.KVCacheBytes(spec.Batch, spec.Input, e.cfg.Scheme.KV)
-	memTime := weightBytes/e.weightStreamBW(div) + kvWrite/(e.cfg.Device.MemBW()*e.effM*div)
-	memTime *= e.saturationStall(spec.Batch, spec.Input)
-
-	compute := flops / (e.peak * e.effC * div * e.moEAffinity())
-	long := math.Max(compute, memTime)
-	short := math.Min(compute, memTime)
+// cost combines a phase's terms: the memory wall is the stalled sum of
+// the streams, the device overlaps the shorter wall under the longer,
+// and the serial terms add on. The order of the additions is part of
+// the byte-identity contract.
+func (p phaseTerms) cost() roofline.Result {
+	mem := (p.weight + p.kvRead + p.kvWrite) * p.stall
+	long := math.Max(p.compute, mem)
+	short := math.Min(p.compute, mem)
 	t := long
-	if ov := e.cfg.Device.OverlapFactor; ov > 0 {
-		t = math.Max(long-short*ov, 0.6*long)
+	if p.overlap > 0 {
+		t = math.Max(long-short*p.overlap, 0.6*long)
 	}
-	t = t*infl + e.overheads() + e.comm(tokens) +
-		float64(spec.Batch)*e.cfg.Framework.PrefillPerSeqMS*1e-3
+	t = t*p.infl + p.overhead + p.comm + p.setup + p.logits
 	bound := roofline.ComputeBound
-	if memTime > compute {
+	if mem > p.compute {
 		bound = roofline.MemoryBound
 	}
 	balance := 0.0
 	if long > 0 {
 		balance = short / long
 	}
-	return roofline.Result{Seconds: t, Bound: bound, ComputeTime: compute, MemoryTime: memTime, Balance: balance}, nil
+	return roofline.Result{Seconds: t, Bound: bound, ComputeTime: p.compute, MemoryTime: mem, Balance: balance}
 }
 
-// decodeStep times one generation step at context length ctx.
-func (e *Engine) decodeStep(spec workload.Spec, ctx int) (roofline.Result, error) {
-	e.decodeEvals.Add(1)
-	m, fw := e.cfg.Model, e.cfg.Framework
-	div, infl := e.effectiveParallelism(spec.Batch)
+// prefillTerms are the prompt pass's terms: one compute-heavy pass
+// over batch prompts of input tokens, one weight sweep, and KV written
+// for the whole prompt.
+func (e *Engine) prefillTerms(batch, input int) phaseTerms {
+	m := e.cfg.Model
+	tokens := batch * input
+	div, infl := e.effectiveParallelism(tokens)
+	return phaseTerms{
+		compute:  float64(batch) * m.PrefillFLOPs(input) / (e.peak * e.effC * div * e.moEAffinity()),
+		weight:   m.DecodeWeightBytes(tokens, e.cfg.Scheme.Weights) / e.weightStreamBW(div),
+		kvWrite:  m.KVCacheBytes(batch, input, e.cfg.Scheme.KV) / e.kvWriteBW(div),
+		stall:    e.saturationStall(batch, input),
+		infl:     infl,
+		overlap:  e.cfg.Device.OverlapFactor,
+		overhead: e.overheads(),
+		comm:     e.comm(tokens),
+		setup:    float64(batch) * e.cfg.Framework.PrefillPerSeqMS * 1e-3,
+	}
+}
 
+// stepTerms are one decode step's terms at context ctx.
+func (e *Engine) stepTerms(batch, ctx int) phaseTerms {
+	m, fw := e.cfg.Model, e.cfg.Framework
+	div, infl := e.effectiveParallelism(batch)
 	if e.cfg.DisableKVCache {
 		// Without a KV cache every step re-runs the full forward pass
-		// over the whole context (§IV-B1 / Fig. 2a).
-		full := workload.Spec{Batch: spec.Batch, Input: ctx, Output: 1}
-		return e.prefillLikeStep(full, div, infl)
+		// over the whole context (§IV-B1 / Fig. 2a), eagerly — no
+		// graphs, no fused attention — so both rooflines are derated by
+		// eagerPenalty and the device overlap does not apply.
+		return phaseTerms{
+			compute:  float64(batch) * m.PrefillFLOPs(ctx) / (e.peak * e.effC * eagerPenalty * div * e.moEAffinity()),
+			weight:   m.DecodeWeightBytes(batch*ctx, e.cfg.Scheme.Weights) / (e.weightStreamBW(div) * eagerPenalty),
+			stall:    1,
+			infl:     infl,
+			overhead: e.overheads(),
+			comm:     e.comm(batch),
+		}
 	}
-
-	flops := float64(spec.Batch) * m.DecodeFLOPsPerToken(ctx)
 	restreams := 1.0
-	if fw.GEMMBatchCap > 0 && spec.Batch > fw.GEMMBatchCap {
-		restreams = math.Ceil(float64(spec.Batch) / float64(fw.GEMMBatchCap))
+	if fw.GEMMBatchCap > 0 && batch > fw.GEMMBatchCap {
+		restreams = math.Ceil(float64(batch) / float64(fw.GEMMBatchCap))
 	}
-	weightBytes := m.DecodeWeightBytes(spec.Batch, e.cfg.Scheme.Weights) * restreams
-	kvRead := float64(spec.Batch) * float64(ctx) * m.KVBytesPerToken(e.cfg.Scheme.KV) * e.kvTrafficFactor()
-	kvWrite := m.DecodeKVWriteBytes(spec.Batch, e.cfg.Scheme.KV)
-
-	computeTime := flops / (e.peak * e.effC * div * e.moEAffinity())
-	memTime := weightBytes/e.weightStreamBW(div) +
-		kvRead/e.kvStreamBW(div) +
-		kvWrite/(e.cfg.Device.MemBW()*e.effM*div)
-	memTime *= e.saturationStall(spec.Batch, ctx)
-
-	long := math.Max(computeTime, memTime)
-	short := math.Min(computeTime, memTime)
-	t := long
-	if ov := e.cfg.Device.OverlapFactor; ov > 0 {
-		t = math.Max(long-short*ov, 0.6*long)
+	return phaseTerms{
+		compute:  float64(batch) * m.DecodeFLOPsPerToken(ctx) / (e.peak * e.effC * div * e.moEAffinity()),
+		weight:   m.DecodeWeightBytes(batch, e.cfg.Scheme.Weights) * restreams / e.weightStreamBW(div),
+		kvRead:   float64(batch) * float64(ctx) * m.KVBytesPerToken(e.cfg.Scheme.KV) * e.kvTrafficFactor() / e.kvStreamBW(div),
+		kvWrite:  m.DecodeKVWriteBytes(batch, e.cfg.Scheme.KV) / e.kvWriteBW(div),
+		stall:    e.saturationStall(batch, ctx),
+		infl:     infl,
+		overlap:  e.cfg.Device.OverlapFactor,
+		overhead: e.overheads(),
+		comm:     e.comm(batch),
+		logits:   e.logitsPenalty(batch, div),
 	}
-	t = t*infl + e.overheads() + e.comm(spec.Batch) + e.logitsPenalty(spec.Batch, div)
-	bound := roofline.ComputeBound
-	if memTime > computeTime {
-		bound = roofline.MemoryBound
-	}
-	balance := 0.0
-	if long > 0 {
-		balance = short / long
-	}
-	return roofline.Result{Seconds: t, Bound: bound, ComputeTime: computeTime, MemoryTime: memTime, Balance: balance}, nil
-}
-
-// prefillLikeStep prices a full recompute step (KV cache disabled).
-// The no-cache path executes eagerly — no graphs, no fused attention —
-// so both rooflines are derated by eagerPenalty.
-func (e *Engine) prefillLikeStep(spec workload.Spec, div, infl float64) (roofline.Result, error) {
-	m := e.cfg.Model
-	flops := float64(spec.Batch) * m.PrefillFLOPs(spec.Input)
-	weightBytes := m.DecodeWeightBytes(spec.Batch*spec.Input, e.cfg.Scheme.Weights)
-	computeTime := flops / (e.peak * e.effC * eagerPenalty * div * e.moEAffinity())
-	memTime := weightBytes / (e.weightStreamBW(div) * eagerPenalty)
-	long := math.Max(computeTime, memTime)
-	t := long*infl + e.overheads() + e.comm(spec.Batch)
-	bound := roofline.ComputeBound
-	if memTime > computeTime {
-		bound = roofline.MemoryBound
-	}
-	balance := 0.0
-	if long > 0 {
-		balance = math.Min(computeTime, memTime) / long
-	}
-	return roofline.Result{Seconds: t, Bound: bound, ComputeTime: computeTime, MemoryTime: memTime, Balance: balance}, nil
 }
 
 // Run evaluates one benchmark point.
 func (e *Engine) Run(spec workload.Spec) (Result, error) {
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
-	if lim := e.cfg.Device.ServiceBatchLimit; lim > 0 && spec.Batch > lim {
-		return Result{}, fmt.Errorf("%w: %d > %s limit %d",
-			ErrUnsupportedBatch, spec.Batch, e.cfg.Device.Name, lim)
-	}
-	peakMem, conc, err := e.memoryPlan(spec)
+	peakMem, waves, batch, err := e.memoryPlan(spec)
 	if err != nil {
 		return Result{PeakMemBytes: peakMem}, err
 	}
-	waves := 1
-	waveSpec := spec
-	if conc < spec.Batch {
-		// The whole batch's KV does not fit at once. Frameworks with
-		// iteration-level scheduling run the requests in sequential
-		// waves (vLLM preemption / TRT-LLM in-flight batching); static
-		// executors simply fail — the paper's Gaudi2 OOMs.
-		if !e.cfg.Framework.BatchWaves {
-			return Result{PeakMemBytes: peakMem}, fmt.Errorf(
-				"%w: only %d of %d sequences fit on %s (%s) and %s cannot schedule waves",
-				ErrOOM, conc, spec.Batch, e.cfg.Device.Name, e.cfg.Plan, e.cfg.Framework.Name)
-		}
-		waves = (spec.Batch + conc - 1) / conc
-		waveSpec.Batch = (spec.Batch + waves - 1) / waves
-	}
 
-	ttft, err := e.PrefillSeconds(waveSpec.Batch, waveSpec.Input)
+	ttft, err := e.PrefillSeconds(batch, spec.Input)
 	if err != nil {
 		return Result{}, err
 	}
@@ -549,7 +551,7 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 	// The whole decode phase is one range of identical-batch steps at
 	// contexts Input+1 … Input+Output-1, folded from the batch's master
 	// table in step order.
-	rng, err := e.DecodeRangeSeconds(waveSpec.Batch, waveSpec.Input+1, waveSpec.Output-1)
+	rng, err := e.DecodeRangeSeconds(batch, spec.Input+1, spec.Output-1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -567,7 +569,7 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 	if rng.Seconds > 0 {
 		balance = rng.BalanceSeconds / rng.Seconds
 	}
-	occupancy := math.Min(1, float64(waveSpec.Batch)/64)
+	occupancy := math.Min(1, float64(batch)/64)
 	util := power.Utilization(balance, occupancy, e.effC)
 	watts, err := power.Draw(e.cfg.Device, util)
 	if err != nil {
@@ -606,11 +608,8 @@ func (e *Engine) PrefillSeconds(batch, input int) (float64, error) {
 	if c := e.prefills.get(input-1, batch-1); c != nil {
 		return *c, nil // a racer priced it first
 	}
-	pf, err := e.prefill(workload.Spec{Batch: batch, Input: input, Output: 1})
-	if err != nil {
-		return 0, err
-	}
-	sec := pf.Seconds
+	e.prefillEvals.Add(1)
+	sec := e.prefillTerms(batch, input).cost().Seconds
 	e.prefills.put(input-1, batch-1, &sec)
 	return sec, nil
 }

@@ -15,7 +15,7 @@ import (
 	"llmbench/internal/workload"
 )
 
-// directFold folds steps direct decodeStep evaluations on fresh, left
+// directFold folds steps direct step evaluations on fresh, left
 // to right from ctxStart: the reference every range must equal. The
 // master stores the rounded balance·seconds product, so the conversion
 // keeps an FMA-fusing compiler from fusing the multiply-add.
@@ -23,10 +23,7 @@ func directFold(t *testing.T, fresh *Engine, batch, ctxStart, steps int) RangeSt
 	t.Helper()
 	var want RangeStats
 	for ctx := ctxStart; ctx < ctxStart+steps; ctx++ {
-		st, err := fresh.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := fresh.stepTerms(batch, ctx).cost()
 		want.Seconds += st.Seconds
 		want.BalanceSeconds += float64(powerBalance(st) * st.Seconds)
 		want.MaxStepSeconds = max(want.MaxStepSeconds, st.Seconds)
@@ -39,10 +36,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
 	fresh := rangeTestEngine(t, "vLLM") // direct evaluations, no memo
 	direct := func(batch, ctx int) StepCost {
-		r, err := fresh.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := fresh.stepTerms(batch, ctx).cost()
 		return StepCost{Seconds: r.Seconds, Bound: r.Bound}
 	}
 
@@ -103,10 +97,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pf, err := fresh.prefill(workload.Spec{Batch: batch, Input: input, Output: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
+				pf := fresh.prefillTerms(batch, input).cost()
 				if got != pf.Seconds {
 					t.Errorf("prefill (%d, %d): %v, direct %v", batch, input, got, pf.Seconds)
 				}
@@ -141,7 +132,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 // ranges — each 4 input bytes are one (batch, ctxStart, steps) query,
 // so rising, falling and overlapping anchors grow and re-base the
 // batch masters in any order — and requires every DecodeRangeSeconds
-// result to equal a left-to-right fold of direct decodeStep
+// result to equal a left-to-right fold of direct step
 // evaluations on a fresh engine, bit for bit.
 func FuzzDecodeRangeMatchesSteps(f *testing.F) {
 	f.Add([]byte{3, 0, 100, 40, 3, 0, 140, 90})                   // rising, overlapping

@@ -2,11 +2,12 @@ package engine
 
 // Explain decomposes a benchmark point into where its time goes —
 // the quantities the analysis sections of the paper reason about when
-// attributing wins to GQA, KV traffic, batching, or communication.
+// attributing wins to GQA, KV traffic, batching, or communication. It
+// reads the same phase terms and memory plan as Run, so its totals
+// equal Run's bit for bit.
 
 import (
-	"math"
-
+	"llmbench/internal/roofline"
 	"llmbench/internal/workload"
 )
 
@@ -21,7 +22,9 @@ type PhaseBreakdown struct {
 	MemoryWall  float64 // total bytes / effective B/s
 	MemoryBound bool    // which wall bound the phase
 
-	// Memory-wall split (sums to MemoryWall).
+	// Memory-wall split. Each split is stalled on its own, while
+	// MemoryWall is Run's stalled sum, so the splits sum to MemoryWall
+	// within rounding.
 	WeightStreamS float64
 	KVReadS       float64
 	KVWriteS      float64
@@ -50,120 +53,53 @@ type Breakdown struct {
 }
 
 // Explain evaluates a benchmark point and attributes its time. It
-// performs the same arithmetic as Run (same memory plan, same waves)
-// but reports components instead of aggregate metrics.
+// prices the same memory plan, waves and phase terms as Run, so
+// Prefill.Seconds equals Run's TTFT and Waves·(Prefill.Seconds +
+// Decode.Seconds) its E2E bit for bit, and it fails with Run's errors.
+// Its decode steps are priced directly, not through the step memo.
 func (e *Engine) Explain(spec workload.Spec) (*Breakdown, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if lim := e.cfg.Device.ServiceBatchLimit; lim > 0 && spec.Batch > lim {
-		return nil, ErrUnsupportedBatch
-	}
-	peakMem, conc, err := e.memoryPlan(spec)
+	peakMem, waves, batch, err := e.memoryPlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	waves := 1
-	waveSpec := spec
-	if conc < spec.Batch {
-		if !e.cfg.Framework.BatchWaves {
-			return nil, ErrOOM
-		}
-		waves = (spec.Batch + conc - 1) / conc
-		waveSpec.Batch = (spec.Batch + waves - 1) / waves
-	}
-
 	out := &Breakdown{
 		Spec:            spec,
 		Waves:           waves,
-		ConcurrentBatch: waveSpec.Batch,
+		ConcurrentBatch: batch,
 		PeakMemGiB:      peakMem / (1 << 30),
 	}
-	out.Prefill = e.explainPrefill(waveSpec)
-	for t := 0; t < waveSpec.Output-1; t++ {
-		step := e.explainDecodeStep(waveSpec, waveSpec.Input+t+1)
-		out.Decode.Seconds += step.Seconds
-		out.Decode.ComputeWall += step.ComputeWall
-		out.Decode.MemoryWall += step.MemoryWall
-		out.Decode.WeightStreamS += step.WeightStreamS
-		out.Decode.KVReadS += step.KVReadS
-		out.Decode.KVWriteS += step.KVWriteS
-		out.Decode.CommS += step.CommS
-		out.Decode.OverheadS += step.OverheadS
-		out.Decode.LogitsS += step.LogitsS
+	out.Prefill = e.prefillTerms(batch, spec.Input).breakdown()
+	d := &out.Decode
+	for ctx := spec.Input + 1; ctx < spec.Input+spec.Output; ctx++ {
+		step := e.stepTerms(batch, ctx).breakdown()
+		d.Seconds += step.Seconds
+		d.ComputeWall += step.ComputeWall
+		d.MemoryWall += step.MemoryWall
+		d.WeightStreamS += step.WeightStreamS
+		d.KVReadS += step.KVReadS
+		d.KVWriteS += step.KVWriteS
+		d.CommS += step.CommS
+		d.OverheadS += step.OverheadS
+		d.LogitsS += step.LogitsS
 	}
-	out.Decode.MemoryBound = out.Decode.MemoryWall > out.Decode.ComputeWall
+	d.MemoryBound = d.MemoryWall > d.ComputeWall
 	return out, nil
 }
 
-func (e *Engine) explainPrefill(spec workload.Spec) PhaseBreakdown {
-	m := e.cfg.Model
-	tokens := spec.Batch * spec.Input
-	div, infl := e.effectiveParallelism(tokens)
-
-	flops := float64(spec.Batch) * m.PrefillFLOPs(spec.Input)
-	weightBytes := m.DecodeWeightBytes(spec.Batch*spec.Input, e.cfg.Scheme.Weights)
-	kvWrite := m.KVCacheBytes(spec.Batch, spec.Input, e.cfg.Scheme.KV)
-	stall := e.saturationStall(spec.Batch, spec.Input)
-
-	b := PhaseBreakdown{
-		ComputeWall:   flops / (e.peak * e.effC * div * e.moEAffinity()),
-		WeightStreamS: weightBytes / e.weightStreamBW(div) * stall,
-		KVWriteS:      kvWrite / (e.cfg.Device.MemBW() * e.effM * div) * stall,
-		CommS:         e.comm(tokens),
-		OverheadS:     e.overheads(),
-		SetupS:        float64(spec.Batch) * e.cfg.Framework.PrefillPerSeqMS * 1e-3,
+// breakdown prices a phase and reports its terms.
+func (p phaseTerms) breakdown() PhaseBreakdown {
+	r := p.cost()
+	return PhaseBreakdown{
+		Seconds:       r.Seconds,
+		ComputeWall:   r.ComputeTime,
+		MemoryWall:    r.MemoryTime,
+		MemoryBound:   r.Bound == roofline.MemoryBound,
+		WeightStreamS: p.weight * p.stall,
+		KVReadS:       p.kvRead * p.stall,
+		KVWriteS:      p.kvWrite * p.stall,
+		CommS:         p.comm,
+		OverheadS:     p.overhead,
+		SetupS:        p.setup,
+		LogitsS:       p.logits,
 	}
-	b.MemoryWall = b.WeightStreamS + b.KVWriteS
-	b.MemoryBound = b.MemoryWall > b.ComputeWall
-	b.Seconds = e.overlapWalls(b.ComputeWall, b.MemoryWall)*infl +
-		b.CommS + b.OverheadS + b.SetupS
-	return b
-}
-
-func (e *Engine) explainDecodeStep(spec workload.Spec, ctx int) PhaseBreakdown {
-	m, fw := e.cfg.Model, e.cfg.Framework
-	div, infl := e.effectiveParallelism(spec.Batch)
-	if e.cfg.DisableKVCache {
-		res, _ := e.prefillLikeStep(workload.Spec{Batch: spec.Batch, Input: ctx, Output: 1}, div, infl)
-		return PhaseBreakdown{
-			Seconds: res.Seconds, ComputeWall: res.ComputeTime, MemoryWall: res.MemoryTime,
-			MemoryBound:   res.MemoryTime > res.ComputeTime,
-			WeightStreamS: res.MemoryTime,
-			CommS:         e.comm(spec.Batch), OverheadS: e.overheads(),
-		}
-	}
-
-	flops := float64(spec.Batch) * m.DecodeFLOPsPerToken(ctx)
-	restreams := 1.0
-	if fw.GEMMBatchCap > 0 && spec.Batch > fw.GEMMBatchCap {
-		restreams = math.Ceil(float64(spec.Batch) / float64(fw.GEMMBatchCap))
-	}
-	stall := e.saturationStall(spec.Batch, ctx)
-	b := PhaseBreakdown{
-		ComputeWall:   flops / (e.peak * e.effC * div * e.moEAffinity()),
-		WeightStreamS: m.DecodeWeightBytes(spec.Batch, e.cfg.Scheme.Weights) * restreams / e.weightStreamBW(div) * stall,
-		KVReadS: float64(spec.Batch) * float64(ctx) * m.KVBytesPerToken(e.cfg.Scheme.KV) *
-			e.kvTrafficFactor() / e.kvStreamBW(div) * stall,
-		KVWriteS:  m.DecodeKVWriteBytes(spec.Batch, e.cfg.Scheme.KV) / (e.cfg.Device.MemBW() * e.effM * div) * stall,
-		CommS:     e.comm(spec.Batch),
-		OverheadS: e.overheads(),
-		LogitsS:   e.logitsPenalty(spec.Batch, div),
-	}
-	b.MemoryWall = b.WeightStreamS + b.KVReadS + b.KVWriteS
-	b.MemoryBound = b.MemoryWall > b.ComputeWall
-	b.Seconds = e.overlapWalls(b.ComputeWall, b.MemoryWall)*infl +
-		b.CommS + b.OverheadS + b.LogitsS
-	return b
-}
-
-// overlapWalls applies the device's heterogeneous-engine overlap to
-// the two roofline walls, exactly as the Run path does.
-func (e *Engine) overlapWalls(compute, mem float64) float64 {
-	long := math.Max(compute, mem)
-	short := math.Min(compute, mem)
-	if ov := e.cfg.Device.OverlapFactor; ov > 0 {
-		return math.Max(long-short*ov, 0.6*long)
-	}
-	return long
 }

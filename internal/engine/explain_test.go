@@ -1,32 +1,125 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"llmbench/internal/framework"
+	"llmbench/internal/hw"
+	"llmbench/internal/model"
 	"llmbench/internal/parallel"
 	"llmbench/internal/workload"
 )
 
-func TestExplainConsistentWithRun(t *testing.T) {
-	// The breakdown's totals must reproduce Run's TTFT and E2E.
-	e := mustEngine(t, "LLaMA-3-8B", "A100", "vLLM", parallel.Single)
-	spec := workload.Spec{Batch: 16, Input: 1024, Output: 1024}
-	res, err := e.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+// explainMatchesRun evaluates spec through Run and Explain and reports
+// how they disagree: Explain's prefill must be Run's TTFT and its
+// waves of prefill+decode Run's E2E, bit for bit, and when Run fails
+// Explain must fail with the same error class.
+func explainMatchesRun(e *Engine, spec workload.Spec) error {
+	res, runErr := e.Run(spec)
 	bd, err := e.Explain(spec)
-	if err != nil {
-		t.Fatal(err)
+	if runErr != nil || err != nil {
+		if errClass(err) != errClass(runErr) {
+			return fmt.Errorf("Run error %v, Explain error %v", runErr, err)
+		}
+		return nil
 	}
-	if rel := math.Abs(bd.Prefill.Seconds-res.TTFTSeconds) / res.TTFTSeconds; rel > 1e-9 {
-		t.Errorf("prefill breakdown %.6g disagrees with TTFT %.6g", bd.Prefill.Seconds, res.TTFTSeconds)
+	if bd.Prefill.Seconds != res.TTFTSeconds {
+		return fmt.Errorf("prefill %v != TTFT %v", bd.Prefill.Seconds, res.TTFTSeconds)
 	}
-	wave := float64(bd.Waves) * (bd.Prefill.Seconds + bd.Decode.Seconds)
-	if rel := math.Abs(wave-res.E2ESeconds) / res.E2ESeconds; rel > 1e-9 {
-		t.Errorf("breakdown total %.6g disagrees with E2E %.6g", wave, res.E2ESeconds)
+	if e2e := float64(bd.Waves) * (bd.Prefill.Seconds + bd.Decode.Seconds); e2e != res.E2ESeconds {
+		return fmt.Errorf("%d waves of prefill+decode %v != E2E %v", bd.Waves, e2e, res.E2ESeconds)
 	}
+	return nil
+}
+
+// errClass names an error's sentinel: OOM, unsupported batch, any other
+// failure, or none.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "none"
+	case errors.Is(err, ErrOOM):
+		return "oom"
+	case errors.Is(err, ErrUnsupportedBatch):
+		return "unsupported batch"
+	}
+	return "other"
+}
+
+func TestExplainConsistentWithRun(t *testing.T) {
+	tp := func(n int) parallel.Plan { return parallel.Plan{TP: n, PP: 1, EP: 1} }
+	cases := []struct {
+		name              string
+		model, device, fw string
+		plan              parallel.Plan
+		noKVCache         bool
+		spec              workload.Spec
+		want              error // Run's error class, nil for success
+	}{
+		{"plain", "LLaMA-3-8B", "A100", "vLLM", tp(1), false, workload.Spec{Batch: 16, Input: 1024, Output: 1024}, nil},
+		{"unfused logits, TP 4", "LLaMA-2-7B", "A100", "DS-MII", tp(4), false, workload.Spec{Batch: 1, Input: 128, Output: 128}, nil},
+		{"TP 4, batch 64", "LLaMA-2-7B", "A100", "vLLM", tp(4), false, workload.Spec{Batch: 64, Input: 1024, Output: 1024}, nil},
+		{"wave plan", "LLaMA-2-7B", "A100", "vLLM", tp(1), false, workload.Spec{Batch: 64, Input: 1024, Output: 1024}, nil},
+		{"saturation stall", "LLaMA-3-8B", "MI250", "vLLM", tp(1), false, workload.Spec{Batch: 64, Input: 1024, Output: 256}, nil},
+		{"KV cache disabled", "LLaMA-3-8B", "A100", "vLLM", tp(1), true, workload.Spec{Batch: 4, Input: 128, Output: 64}, nil},
+		{"single token", "LLaMA-3-8B", "A100", "vLLM", tp(1), false, workload.Spec{Batch: 8, Input: 512, Output: 1}, nil},
+		{"SN40L above its service limit", "LLaMA-3-8B", "SN40L", "SambaFlow", tp(8), false, workload.Spec{Batch: 128, Input: 128, Output: 128}, ErrUnsupportedBatch},
+		{"no waves", "Aquila-7B", "Gaudi2", "DeepSpeed", tp(1), false, workload.Spec{Batch: 64, Input: 128, Output: 128}, ErrOOM},
+		{"weights do not fit", "LLaMA-2-70B", "A100", "vLLM", tp(1), false, workload.Spec{Batch: 1, Input: 128, Output: 128}, ErrOOM},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := New(Config{
+				Model:          model.MustGet(c.model),
+				Device:         hw.MustGet(c.device),
+				Framework:      framework.MustGet(c.fw),
+				Plan:           c.plan,
+				DisableKVCache: c.noKVCache,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(c.spec); errClass(err) != errClass(c.want) {
+				t.Fatalf("Run error %v, want %v", err, c.want)
+			}
+			if err := explainMatchesRun(e, c.spec); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// FuzzExplainMatchesRun holds Explain to Run on arbitrary catalog
+// systems and points: the same totals bit for bit, or the same error
+// class. Indices wrap around the catalogs; systems New rejects are
+// skipped.
+func FuzzExplainMatchesRun(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(16), uint16(1024), uint16(256), false)
+	f.Add(uint8(3), uint8(1), uint8(2), uint8(2), uint16(1), uint16(128), uint16(128), false)
+	f.Add(uint8(5), uint8(4), uint8(1), uint8(1), uint16(64), uint16(2048), uint16(64), false)
+	f.Add(uint8(1), uint8(0), uint8(3), uint8(0), uint16(4), uint16(96), uint16(32), true)
+	models, devices, fws := model.Names(), hw.Names(), framework.Names()
+	f.Fuzz(func(t *testing.T, mi, di, fi, tpLog uint8, batch, input, output uint16, noKVCache bool) {
+		e, err := New(Config{
+			Model:          model.MustGet(models[int(mi)%len(models)]),
+			Device:         hw.MustGet(devices[int(di)%len(devices)]),
+			Framework:      framework.MustGet(fws[int(fi)%len(fws)]),
+			Plan:           parallel.Plan{TP: 1 << (tpLog % 4), PP: 1, EP: 1},
+			DisableKVCache: noKVCache,
+		})
+		if err != nil {
+			return
+		}
+		// Bounded so an input stays fast: Explain prices every decode
+		// step directly.
+		spec := workload.Spec{Batch: int(batch % 257), Input: int(input % 8193), Output: int(output % 1025)}
+		if err := explainMatchesRun(e, spec); err != nil {
+			t.Fatalf("%s on %s, %s, %+v: %v", e.cfg.Model.Name, e.cfg.Device.Name, e.cfg.Framework.Name, spec, err)
+		}
+	})
 }
 
 func TestExplainDecodeAttribution(t *testing.T) {

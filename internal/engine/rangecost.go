@@ -9,7 +9,8 @@ package engine
 //
 // One table of prices per batch: the batch's master vector (stepVec)
 // holds each step's seconds, balance·seconds product and roofline
-// bound, and is the only place a decode step is priced. Single steps
+// bound, and is the only place a decode step is priced for Run and the
+// serving kernel (Explain prices its steps directly). Single steps
 // (DecodeStepCost), vector views (DecodeStepVec) and ranges
 // (DecodeRangeSeconds) all read it, so each distinct (batch, ctx) pair
 // is evaluated once per engine lifetime and no warm read locks.
@@ -43,7 +44,6 @@ import (
 	"llmbench/internal/pool"
 	"llmbench/internal/quant"
 	"llmbench/internal/roofline"
-	"llmbench/internal/workload"
 )
 
 // --- lock-free memo grid -------------------------------------------------
@@ -137,10 +137,7 @@ func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
 	if batch < 1 || ctx < 1 {
 		return StepCost{}, errors.New("engine: non-positive batch or context")
 	}
-	v, err := e.masterFor(batch, ctx, ctx)
-	if err != nil {
-		return StepCost{}, err
-	}
+	v := e.masterFor(batch, ctx, ctx)
 	i := ctx - v.base
 	return StepCost{Seconds: v.seconds[i], Bound: roofline.Bound(v.bounds[i])}, nil
 }
@@ -204,7 +201,7 @@ func newStepVec(base, c int) *stepVec {
 
 // priceFunc prices the decode step at one context of a batch: its
 // seconds, its powerBalance·seconds product and its roofline bound.
-type priceFunc func(ctx int) (seconds, balSec float64, bound uint8, err error)
+type priceFunc func(ctx int) (seconds, balSec float64, bound uint8)
 
 // fillMaster prices the cells for contexts [lo, hi] of v, one price
 // call each: the master is the memo, so no context is ever priced
@@ -213,20 +210,16 @@ type priceFunc func(ctx int) (seconds, balSec float64, bound uint8, err error)
 // hold the build mutex. It lowers v's floor to the smallest cell it
 // wrote and raises v's rising certificate over the pairs those cells
 // join; the caller publishes the cells afterwards by storing n.
-func fillMaster(v *stepVec, lo, hi, top int, price priceFunc) error {
+func fillMaster(v *stepVec, lo, hi, top int, price priceFunc) {
 	floor := math.Float64frombits(v.floor.Load())
 	for ctx := lo; ctx <= hi; ctx++ {
-		sec, bal, bound, err := price(ctx)
-		if err != nil {
-			return err
-		}
+		sec, bal, bound := price(ctx)
 		i := ctx - v.base
 		v.seconds[i], v.balSec[i], v.bounds[i] = sec, bal, bound
 		floor = min(floor, sec)
 	}
 	v.floor.Store(math.Float64bits(floor))
 	v.rise.Store(int64(highestDescent(int(v.rise.Load()), v.seconds, v.base, lo, min(hi+1, top-1))))
-	return nil
 }
 
 // highestDescent raises the rising certificate rise to the highest
@@ -246,27 +239,22 @@ func highestDescent(rise int, cells []float64, base, lo, hi int) int {
 // masterFor returns the batch's master vector covering contexts
 // [lo, hi], building or extending it on first use. Warm calls are
 // lock-free: one grid read, one atomic length check.
-func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
+func (e *Engine) masterFor(batch, lo, hi int) *stepVec {
 	if v := e.vecs.get(batch-1, 0); v != nil && lo >= v.base && hi < v.base+int(v.n.Load()) {
-		return v, nil
+		return v
 	}
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	latest := e.vecs.get(batch-1, 0)
-	v, err := growMaster(latest, lo, hi, func(ctx int) (float64, float64, uint8, error) {
-		st, err := e.decodeStep(workload.Spec{Batch: batch, Input: 1, Output: 1}, ctx)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return st.Seconds, powerBalance(st) * st.Seconds, uint8(st.Bound), nil
+	v := growMaster(latest, lo, hi, func(ctx int) (float64, float64, uint8) {
+		e.decodeEvals.Add(1)
+		st := e.stepTerms(batch, ctx).cost()
+		return st.Seconds, powerBalance(st) * st.Seconds, uint8(st.Bound)
 	})
-	if err != nil {
-		return nil, err
-	}
 	if v != latest {
 		e.vecs.put(batch-1, 0, v)
 	}
-	return v, nil
+	return v
 }
 
 // growMaster returns a generation of a batch's master covering
@@ -274,22 +262,20 @@ func (e *Engine) masterFor(batch, lo, hi int) (*stepVec, error) {
 // the first): latest itself when it already covers the band or grows
 // in place, else a fresh generation the caller must publish. New cells
 // come from price. Callers hold the build mutex.
-func growMaster(latest *stepVec, lo, hi int, price priceFunc) (*stepVec, error) {
+func growMaster(latest *stepVec, lo, hi int, price priceFunc) *stepVec {
 	if latest == nil {
 		c := hi - lo + 1
 		if c < 64 {
 			c = 64
 		}
 		v := newStepVec(lo, c)
-		if err := fillMaster(v, lo, hi, hi+1, price); err != nil {
-			return nil, err
-		}
+		fillMaster(v, lo, hi, hi+1, price)
 		v.n.Store(int64(hi - lo + 1))
-		return v, nil
+		return v
 	}
 	base, n := latest.base, int(latest.n.Load())
 	if lo >= base && hi < base+n {
-		return latest, nil // a racer already covered the band
+		return latest // a racer already covered the band
 	}
 	newBase, top := base, base+n // covered band becomes [newBase, top)
 	if lo < newBase {
@@ -318,22 +304,16 @@ func growMaster(latest *stepVec, lo, hi int, price priceFunc) (*stepVec, error) 
 		copy(v.bounds[base-newBase:], latest.bounds[:n])
 		v.floor.Store(latest.floor.Load())
 		v.rise.Store(latest.rise.Load())
-		if err := fillMaster(v, newBase, base-1, top, price); err != nil {
-			return nil, err
-		}
-		if err := fillMaster(v, base+n, top-1, top, price); err != nil {
-			return nil, err
-		}
+		fillMaster(v, newBase, base-1, top, price)
+		fillMaster(v, base+n, top-1, top, price)
 		v.n.Store(int64(top - newBase))
-		return v, nil
+		return v
 	}
 	// Upward growth within capacity: write the new cells in place,
 	// then publish the count — the steady-state path, zero allocations.
-	if err := fillMaster(latest, base+n, top-1, top, price); err != nil {
-		return nil, err
-	}
+	fillMaster(latest, base+n, top-1, top, price)
 	latest.n.Store(int64(top - newBase))
-	return latest, nil
+	return latest
 }
 
 // RangeStats aggregates a run of consecutive decode steps at constant
@@ -369,10 +349,7 @@ func (e *Engine) DecodeRangeSeconds(batch, ctxStart, steps int) (RangeStats, err
 	if steps == 0 {
 		return RangeStats{}, nil
 	}
-	m, err := e.masterFor(batch, ctxStart, ctxStart+steps-1)
-	if err != nil {
-		return RangeStats{}, err
-	}
+	m := e.masterFor(batch, ctxStart, ctxStart+steps-1)
 	off := ctxStart - m.base
 	bal := m.balSec[off : off+steps]
 	var r RangeStats
@@ -457,10 +434,7 @@ func (e *Engine) DecodeStepVec(batch, ctxStart, steps int) (StepVec, error) {
 	if steps == 0 {
 		steps = 1 // a view handle always covers at least one step
 	}
-	v, err := e.masterFor(batch, ctxStart, ctxStart+steps-1)
-	if err != nil {
-		return StepVec{}, err
-	}
+	v := e.masterFor(batch, ctxStart, ctxStart+steps-1)
 	return StepVec{vec: v, off: ctxStart - v.base}, nil
 }
 

@@ -46,10 +46,7 @@ func TestDecodeRangeMatchesSteppedSum(t *testing.T) {
 			}
 			var sum, balSum, maxStep float64
 			for i := 0; i < c.steps; i++ {
-				st, err := fresh.decodeStep(workload.Spec{Batch: c.batch, Input: 1, Output: 1}, c.ctxStart+i)
-				if err != nil {
-					t.Fatal(err)
-				}
+				st := fresh.stepTerms(c.batch, c.ctxStart+i).cost()
 				sum += st.Seconds
 				// The master stores the rounded product, so the
 				// conversion keeps an FMA-fusing compiler from fusing
@@ -291,10 +288,7 @@ func TestMasterDescendingAnchorsBounded(t *testing.T) {
 	const top = 2000
 	for i := 0; i < 500; i++ {
 		lo := top - i
-		v, err := e.masterFor(8, lo, lo+31)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := e.masterFor(8, lo, lo+31)
 		band := int(v.n.Load())
 		if v.base != lo || v.base+band < lo+32 {
 			t.Fatalf("anchor %d: master covers [%d, %d), want [%d, %d]", i, v.base, v.base+band, lo, lo+31)

@@ -25,10 +25,10 @@ func bruteRise(v *stepVec) int {
 
 // synthPrice prices context ctx as cost(ctx) and counts the calls.
 func synthPrice(cost func(ctx int) float64, calls *int) priceFunc {
-	return func(ctx int) (float64, float64, uint8, error) {
+	return func(ctx int) (float64, float64, uint8) {
 		*calls++
 		c := cost(ctx)
-		return c, 0.5 * c, 0, nil
+		return c, 0.5 * c, 0
 	}
 }
 
@@ -102,10 +102,7 @@ func TestRiseCertificate(t *testing.T) {
 	priced := map[int]bool{}
 	for _, st := range steps {
 		before := calls
-		next, err := growMaster(v, st.lo, st.hi, price)
-		if err != nil {
-			t.Fatal(err)
-		}
+		next := growMaster(v, st.lo, st.hi, price)
 		if fresh := next != v; fresh != st.fresh {
 			t.Fatalf("%s: fresh generation %v, want %v", st.name, fresh, st.fresh)
 		}
@@ -152,11 +149,7 @@ func TestRiseCertificateRandom(t *testing.T) {
 		for range 40 {
 			lo := 1 + rng.IntN(span-1)
 			hi := lo + rng.IntN(min(span-lo, 1+rng.IntN(400)))
-			next, err := growMaster(v, lo, hi, price)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v = next
+			v = growMaster(v, lo, hi, price)
 			checkGeneration(t, v, lo, hi, cost)
 		}
 	}

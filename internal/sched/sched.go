@@ -59,11 +59,10 @@ type Stats struct {
 }
 
 // ResultStats turns a kernel result into Stats — the one summary step
-// behind the cluster simulators (internal/cluster). agg,
-// when non-nil, is the streaming aggregator that consumed the
-// completions through the kernel's Sink; otherwise the result's ledger
-// is summarised.
-func ResultStats(res des.Result, agg Aggregator) (Stats, error) {
+// behind the cluster simulators (internal/cluster). agg, when non-nil,
+// is the streaming aggregator that consumed the completions through
+// the kernel's Sink; nil summarises the result's ledger.
+func ResultStats(res des.Result, agg *StreamAggregator) (Stats, error) {
 	var stats Stats
 	var err error
 	if agg != nil {

@@ -1,13 +1,12 @@
 package sched
 
-// Streaming aggregation for day-scale serving runs: an Aggregator
-// consumes completed request lifecycles one at a time, in the global
-// (finish time, request ID) order the kernel's completion hand-off
-// delivers (des.Kernel.Sink), so a million-request point needs no
-// per-request ledger. Two implementations exist: ExactAggregator
-// retains the ledger and defers to Summarize — the sort-all reference
-// path — and StreamAggregator estimates percentiles with P² sketches
-// in O(1) memory.
+// Streaming aggregation for day-scale serving runs: a
+// StreamAggregator consumes completed request lifecycles one at a
+// time, in the global (finish time, request ID) order the kernel's
+// completion hand-off delivers (des.Kernel.Sink), so a million-request
+// point needs no per-request ledger. It estimates percentiles with P²
+// sketches in O(1) memory; the exact path is Summarize over the
+// ledger, which sorts it all.
 //
 // # Accuracy contract
 //
@@ -33,28 +32,6 @@ import (
 	"math"
 )
 
-// Aggregator consumes completed request lifecycles incrementally and
-// folds them into Stats. Observe is called once per completion, in
-// (finish time, request ID) order; Stats finalizes the run.
-type Aggregator interface {
-	Observe(r RequestStats)
-	Stats(makespan float64, preemptions int) (Stats, error)
-}
-
-// ExactAggregator collects the full ledger and defers to Summarize —
-// the exact reference the streaming sketch is tested against.
-type ExactAggregator struct {
-	done []RequestStats
-}
-
-// Observe appends one completion to the ledger.
-func (a *ExactAggregator) Observe(r RequestStats) { a.done = append(a.done, r) }
-
-// Stats sorts and summarizes the ledger (see Summarize).
-func (a *ExactAggregator) Stats(makespan float64, preemptions int) (Stats, error) {
-	return Summarize(a.done, makespan, preemptions)
-}
-
 // StreamAggregator folds completions into running sums and P²
 // percentile sketches: O(1) memory regardless of request count. See
 // the package section above for the accuracy contract.
@@ -79,7 +56,8 @@ func NewStreamAggregator() *StreamAggregator {
 	return a
 }
 
-// Observe folds one completion into the running aggregates.
+// Observe folds one completion into the running aggregates. It is
+// called once per completion, in (finish time, request ID) order.
 func (a *StreamAggregator) Observe(r RequestStats) {
 	a.n++
 	lat := r.Latency()

@@ -78,7 +78,8 @@ type System struct {
 	Device    string
 	Framework string
 
-	// Parallelism degrees; zero values mean 1.
+	// Parallelism degrees; zero values mean 1, negative ones are
+	// rejected.
 	TP, PP, EP int
 
 	// Weights and KV are precision names ("fp16", "fp8", "int8", …);
@@ -87,7 +88,8 @@ type System struct {
 	KV      string
 
 	// KVBlockTokens overrides the paged-KV block size (0 = framework
-	// default). DisableKVCache reruns the full context every step.
+	// default; negative is rejected). DisableKVCache reruns the full
+	// context every step.
 	KVBlockTokens  int
 	DisableKVCache bool
 }
@@ -119,6 +121,14 @@ func systemConfig(sys System) (engine.Config, error) {
 	fw, err := framework.Get(sys.Framework)
 	if err != nil {
 		return engine.Config{}, err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"TP", sys.TP}, {"PP", sys.PP}, {"EP", sys.EP}, {"KVBlockTokens", sys.KVBlockTokens}} {
+		if f.v < 0 {
+			return engine.Config{}, fmt.Errorf("llmbench: negative System.%s %d", f.name, f.v)
+		}
 	}
 	plan := parallel.Plan{TP: max1(sys.TP), PP: max1(sys.PP), EP: max1(sys.EP)}
 	scheme := quant.FP16

@@ -24,11 +24,21 @@ func TestRunUnknownNames(t *testing.T) {
 		{Model: "LLaMA-3-8B", Device: "A100", Framework: "MLC"},
 		{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM", Weights: "fp13"},
 		{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM", KV: "fp13"},
+		{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM", TP: -4},
+		{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM", PP: -1},
+		{Model: "Mixtral-8x7B", Device: "A100", Framework: "vLLM", EP: -2},
+		{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM", KVBlockTokens: -16},
 	}
 	for i, sys := range cases {
 		if _, err := Run(sys, Workload{Batch: 1, Input: 128, Output: 128}); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	// A negative field fails naming it, in every front door that builds
+	// an engine.
+	neg := System{Model: "LLaMA-3-8B", Device: "A100", Framework: "vLLM", KVBlockTokens: -16}
+	if _, err := Explain(neg, Workload{Batch: 1, Input: 128, Output: 128}); err == nil || !strings.Contains(err.Error(), "KVBlockTokens") {
+		t.Errorf("negative block size: error %v must name KVBlockTokens", err)
 	}
 }
 
