@@ -15,15 +15,29 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"llmbench"
 )
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "llmbench:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line main prints for a failed command: the error
+// behind exactly one "llmbench: " prefix. Errors from the llmbench
+// package already carry it; the command's own (flags, unknown
+// commands) do not.
+func errorLine(err error) string {
+	const prefix = "llmbench: "
+	msg := err.Error()
+	if strings.HasPrefix(msg, prefix) {
+		return msg
+	}
+	return prefix + msg
 }
 
 func run(args []string) error {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"llmbench/internal/des"
 	"llmbench/internal/workload"
@@ -80,15 +81,9 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 	lastScaleUp := -1e18
 	lastScaleDown := -1e18
 	stats, err := run(cfg, reqs, func(k *des.Kernel) error {
-		active := func() int {
-			n := 0
-			for _, s := range k.Stations() {
-				if !s.Retired {
-					n++
-				}
-			}
-			return n
-		}
+		// live holds the IDs of the unretired stations in creation order:
+		// the router and the scale tick scan their gauges over it.
+		var live []int
 		addReplica := func(now float64, initial bool) error {
 			rep, err := as.Factory()
 			if err != nil {
@@ -97,13 +92,11 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 			if rep.Engine == nil || rep.Alloc == nil {
 				return errors.New("cluster: factory produced an incomplete replica")
 			}
-			k.NewStation(rep.Engine, rep.Alloc)
+			live = append(live, k.NewStation(rep.Engine, rep.Alloc).ID)
 			if !initial {
-				events = append(events, ScaleEvent{TimeS: now, Replicas: active(), Up: true})
+				events = append(events, ScaleEvent{TimeS: now, Replicas: len(live), Up: true})
 			}
-			if a := active(); a > peak {
-				peak = a
-			}
+			peak = max(peak, len(live))
 			return nil
 		}
 		for i := 0; i < as.Min; i++ {
@@ -118,13 +111,12 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 		// arrival instant.
 		k.ScaleTick = func(now float64) error {
 			// Scale up on queue pressure.
+			g := k.Gauges()
 			outstanding := 0
-			for _, s := range k.Stations() {
-				if !s.Retired {
-					outstanding += s.Outstanding()
-				}
+			for _, id := range live {
+				outstanding += g[id].Load
 			}
-			act := active()
+			act := len(live)
 			if act < as.Max && now-lastScaleUp >= as.CooldownS &&
 				outstanding > as.UpOutstanding*act {
 				if err := addReplica(now, false); err != nil {
@@ -135,18 +127,20 @@ func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStat
 			// Retire one empty replica when the rest run comfortably.
 			if act > as.Min && now-lastScaleDown >= as.DownIdleS &&
 				outstanding <= as.UpOutstanding*(act-1)/2 {
-				for _, s := range k.Stations() {
-					if !s.Retired && s.Outstanding() == 0 {
-						s.Retired = true
+				g = k.Gauges() // a scale-up may have grown it
+				for i, id := range live {
+					if g[id].Load == 0 {
+						k.Stations()[id].Retired = true
+						live = slices.Delete(live, i, i+1)
 						lastScaleDown = now
-						events = append(events, ScaleEvent{TimeS: now, Replicas: active(), Up: false})
+						events = append(events, ScaleEvent{TimeS: now, Replicas: len(live), Up: false})
 						break
 					}
 				}
 			}
 			return nil
 		}
-		k.Route = func(float64) *des.Station { return leastLoaded(k.Stations()) }
+		k.Route = func(float64) *des.Station { return k.Stations()[live[pickLeast(k.Gauges(), live)]] }
 		return nil
 	})
 	if err != nil {

@@ -214,14 +214,14 @@ func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
 			// Arrivals route within the prefill pool, kv-transfer
 			// deliveries within the decode pool — each with its own router
 			// state, under the one configured policy.
-			k.Route = poolRouter(cfg, stations[:cfg.PrefillReplicas])
-			k.RouteTransfer = poolRouter(cfg, stations[cfg.PrefillReplicas:])
+			k.Route = poolRouter(cfg, k, stations[:cfg.PrefillReplicas])
+			k.RouteTransfer = poolRouter(cfg, k, stations[cfg.PrefillReplicas:])
 			return nil
 		}
 		for i, r := range cfg.Replicas {
 			stations[i] = k.NewStation(r.Engine, r.Alloc)
 		}
-		k.Route = poolRouter(cfg, stations)
+		k.Route = poolRouter(cfg, k, stations)
 		return nil
 	})
 }
@@ -293,112 +293,101 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 	return out, nil
 }
 
-// prefixStater is the allocator view the Prefix router scores with:
-// shared-prefix tokens resident on the device (a free hit) and tokens
-// demoted to a host tier (a hit after a cheap restore).
-// kvcache.PrefixPaged and kvcache.Tiered implement it.
-type prefixStater interface {
-	HotPrefixTokens() int
-	RestorablePrefixTokens() int
-}
-
-// poolRouter builds a routing closure over one station group:
-// round-robin cycles it; least-loaded joins the member with the
-// fewest outstanding requests; prefix joins the member with the
-// longest expected prefix-cache hit among those within a load window
-// of the least-loaded. The aggregated fleet is a single group
-// spanning every station — the exact closure Serve always used — and
-// a disaggregated fleet instantiates it once per pool.
-func poolRouter(cfg Config, group []*des.Station) func(now float64) *des.Station {
-	rr := 0
-	var staters []prefixStater
-	// The load window: affinity may steer an arrival to a replica up
-	// to a quarter of the batch cap busier than the least-loaded one.
-	// A cache hit admits nearly for free in either admission mode (its
-	// prefix tokens are excluded from the admission prefill, and in
-	// chunked mode its suffix is one fused slice), so the window
-	// concentrates hits without queueing tail latency; wider windows
-	// pile the warm set so deep that batched decode gives back more
-	// than the skipped prefill saved.
-	slack := cfg.MaxBatch / 4
-	if slack < 1 {
-		slack = 1
+// poolRouter builds the routing closure over one station group. It
+// reads no station state: each policy scans the kernel's dense
+// per-station gauges (des.Kernel.Gauges), one record per station
+// holding its load and, on prefix-aware allocators, its prefix
+// residency and prefill backlog, over the group's station IDs, which
+// are fixed when the router is built. Round-robin cycles the group;
+// least-loaded joins the first member with the fewest outstanding
+// requests (pickLeast); prefix joins the member with the longest
+// expected prefix-cache hit among those within a load window of the
+// least-loaded (pickPrefix). The aggregated fleet is one group spanning
+// every station, and a disaggregated fleet builds one router per pool.
+func poolRouter(cfg Config, k *des.Kernel, group []*des.Station) func(now float64) *des.Station {
+	ids := make([]int, len(group))
+	for i, s := range group {
+		ids[i] = s.ID
 	}
-	if cfg.Policy == Prefix {
-		// Assert each replica's allocator view once, not per arrival.
-		staters = make([]prefixStater, len(group))
-		for i, s := range group {
-			staters[i], _ = s.Alloc.(prefixStater)
-		}
-	}
-	return func(now float64) *des.Station {
-		switch cfg.Policy {
-		case RoundRobin:
+	switch cfg.Policy {
+	case RoundRobin:
+		rr := 0
+		return func(float64) *des.Station {
 			s := group[rr%len(group)]
 			rr++
 			return s
-		case Prefix:
-			// Cache affinity bounded by load: among the replicas within
-			// slack of the minimum outstanding count, prefer hot
-			// prefixes (no cost) over restorable ones (host-link cost
-			// only) over cold replicas; ties go to the lighter replica,
-			// then to group order — all deterministic reads of station
-			// state at the arrival instant.
-			minOut := group[0].Outstanding()
-			for _, s := range group[1:] {
-				if o := s.Outstanding(); o < minOut {
-					minOut = o
-				}
-			}
-			best, bestScore, bestLoad := -1, -1, 0
-			for i, s := range group {
-				o := s.Outstanding()
-				if o > minOut+slack {
-					continue
-				}
-				score := 0
-				if st := staters[i]; st != nil {
-					// Hot blocks count double, demoted ones once — a hit
-					// is free, a restore costs only the host link. A
-					// replica whose prefill backlog rivals its hot count
-					// is still materializing that prefix (blocks score
-					// hot the moment they allocate, a full prompt before
-					// any of it is computed): score it cold, because
-					// arrivals steered there ride every establishment
-					// slice through inflated iterations. They go to an
-					// established replica when one is in the window, and
-					// otherwise start a second establishment — which
-					// widens the warm set and runs clean instead of
-					// piling onto the first.
-					hot := st.HotPrefixTokens()
-					if hot > 0 && 2*s.PendingPrefillTokens() >= hot {
-						hot = 0
-					}
-					score = 2*hot + st.RestorablePrefixTokens()
-				}
-				if best < 0 || score > bestScore || (score == bestScore && o < bestLoad) {
-					best, bestScore, bestLoad = i, score, o
-				}
-			}
-			return group[best]
 		}
-		return leastLoaded(group)
+	case Prefix:
+		// The load window: affinity may steer an arrival to a replica up
+		// to a quarter of the batch cap busier than the least-loaded one.
+		// A cache hit admits nearly for free in either admission mode (its
+		// prefix tokens are excluded from the admission prefill, and in
+		// chunked mode its suffix is one fused slice), so the window
+		// concentrates hits without queueing tail latency; wider windows
+		// pile the warm set so deep that batched decode gives back more
+		// than the skipped prefill saved.
+		slack := max(cfg.MaxBatch/4, 1)
+		return func(float64) *des.Station { return group[pickPrefix(k.Gauges(), ids, slack)] }
 	}
+	return func(float64) *des.Station { return group[pickLeast(k.Gauges(), ids)] }
 }
 
-// leastLoaded returns the first live station of group with the fewest
-// outstanding requests, reading each station's load once; nil when
-// every station is retired. The least-loaded router and the
-// autoscaler's router share it.
-func leastLoaded(group []*des.Station) *des.Station {
-	var best *des.Station
-	bestLoad := 0
-	for _, s := range group {
-		if s.Retired {
-			continue
+// pickLeast returns the position in ids of the first station with the
+// lowest load. The least-loaded router and the autoscaler's router
+// share it; ids must not be empty.
+func pickLeast(g []des.Gauge, ids []int) int {
+	best, bestLoad := 0, g[ids[0]].Load
+	for i, id := range ids[1:] {
+		if l := g[id].Load; l < bestLoad {
+			best, bestLoad = i+1, l
 		}
-		if o := s.Outstanding(); best == nil || o < bestLoad {
-			best, bestLoad = s, o
+	}
+	return best
+}
+
+// pickPrefix returns the position in ids of the prefix router's pick:
+// cache affinity bounded by load. Among the stations within slack of
+// the minimum load, hot prefixes (no cost) beat restorable ones
+// (host-link cost only), which beat cold stations; ties go to the
+// lighter station, then to ids order. ids must not be empty.
+//
+// The pick is one comparison per station. A station in the window
+// ranks by the key score·(slack+1) + (minLoad+slack − Load): its load
+// sits in [minLoad, minLoad+slack], so the second term lies in
+// [0, slack] and orders equal scores lightest first without reaching
+// the next score. A station outside the window keys −1, below every
+// station in it. The first station with the highest key wins, which is
+// the order above. Scores are prefix-token counts, bounded by a
+// device's KV pool, so the key stays far inside the int range.
+func pickPrefix(g []des.Gauge, ids []int, slack int) int {
+	minLoad := g[ids[0]].Load
+	for _, id := range ids[1:] {
+		minLoad = min(minLoad, g[id].Load)
+	}
+	best, bestKey := 0, -1
+	for i, id := range ids {
+		x := &g[id]
+		// Hot blocks count double, demoted ones once — a hit is free, a
+		// restore costs only the host link. A station whose prefill
+		// backlog rivals its hot count is still materializing that
+		// prefix (blocks score hot the moment they allocate, a full
+		// prompt before any of it is computed): score it cold, because
+		// arrivals steered there ride every establishment slice through
+		// inflated iterations. They go to an established station when one
+		// is in the window, and otherwise start a second establishment —
+		// which widens the warm set and runs clean instead of piling onto
+		// the first. A station without a prefix view has all three
+		// gauges at zero, so it scores cold.
+		hot := x.Hot
+		if 2*x.Pending >= hot {
+			hot = 0
+		}
+		key := (2*hot+x.Restorable)*(slack+1) + minLoad + slack - x.Load
+		if x.Load > minLoad+slack {
+			key = -1
+		}
+		if key > bestKey {
+			best, bestKey = i, key
 		}
 	}
 	return best

@@ -169,6 +169,23 @@
 //     stations are never scanned. Stations are woken only via the
 //     kernel (routing a delivery); writing Station.nextAt from outside
 //     would desynchronise the heap.
+//   - Routing state is one dense Gauge per station (Kernel.Gauges,
+//     indexed by station ID), so a router's scan reads one contiguous
+//     slice instead of each station, its queue and its allocator. Each
+//     gauge changes only where what it summarises changes: Load rises
+//     at each delivery and falls at each completion (finish) and each
+//     prefill hand-off (handoff); a preemption requeue moves a request
+//     from the running set to the queue and changes nothing. The
+//     prefix fields (Hot, Restorable, Pending) are copied once at the
+//     end of each station event, and only on stations whose allocator
+//     has a prefix view (asserted once at NewStation): admission,
+//     releases and prefill slices, the only moves of those numbers, all
+//     happen inside an event. An event that ends with a window open
+//     only opened it, which applies nothing, so it copies nothing.
+//     Station.PendingPrefillTokens is a counter kept at chunked
+//     admission and at each slice, not a scan.
+//     Station.Outstanding still counts the queue and running set; it
+//     is the reference the gauge tests check Load against.
 //   - Completions collect in one kernel buffer kept in completion
 //     order as they arrive: each is inserted by a short backward scan
 //     (see record), so nothing is sorted. A streamed run flushes the
@@ -262,9 +279,15 @@ type Kernel struct {
 	// copy the record to keep it.
 	Sink func(*RequestStats)
 
+	// audit, when non-nil, runs after every station event and every
+	// delivery. Tests set it (export_test.go) to check the gauges
+	// against the stations they summarise; it stays nil otherwise.
+	audit func()
+
 	cfg      Config
 	ran      bool
 	stations []*Station
+	gauges   []Gauge        // one per station, indexed by ID (see Gauges)
 	heap     stationHeap    // stations with a pending event
 	done     []RequestStats // completions not yet flushed, in completion order
 	flushAt  int            // len(done) that triggers the next flush
@@ -306,9 +329,14 @@ func (k *Kernel) NewStation(eng *engine.Engine, alloc kvcache.Allocator) *Statio
 	// admission hot loops test a cached field instead of repeating the
 	// interface assertion per request.
 	s.disc, _ = alloc.(kvcache.PrefillDiscounter)
+	s.pv, _ = alloc.(prefixView)
 	s.cfg = k.cfg
 	s.nextAt, s.hidx = -1, -1
 	k.stations = append(k.stations, s)
+	k.gauges = append(k.gauges, Gauge{})
+	if s.pv != nil {
+		s.publish()
+	}
 	return s
 }
 
@@ -328,6 +356,28 @@ func (k *Kernel) NewPoolStation(eng *engine.Engine, alloc kvcache.Allocator, rol
 // Stations returns the live station list (including retired ones), in
 // creation order.
 func (k *Kernel) Stations() []*Station { return k.stations }
+
+// Gauge is the routing state of one station: what the routing and
+// scaling policies read at each delivery, kept current by the kernel
+// so that a policy scans one dense slice (Kernel.Gauges) instead of
+// each station, its queue and its allocator.
+type Gauge struct {
+	// Load is the station's queued plus running requests
+	// (Station.Outstanding).
+	Load int
+	// Hot and Restorable are the allocator's prefix view
+	// (HotPrefixTokens and RestorablePrefixTokens, which
+	// kvcache.PrefixPaged and kvcache.Tiered have): shared-prefix tokens
+	// resident on the device and tokens demoted to a host tier. Pending is the station's
+	// prefill backlog (Station.PendingPrefillTokens). All three stay 0
+	// on a station whose allocator has no prefix view.
+	Hot, Restorable, Pending int
+}
+
+// Gauges returns every station's gauge, indexed by station ID. The
+// kernel owns the slice: callers only read it, and read it afresh at
+// each routing or scaling call, because NewStation may grow it.
+func (k *Kernel) Gauges() []Gauge { return k.gauges }
 
 // EventCounts tallies a run's events across every station. The
 // counts describe how the kernel got to its Result, not the Result
@@ -524,6 +574,14 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if err := s.event(); err != nil {
 				return Result{}, err
 			}
+			if s.pv != nil && len(s.win) == 0 {
+				// An event that ends with a window open only opened it,
+				// which applies nothing (see Station.step): no gauge moved.
+				s.publish()
+			}
+			if k.audit != nil {
+				k.audit()
+			}
 			if s.nextAt < 0 {
 				k.heap.popRoot()
 			} else {
@@ -554,6 +612,9 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if err := k.deliver(s, queued{req: ordered[i]}, t); err != nil {
 				return Result{}, err
 			}
+			if k.audit != nil {
+				k.audit()
+			}
 			k.arrivals++
 			i++
 		}
@@ -570,6 +631,9 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if err := k.deliver(s, queued{req: x.req, decode: true, carry: x.stats}, t); err != nil {
 				return Result{}, err
 			}
+			if k.audit != nil {
+				k.audit()
+			}
 			k.transfers++
 		}
 	}
@@ -584,9 +648,11 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 // window cuts it at the first step boundary at or after t, where the
 // request can be admitted. The cut boundary precedes the window's last
 // step but may follow its lower-bound key, so the station re-keys in
-// both directions.
+// both directions. The station's load rises by one; a cut moves no
+// other gauge (it completes nothing and only Extends, see cut).
 func (k *Kernel) deliver(s *Station, q queued, t float64) error {
 	s.enqueue(q)
+	k.gauges[s.ID].Load++
 	if s.nextAt < 0 {
 		s.nextAt = t
 		k.heap.push(s)

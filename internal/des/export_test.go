@@ -1,0 +1,52 @@
+package des
+
+import "testing"
+
+// GaugeAudit reports what the gauge oracle saw: how many checks ran,
+// and whether any check found a station with a nonzero hot, restorable
+// or pending gauge (so a test can tell the oracle was not vacuous).
+type GaugeAudit struct {
+	Checks                   int
+	Hot, Restorable, Pending bool
+}
+
+// AuditGauges installs the gauge oracle on k: after every station
+// event and every delivery, each station's gauge must equal what it
+// summarises, recounted from the station itself. Load is Outstanding;
+// the station's prefill backlog counter is a scan of its running
+// set's pendingPrefill; and on a station whose allocator has a prefix
+// view, Hot and Restorable are the allocator's own answers and
+// Pending is that scan, while every other station's prefix fields
+// stay zero. The first mismatch is reported to tb and ends the audit.
+func AuditGauges(k *Kernel, tb testing.TB) *GaugeAudit {
+	a := &GaugeAudit{}
+	k.audit = func() {
+		a.Checks++
+		if len(k.gauges) != len(k.stations) {
+			tb.Errorf("check %d: %d gauges for %d stations", a.Checks, len(k.gauges), len(k.stations))
+			k.audit = nil
+			return
+		}
+		for _, s := range k.stations {
+			g := k.gauges[s.ID]
+			scan := 0
+			for _, r := range s.run {
+				scan += r.pendingPrefill
+			}
+			want := Gauge{Load: s.Outstanding()}
+			if pv, ok := s.Alloc.(prefixView); ok {
+				want.Hot, want.Restorable, want.Pending = pv.HotPrefixTokens(), pv.RestorablePrefixTokens(), scan
+			}
+			if g != want || s.PendingPrefillTokens() != scan {
+				tb.Errorf("check %d: station %d gauge %+v and backlog counter %d; want %+v and %d",
+					a.Checks, s.ID, g, s.PendingPrefillTokens(), want, scan)
+				k.audit = nil
+				return
+			}
+			a.Hot = a.Hot || g.Hot > 0
+			a.Restorable = a.Restorable || g.Restorable > 0
+			a.Pending = a.Pending || g.Pending > 0
+		}
+	}
+	return a
+}

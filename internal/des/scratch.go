@@ -21,6 +21,7 @@ package des
 // so a swept grid stays byte-identical with or without recycling.
 type Scratch struct {
 	stations []*Station
+	gauges   []Gauge
 	heap     stationHeap
 	done     []RequestStats
 	pending  []transfer
@@ -34,10 +35,11 @@ func (k *Kernel) Reuse(sc *Scratch) {
 		return
 	}
 	k.scratch = sc
+	k.gauges = sc.gauges[:0]
 	k.heap = sc.heap[:0]
 	k.done = sc.done[:0]
 	k.pending = sc.pending[:0]
-	sc.heap, sc.done, sc.pending = nil, nil, nil
+	sc.gauges, sc.heap, sc.done, sc.pending = nil, nil, nil, nil
 }
 
 // Release returns k's buffers and station shells to the Scratch
@@ -59,15 +61,16 @@ func (k *Kernel) Release() {
 			s.free = append(s.free, r)
 		}
 		s.run = s.run[:0]
-		s.k, s.Engine, s.Alloc, s.disc = nil, nil, nil, nil
+		s.k, s.Engine, s.Alloc, s.disc, s.pv = nil, nil, nil, nil, nil
 		s.pricer = pricer{} // drop the snapshot so the arena cannot pin engine memo arrays
 		s.win = nil
 		sc.stations = append(sc.stations, s)
 	}
 	k.stations = nil
+	sc.gauges = k.gauges[:0]
 	clear(k.heap) // an aborted run leaves stations on the heap
 	sc.heap = k.heap[:0]
 	sc.done = k.done[:0]
 	sc.pending = k.pending[:0] // abandoned transfers hold no pointers
-	k.heap, k.done, k.pending = nil, nil, nil
+	k.gauges, k.heap, k.done, k.pending = nil, nil, nil, nil
 }

@@ -28,6 +28,11 @@ type Station struct {
 	// for plain allocators, which keeps every discount branch dead and
 	// the float trajectory bit-identical to pre-tier kernels.
 	disc kvcache.PrefillDiscounter
+	// pv is Alloc's prefix-residency view when it has one (asserted
+	// once at NewStation, like disc). The kernel copies it into the
+	// station's gauge after each event that can move it (publish); nil
+	// stations publish nothing, and their gauge's prefix fields stay 0.
+	pv prefixView
 
 	// Retired marks a station drained by the autoscaler. The kernel
 	// itself ignores the flag — a retired station is empty and the
@@ -45,6 +50,10 @@ type Station struct {
 	qhead int
 
 	run []*runReq
+	// pending is the running set's prompt tokens not yet prefilled
+	// (the sum of its records' pendingPrefill), kept current at chunked
+	// admission and at each prefill slice.
+	pending int
 
 	nextAt   float64 // next window-exhausted event; < 0 when idle
 	hidx     int     // position in the kernel's event heap; -1 off it
@@ -196,10 +205,11 @@ func (s *Station) reset() {
 	s.queue = s.queue[:0]
 	s.qhead = 0
 	s.run = s.run[:0]
+	s.pending = 0
 	s.nextAt, s.hidx = -1, -1
 	s.busy, s.maxIter, s.lastDone = 0, 0, 0
 	s.done, s.preempts, s.evicting = 0, 0, false
-	s.disc = nil
+	s.disc, s.pv = nil, nil
 	s.hitToks, s.promptToks = 0, 0
 	s.win = nil
 	s.events, s.windows, s.steps, s.cuts, s.priced = 0, 0, 0, 0, 0
@@ -220,9 +230,10 @@ func (s *Station) popHead() {
 	}
 }
 
-// Outstanding is the station's queued plus running request count —
-// the load signal the routing and scaling policies read at each
-// delivery.
+// Outstanding is the station's queued plus running request count,
+// counted from the queue and the running set. Routers and the
+// autoscaler read the same number from the station's gauge
+// (Gauge.Load), which the kernel keeps equal to it.
 func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
 
 // PendingPrefillTokens is the prompt-token backlog still chunking
@@ -230,15 +241,30 @@ func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
 // mode). Routers use it to tell a materialized prefix cache from one
 // still being established: prefix blocks score hot the moment they
 // allocate, but until the establishing prompt finishes its slices,
-// co-located requests ride iterations inflated by them. A bounded
-// scan of the running set — O(MaxBatch), allocation-free — read at
-// each delivery like Outstanding.
-func (s *Station) PendingPrefillTokens() int {
-	pending := 0
-	for _, r := range s.run {
-		pending += r.pendingPrefill
-	}
-	return pending
+// co-located requests ride iterations inflated by them. A counter,
+// kept at chunked admission and at each slice; stations with a prefix
+// view publish it as Gauge.Pending.
+func (s *Station) PendingPrefillTokens() int { return s.pending }
+
+// publish copies the station's prefix view and prefill backlog into
+// its gauge. The kernel calls it after each event on a station with a
+// prefix view, except one that only opened a window: admission
+// (Alloc), a release (Free) and a prefill slice move them, and all
+// three happen only inside an event that applies work (a cut completes
+// nothing and only Extends).
+func (s *Station) publish() {
+	g := &s.k.gauges[s.ID]
+	g.Hot, g.Restorable, g.Pending = s.pv.HotPrefixTokens(), s.pv.RestorablePrefixTokens(), s.pending
+}
+
+// prefixView is the allocator view a station publishes into its gauge
+// (kvcache.PrefixPaged and kvcache.Tiered have it): shared-prefix
+// tokens resident on the device, where an arriving request hits them
+// for free, and tokens demoted to a host tier, a hit after a host-link
+// restore.
+type prefixView interface {
+	HotPrefixTokens() int
+	RestorablePrefixTokens() int
 }
 
 // Role reports the station's pool assignment.
@@ -456,6 +482,7 @@ func (s *Station) step(now float64) (float64, error) {
 			// stall the batch up front like an admission prefill would.
 			for _, a := range admitted {
 				a.pendingPrefill = a.req.Input - a.prefillSkip
+				s.pending += a.pendingPrefill
 			}
 			if restoreS > 0 {
 				if len(s.run) > 0 && restoreS > s.maxIter {
@@ -598,6 +625,7 @@ func (s *Station) step(now float64) (float64, error) {
 		}
 		step += t
 		prefilling.pendingPrefill -= chunk
+		s.pending -= chunk
 		if prefilling.pendingPrefill == 0 {
 			prefilling.stats.FirstTok = now + step
 			prefilling.generated = 1
@@ -767,6 +795,7 @@ func (s *Station) handoff(r *runReq, end float64) {
 	s.k.insertPending(transfer{at: end + d, req: req, stats: r.stats})
 	s.putReq(r)
 	s.transferred++
+	s.k.gauges[s.ID].Load--
 }
 
 // stepStatic runs one static-batching event. When a batch is in
@@ -860,6 +889,7 @@ func (s *Station) finish(r *runReq, end float64) {
 	r.stats.Finished = end
 	s.k.record(&r.stats)
 	s.putReq(r)
+	s.k.gauges[s.ID].Load--
 	s.done++
 	s.evicting = false
 	if end > s.lastDone {

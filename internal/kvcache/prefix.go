@@ -24,6 +24,9 @@ var ErrPrefixTooLarge = errors.New("kvcache: shared prefix exceeds the block bud
 // sequence allocated through it is assumed to begin with the
 // configured shared prefix (the serving pattern where one system
 // prompt fronts every request).
+//
+// BlockTokens and PrefixTokens are read-only after NewPrefixPaged: the
+// allocator derives its shared full blocks from them once.
 type PrefixPaged struct {
 	BlockTokens   int
 	BytesPerToken float64
@@ -34,7 +37,9 @@ type PrefixPaged struct {
 	capacity     float64
 	totalBlocks  int
 	freeBlocks   int
-	prefixBlocks int // full blocks of the shared prefix
+	sharedBlocks int // PrefixTokens / BlockTokens: the shared full blocks
+	sharedTokens int // sharedBlocks · BlockTokens: the tokens they hold
+	prefixBlocks int // shared full blocks now allocated (sharedBlocks or 0)
 	prefixRef    int // sequences currently referencing them
 	slackTokens  int // private reserved-but-unwritten tokens
 	table        seqTable
@@ -56,7 +61,8 @@ func NewPrefixPaged(blockTokens, prefixTokens int, bytesPerToken, capacityBytes 
 	}
 	blockBytes := float64(blockTokens) * bytesPerToken
 	total := int(capacityBytes / blockBytes)
-	if pb := prefixTokens / blockTokens; pb > total {
+	pb := prefixTokens / blockTokens
+	if pb > total {
 		return nil, fmt.Errorf("%w: prefix of %d tokens needs %d full blocks of %d, but %g bytes hold only %d blocks",
 			ErrPrefixTooLarge, prefixTokens, pb, blockTokens, capacityBytes, total)
 	}
@@ -67,19 +73,18 @@ func NewPrefixPaged(blockTokens, prefixTokens int, bytesPerToken, capacityBytes 
 		capacity:      capacityBytes,
 		totalBlocks:   total,
 		freeBlocks:    total,
+		sharedBlocks:  pb,
+		sharedTokens:  pb * blockTokens,
 	}, nil
 }
-
-func (p *PrefixPaged) sharedFullBlocks() int { return p.PrefixTokens / p.BlockTokens }
 
 // privateBlocksFor returns the private blocks a sequence of the given
 // total length needs: everything beyond the shared full blocks.
 func (p *PrefixPaged) privateBlocksFor(tokens int) int {
-	sharedTokens := p.sharedFullBlocks() * p.BlockTokens
-	if tokens <= sharedTokens {
+	if tokens <= p.sharedTokens {
 		return 0
 	}
-	rest := tokens - sharedTokens
+	rest := tokens - p.sharedTokens
 	return (rest + p.BlockTokens - 1) / p.BlockTokens
 }
 
@@ -87,7 +92,7 @@ func (p *PrefixPaged) privateBlocksFor(tokens int) int {
 // tokens: private block capacity minus the tokens beyond the shared
 // prefix.
 func (p *PrefixPaged) privateSlack(tokens, private int) int {
-	privTokens := tokens - p.sharedFullBlocks()*p.BlockTokens
+	privTokens := tokens - p.sharedTokens
 	if privTokens < 0 {
 		privTokens = 0
 	}
@@ -103,7 +108,7 @@ func (p *PrefixPaged) privateSlack(tokens, private int) int {
 func (p *PrefixPaged) needFor(tokens int) int {
 	need := p.privateBlocksFor(tokens)
 	if p.prefixRef == 0 {
-		need += p.sharedFullBlocks() // first reference materialises the prefix
+		need += p.sharedBlocks // first reference materialises the prefix
 	}
 	return need
 }
@@ -115,7 +120,7 @@ func (p *PrefixPaged) Alloc(tokens int) (Seq, error) {
 		return 0, ErrOutOfMemory
 	}
 	if p.prefixRef == 0 {
-		p.prefixBlocks = p.sharedFullBlocks()
+		p.prefixBlocks = p.sharedBlocks
 		p.freeBlocks -= p.prefixBlocks
 		need -= p.prefixBlocks
 	}
@@ -238,13 +243,14 @@ func (p *PrefixPaged) SharedBytes() float64 {
 // HotPrefixTokens reports the shared-prefix tokens currently
 // materialised on the device: the full-block prefix tokens while any
 // sequence references them, zero once the last reference dropped. The
-// prefix-aware cluster router reads it to score replicas by expected
-// prefix-hit length.
+// DES kernel publishes it into each station's gauge, from which the
+// prefix-aware cluster router scores replicas by expected prefix-hit
+// length.
 func (p *PrefixPaged) HotPrefixTokens() int {
 	if p.prefixRef == 0 {
 		return 0
 	}
-	return p.sharedFullBlocks() * p.BlockTokens
+	return p.sharedTokens
 }
 
 // RestorablePrefixTokens reports shared-prefix tokens held in a lower

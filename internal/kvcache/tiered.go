@@ -267,7 +267,7 @@ func NewTiered(gpu *PrefixPaged, hostCapacityBytes float64, link HostLink) (*Tie
 	if err != nil {
 		return nil, fmt.Errorf("kvcache: host tier of %g bytes holds no %d-token blocks", hostCapacityBytes, gpu.BlockTokens)
 	}
-	prefixBytes := float64(gpu.sharedFullBlocks()) * blockBytes
+	prefixBytes := float64(gpu.sharedBlocks) * blockBytes
 	return &Tiered{gpu: gpu, tier: tier, link: link, restoreS: link.Seconds(prefixBytes)}, nil
 }
 
@@ -283,7 +283,7 @@ func (t *Tiered) Alloc(tokens int) (Seq, error) {
 	if err != nil {
 		return 0, err
 	}
-	shared := t.gpu.sharedFullBlocks() * t.gpu.BlockTokens
+	shared := t.gpu.sharedTokens
 	if shared == 0 {
 		return seq, nil
 	}
@@ -360,7 +360,7 @@ func (t *Tiered) RestorablePrefixTokens() int {
 	if !t.tier.Has(prefixTierID) {
 		return 0
 	}
-	return t.gpu.sharedFullBlocks() * t.gpu.BlockTokens
+	return t.gpu.sharedTokens
 }
 
 // HostUsedBytes reports the storage demoted blocks occupy on the host.
