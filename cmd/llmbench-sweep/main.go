@@ -82,9 +82,16 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "llmbench-sweep:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line main prints for a failed sweep: the error
+// behind exactly one prefix, the command's. Errors from the llmbench
+// package carry their own "llmbench: " prefix, which gives way to it.
+func errorLine(err error) string {
+	return "llmbench-sweep: " + strings.TrimPrefix(err.Error(), "llmbench: ")
 }
 
 // axisDefaults are the list flags' command-line defaults; every other

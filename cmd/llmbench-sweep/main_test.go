@@ -22,6 +22,32 @@ func sweepOutput(t *testing.T, args ...string) string {
 	return out.String()
 }
 
+// TestErrorLineOnePrefix: main prints every error behind exactly one
+// "llmbench-sweep: " prefix, whether the error comes from the llmbench
+// package (which carries its own "llmbench: ") or from the command.
+func TestErrorLineOnePrefix(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-serve", "-rates", "1", "-kvbudget", "-1"},
+			"llmbench-sweep: invalid KV budget -1 GiB (want a finite value ≥ 0)"},
+		{[]string{"-serve", "-rates", "1", "-model", "LLaMA-2-70B", "-devices", "A100"},
+			"llmbench-sweep: LLaMA-2-70B does not fit on A100 for serving"},
+		{[]string{"-serve"},
+			"llmbench-sweep: -serve needs -rates (e.g. -rates 5,10,20) or -trace"},
+	}
+	for _, c := range cases {
+		err := run(c.args, &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("%q: want an error", c.args)
+		}
+		if got := errorLine(err); got != c.want {
+			t.Errorf("%q prints %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
 // wantFlagErrors requires every bad list for the flag to fail the
 // command with an error naming the flag.
 func wantFlagErrors(t *testing.T, flag string, bads ...string) {

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"llmbench/internal/des"
 	"llmbench/internal/dtype"
 	"llmbench/internal/engine"
 	"llmbench/internal/framework"
@@ -70,6 +72,15 @@ func TestValidation(t *testing.T) {
 	if _, err := Serve(Config{Replicas: makeReplicas(t, 1), MaxBatch: 8, ChunkedPrefill: true, PrefillChunk: -1}, reqs); err == nil ||
 		!strings.Contains(err.Error(), "PrefillChunk") {
 		t.Errorf("negative PrefillChunk must fail, got %v", err)
+	}
+	// A trace shifted to start before time 0 would wake stations at
+	// times the kernel reads as idle and silently mis-simulate them.
+	early := clusterTrace(t, 20, 2)
+	for i := range early {
+		early[i].Arrival -= 3
+	}
+	if _, err := Serve(Config{Replicas: kvReplicas(t, 2, 16), Policy: LeastLoaded, MaxBatch: 4}, early); !errors.Is(err, des.ErrNegativeArrival) {
+		t.Errorf("arrivals before time 0 must fail with des.ErrNegativeArrival, got %v", err)
 	}
 }
 

@@ -50,13 +50,15 @@
 //
 // # Event order
 //
-// The kernel is one serial event loop. Stations with a pending event
-// sit in an indexed min-heap keyed by (next event time, station ID).
-// The next delivery instant t is the earlier of the next trace arrival
-// and the earliest pending kv-transfer. The loop runs heap events
-// strictly before t, one at a time in heap order, and recomputes t
-// after each (a prefill event can schedule a delivery earlier than
-// it). Then it delivers at t, in this tie order:
+// The kernel is one serial event loop. Every station has a leaf in a
+// winner tree indexed by station ID (see eventTree), keyed by its next
+// event time, with idle stations at +Inf; the root is the least (next
+// event time, station ID). The next delivery instant t is the earlier
+// of the next trace arrival and the earliest pending kv-transfer. The
+// loop runs the root's event while the root is before t, one at a time
+// in (time, ID) order, and recomputes t after each (a prefill event
+// can schedule a delivery earlier than it). Then it delivers at t, in
+// this tie order:
 //
 //  1. scale-tick, fired immediately before each trace arrival;
 //  2. trace arrivals at t, in trace order (the arrival sort is stable);
@@ -68,13 +70,14 @@
 //     time-ordered queue with arrival-first tie-breaking would order
 //     them.
 //
-// Waking an idle station pushes it onto the heap; a cut and each
-// station event re-key it; a station that goes idle is popped off.
-// Run returns the first error in this order: among station events,
-// the one with the lowest (event time, station ID). Each completion is
-// inserted into the kernel's completion buffer at its (finish time,
-// request ID) position, so Stats never depend on which station's
-// events happened to record first.
+// Waking an idle station, a cut, each station event and each lazy
+// re-key (see Window keys) re-key the station's leaf and replay its
+// path to the root: one set, whichever way the key moved. A station
+// that goes idle keys +Inf. Run returns the first error in this order:
+// among station events, the one with the lowest (event time, station
+// ID). Each completion is inserted into the kernel's completion buffer
+// at its (finish time, request ID) position, so Stats never depend on
+// which station's events happened to record first.
 //
 // # Window keys
 //
@@ -90,9 +93,9 @@
 // nondecreasing from its start context, it reads the longest step off
 // the last committed cost. Max is exact and independent of order, so
 // that equals a running max. Until the cursor reaches the last step,
-// the heap key is a lower bound on the last step's start. With r steps unsummed, the cursor at wt and
-// every cost at least the engine snapshot's floor
-// (engine.StepVec.Floor), the key is
+// the event key is a lower bound on the last step's start. With r
+// steps unsummed, the cursor at wt and every cost at least the engine
+// snapshot's floor (engine.StepVec.Floor), the key is
 //
 //	max(wt, (wt + r·floor)·(1 − (r+8)·2⁻⁵²))
 //
@@ -100,7 +103,7 @@
 // so the true sum is at least (wt + r·floor)·(1 − r·2⁻⁵³). The key
 // takes twice that margin, plus slack for its own three roundings.
 //
-// A lazy key never runs an event. When a heap root has a lazy key
+// A lazy key never runs an event. When the tree's root has a lazy key
 // below the next delivery t, Run advances its cursor to the first step
 // start at or after t, or to the last step, which makes the key exact.
 // Then it re-keys the station (EventCounts.Rekeys). Only exact keys
@@ -113,8 +116,8 @@
 // window's start. Every step is added in step order, and the full
 // commit adds the last step to the cursor's sums. So every timestamp,
 // busy total, maxIter and output is bit-identical to summing the whole
-// window when it opens. A cut can move a key later, past its lower bound, so
-// a delivery re-keys its station both up and down the heap.
+// window when it opens. A cut can move a key later, past its lower
+// bound; the tree re-keys a station the same way in either direction.
 //
 // # KV pressure
 //
@@ -164,11 +167,15 @@
 //     last step's start or at a cut. Its step costs are summed only as
 //     far as the cursor must go (see Window keys), so each committed
 //     step is added about once (EventCounts.Priced).
-//   - The event heap holds only stations with a pending event, so an
-//     event costs O(log awake), and idle or long-retired autoscaler
-//     stations are never scanned. Stations are woken only via the
-//     kernel (routing a delivery); writing Station.nextAt from outside
-//     would desynchronise the heap.
+//   - The event queue is a winner tree over every station (eventTree):
+//     a re-key replays one leaf-to-root path, comparing against each
+//     level's sibling with a conditional move instead of a branch, so
+//     an event, a lazy re-key or a delivery costs O(log stations)
+//     whatever the data, and nothing is ever scanned. Idle and
+//     retired stations keep a leaf at +Inf, which never wins while any
+//     station has work. Stations are woken only via the kernel
+//     (routing a delivery); writing Station.nextAt from outside would
+//     desynchronise the tree.
 //   - Routing state is one dense Gauge per station (Kernel.Gauges,
 //     indexed by station ID), so a router's scan reads one contiguous
 //     slice instead of each station, its queue and its allocator. Each
@@ -176,12 +183,13 @@
 //     at each delivery and falls at each completion (finish) and each
 //     prefill hand-off (handoff); a preemption requeue moves a request
 //     from the running set to the queue and changes nothing. The
-//     prefix fields (Hot, Restorable, Pending) are copied once at the
-//     end of each station event, and only on stations whose allocator
-//     has a prefix view (asserted once at NewStation): admission,
-//     releases and prefill slices, the only moves of those numbers, all
-//     happen inside an event. An event that ends with a window open
-//     only opened it, which applies nothing, so it copies nothing.
+//     prefix fields (Hot, Restorable, Pending) are copied at the end of
+//     a station event, and only on stations whose allocator has a
+//     prefix view (asserted once at NewStation): admission (Alloc),
+//     releases (Free) and prefill slices, the only moves of those
+//     numbers, all happen inside an event, and each sets the station's
+//     moved flag, so an event that made none of them (opening a
+//     window, say) copies nothing.
 //     Station.PendingPrefillTokens is a counter kept at chunked
 //     admission and at each slice, not a scan.
 //     Station.Outstanding still counts the queue and running set; it
@@ -253,6 +261,11 @@ type Config struct {
 // Release/Reuse if setup cost matters).
 var ErrKernelReused = errors.New("des: Kernel.Run called twice (kernels are single-use)")
 
+// ErrNegativeArrival is returned by Run when a request arrives before
+// time 0. Trace time starts at 0, and the kernel reserves negative
+// event times for idle stations.
+var ErrNegativeArrival = errors.New("des: negative arrival time")
+
 // Kernel drives stations over a trace. Build one with New, add
 // stations with NewStation (also legal mid-run, from a ScaleTick
 // handler), set the policy callbacks, then Run.
@@ -288,7 +301,7 @@ type Kernel struct {
 	ran      bool
 	stations []*Station
 	gauges   []Gauge        // one per station, indexed by ID (see Gauges)
-	heap     stationHeap    // stations with a pending event
+	tree     eventTree      // every station's next event (see eventTree)
 	done     []RequestStats // completions not yet flushed, in completion order
 	flushAt  int            // len(done) that triggers the next flush
 	scratch  *Scratch       // arena to Release into, when recycling
@@ -331,9 +344,10 @@ func (k *Kernel) NewStation(eng *engine.Engine, alloc kvcache.Allocator) *Statio
 	s.disc, _ = alloc.(kvcache.PrefillDiscounter)
 	s.pv, _ = alloc.(prefixView)
 	s.cfg = k.cfg
-	s.nextAt, s.hidx = -1, -1
+	s.nextAt = -1
 	k.stations = append(k.stations, s)
 	k.gauges = append(k.gauges, Gauge{})
+	k.tree.grow(len(k.stations))
 	if s.pv != nil {
 		s.publish()
 	}
@@ -409,9 +423,9 @@ type EventCounts struct {
 	// committed window step once, plus any steps summed again when a
 	// delivery lands before a window's priced cursor.
 	Priced int
-	// Rekeys counts lazy re-keys: heap roots whose window key was a
-	// lower bound below the next delivery, advanced without running an
-	// event.
+	// Rekeys counts lazy re-keys: event-tree roots whose window key
+	// was a lower bound below the next delivery, advanced without
+	// running an event.
 	Rekeys int
 }
 
@@ -538,6 +552,12 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			// instant and the delivery loop would spin forever.
 			return Result{}, fmt.Errorf("des: request %d has non-finite arrival %v", r.ID, r.Arrival)
 		}
+		if r.Arrival < 0 {
+			// A station woken at a negative time would read as idle
+			// (nextAt < 0) and drop off the event queue with work left.
+			// −0 passes: it keys as +0 (treeKey).
+			return Result{}, fmt.Errorf("%w: request %d arrives at %v", ErrNegativeArrival, r.ID, r.Arrival)
+		}
 	}
 
 	if k.Sink == nil {
@@ -560,33 +580,25 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 		// Every station event strictly before t, in (time, ID) order. A
 		// prefill event may schedule a kv-transfer earlier than t, so t
 		// is recomputed after each event.
-		for len(k.heap) > 0 && k.heap[0].at < t {
-			s := k.heap[0].s
+		for at, id := k.tree.root(); at < t; at, id = k.tree.root() {
+			s := k.stations[id]
 			if s.lazy() {
 				// A lower-bound key: price the window up to t (or its
 				// last step, which makes the key exact) and re-key.
 				s.advance(t)
 				k.rekeys++
-				k.heap.rekey(0)
-				k.heap.down(0)
+				k.tree.set(id, s.nextAt)
 				continue
 			}
 			if err := s.event(); err != nil {
 				return Result{}, err
 			}
-			if s.pv != nil && len(s.win) == 0 {
-				// An event that ends with a window open only opened it,
-				// which applies nothing (see Station.step): no gauge moved.
+			if s.pv != nil && s.moved {
 				s.publish()
 			}
+			k.tree.set(id, s.nextAt)
 			if k.audit != nil {
 				k.audit()
-			}
-			if s.nextAt < 0 {
-				k.heap.popRoot()
-			} else {
-				k.heap.rekey(0)
-				k.heap.down(0)
 			}
 			if k.phead < len(k.pending) && k.pending[k.phead].at < t {
 				t = k.pending[k.phead].at
@@ -647,21 +659,19 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 // an idle station wakes at t, and a station inside an open coalesced
 // window cuts it at the first step boundary at or after t, where the
 // request can be admitted. The cut boundary precedes the window's last
-// step but may follow its lower-bound key, so the station re-keys in
-// both directions. The station's load rises by one; a cut moves no
+// step but may follow its lower-bound key; one set re-keys the station
+// either way. The station's load rises by one; a cut moves no
 // other gauge (it completes nothing and only Extends, see cut).
 func (k *Kernel) deliver(s *Station, q queued, t float64) error {
 	s.enqueue(q)
 	k.gauges[s.ID].Load++
+	var err error
 	if s.nextAt < 0 {
 		s.nextAt = t
-		k.heap.push(s)
-		return nil
+	} else {
+		err = s.cut(t)
 	}
-	err := s.cut(t)
-	k.heap.rekey(s.hidx)
-	k.heap.up(s.hidx)
-	k.heap.down(s.hidx)
+	k.tree.set(s.ID, s.nextAt)
 	return err
 }
 
@@ -716,82 +726,6 @@ func (k *Kernel) flush(t float64) {
 	}
 	k.done = buf[:copy(buf, buf[n:])]
 	k.flushAt = len(k.done) + flushBatch
-}
-
-// stationHeap is the kernel's event queue: an indexed binary min-heap
-// of the stations with a pending event, keyed by (at, id). Each entry
-// carries its station's key inline, so a comparison never follows the
-// station pointer: at is a copy of the station's nextAt, and every
-// code path that moves nextAt on a member writes the copy before it
-// sifts (rekey). Station.hidx is each member's position (-1 off the
-// heap), so a cut re-keys its station without a search.
-type stationHeap []heapEntry
-
-type heapEntry struct {
-	at float64
-	id int
-	s  *Station
-}
-
-func (h stationHeap) less(i, j int) bool {
-	a, b := &h[i], &h[j]
-	return a.at < b.at || (a.at == b.at && a.id < b.id)
-}
-
-func (h stationHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].s.hidx, h[j].s.hidx = i, j
-}
-
-// up moves entry i toward the root while it precedes its parent.
-func (h stationHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-// down moves entry i toward the leaves while a child precedes it.
-func (h stationHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h.less(r, c) {
-			c = r
-		}
-		if !h.less(c, i) {
-			return
-		}
-		h.swap(i, c)
-		i = c
-	}
-}
-
-// rekey copies entry i's station key after its nextAt moved: the
-// caller sifts the entry afterwards.
-func (h stationHeap) rekey(i int) { h[i].at = h[i].s.nextAt }
-
-func (h *stationHeap) push(s *Station) {
-	s.hidx = len(*h)
-	*h = append(*h, heapEntry{at: s.nextAt, id: s.ID, s: s})
-	h.up(s.hidx)
-}
-
-// popRoot removes the root station.
-func (h *stationHeap) popRoot() {
-	old := *h
-	n := len(old) - 1
-	old.swap(0, n)
-	old[n].s.hidx = -1
-	old[n] = heapEntry{}
-	*h = old[:n]
-	h.down(0)
 }
 
 // collect assembles the Result. On ledgered runs the completion

@@ -327,13 +327,25 @@ func TestKernelValidation(t *testing.T) {
 		t.Error("an unadmittable request must error, not hang")
 	}
 	// Non-finite arrivals would never match the delivery instant and
-	// spin the loop forever; they must be rejected up front.
-	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+	// spin the loop forever, and a negative one would wake its station
+	// at a time that reads as idle; they must be rejected up front.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
 		k = des.New(des.Config{MaxBatch: 4})
 		k.NewStation(testEngine(t), testAlloc(t, 1))
-		if _, err := k.Run([]workload.Request{{ID: 0, Input: 64, Output: 8, Arrival: bad}}); err == nil {
+		_, err := k.Run([]workload.Request{{ID: 0, Input: 64, Output: 8, Arrival: bad}})
+		if err == nil {
 			t.Errorf("arrival %v must error, not hang", bad)
 		}
+		if neg := bad < 0; errors.Is(err, des.ErrNegativeArrival) != neg {
+			t.Errorf("arrival %v: got %v, want ErrNegativeArrival %v", bad, err, neg)
+		}
+	}
+	// −0 is time 0.
+	k = des.New(des.Config{MaxBatch: 4})
+	k.NewStation(testEngine(t), testAlloc(t, 1))
+	res, err := k.Run([]workload.Request{{ID: 0, Input: 64, Output: 8, Arrival: math.Copysign(0, -1)}, {ID: 1, Input: 64, Output: 8}})
+	if err != nil || res.Completed != 2 {
+		t.Errorf("arrivals at −0 and 0: completed %d, error %v", res.Completed, err)
 	}
 }
 

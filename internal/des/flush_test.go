@@ -81,91 +81,3 @@ func TestRecordMatchesSort(t *testing.T) {
 		}
 	}
 }
-
-// checkHeap verifies the heap's invariants: every entry's inline key
-// equals its station's (nextAt, ID), hidx points back at the entry,
-// stations off the heap have hidx -1, and no child precedes its
-// parent.
-func checkHeap(t *testing.T, h stationHeap, stations []*Station) {
-	t.Helper()
-	on := 0
-	for i, e := range h {
-		if e.at != e.s.nextAt || e.id != e.s.ID {
-			t.Fatalf("entry %d keyed (%v, %d), station has (%v, %d)", i, e.at, e.id, e.s.nextAt, e.s.ID)
-		}
-		if e.s.hidx != i {
-			t.Fatalf("entry %d: station %d has hidx %d", i, e.s.ID, e.s.hidx)
-		}
-		if i > 0 && h.less(i, (i-1)/2) {
-			t.Fatalf("entry %d precedes its parent", i)
-		}
-	}
-	for _, s := range stations {
-		if s.hidx >= 0 {
-			on++
-		} else if s.hidx != -1 {
-			t.Fatalf("station %d off the heap has hidx %d", s.ID, s.hidx)
-		}
-	}
-	if on != len(h) {
-		t.Fatalf("%d stations claim a heap slot, heap holds %d", on, len(h))
-	}
-}
-
-// TestStationHeapKeys drives the heap through random push, re-key and
-// pop sequences, with many stations tied at one key, the way the
-// kernel does: each move of a member's nextAt is copied into its entry
-// before the sift. Every step keeps the invariants, and each pop takes
-// the least (nextAt, ID).
-func TestStationHeapKeys(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	stations := make([]*Station, 48)
-	for i := range stations {
-		stations[i] = &Station{ID: i, nextAt: -1, hidx: -1}
-	}
-	key := func() float64 { return float64(rng.IntN(16)) / 2 }
-	var h stationHeap
-	for op := 0; op < 20000; op++ {
-		s := stations[rng.IntN(len(stations))]
-		switch {
-		case s.hidx < 0:
-			s.nextAt = key()
-			h.push(s)
-		case rng.IntN(2) == 0:
-			// A cut or a lazy advance: the key moves either way.
-			s.nextAt = key()
-			h.rekey(s.hidx)
-			h.up(s.hidx)
-			h.down(s.hidx)
-		default:
-			root := h[0].s
-			for _, e := range h {
-				if e.s.nextAt < root.nextAt || (e.s.nextAt == root.nextAt && e.s.ID < root.ID) {
-					t.Fatalf("op %d: root is station %d at %v, station %d at %v precedes it",
-						op, root.ID, root.nextAt, e.s.ID, e.s.nextAt)
-				}
-			}
-			if rng.IntN(2) == 0 {
-				root.nextAt = -1
-				h.popRoot()
-			} else {
-				// The root's event ran and scheduled its next one.
-				root.nextAt += float64(1+rng.IntN(4)) / 2
-				h.rekey(0)
-				h.down(0)
-			}
-		}
-		checkHeap(t, h, stations)
-	}
-	prevAt, prevID := -1.0, -1
-	for len(h) > 0 {
-		s := h[0].s
-		if s.nextAt < prevAt || (s.nextAt == prevAt && s.ID < prevID) {
-			t.Fatalf("drain popped (%v, %d) after (%v, %d)", s.nextAt, s.ID, prevAt, prevID)
-		}
-		prevAt, prevID = s.nextAt, s.ID
-		s.nextAt = -1
-		h.popRoot()
-		checkHeap(t, h, stations)
-	}
-}

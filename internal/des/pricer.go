@@ -14,7 +14,7 @@ package des
 // delivery to its own station can cut it short, so most windows run to
 // the end. Its costs are summed later, lazily, by the station's priced
 // cursor, which carries only the clock (wt, wp) and busy chains and
-// keys the event heap with a bound built from the snapshot's floor.
+// keys the event tree with a bound built from the snapshot's floor.
 // The window's longest step is not tracked per step: a commit folds
 // maxIter from the committed costs, reading it off the last one when
 // the snapshot's rising certificate (engine.StepVec.Rise) shows the

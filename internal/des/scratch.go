@@ -22,7 +22,7 @@ package des
 type Scratch struct {
 	stations []*Station
 	gauges   []Gauge
-	heap     stationHeap
+	tree     eventTree
 	done     []RequestStats
 	pending  []transfer
 }
@@ -36,10 +36,10 @@ func (k *Kernel) Reuse(sc *Scratch) {
 	}
 	k.scratch = sc
 	k.gauges = sc.gauges[:0]
-	k.heap = sc.heap[:0]
+	k.tree = sc.tree[:0]
 	k.done = sc.done[:0]
 	k.pending = sc.pending[:0]
-	sc.gauges, sc.heap, sc.done, sc.pending = nil, nil, nil, nil
+	sc.gauges, sc.tree, sc.done, sc.pending = nil, nil, nil, nil
 }
 
 // Release returns k's buffers and station shells to the Scratch
@@ -68,9 +68,8 @@ func (k *Kernel) Release() {
 	}
 	k.stations = nil
 	sc.gauges = k.gauges[:0]
-	clear(k.heap) // an aborted run leaves stations on the heap
-	sc.heap = k.heap[:0]
+	sc.tree = k.tree[:0] // tree nodes hold no pointers
 	sc.done = k.done[:0]
 	sc.pending = k.pending[:0] // abandoned transfers hold no pointers
-	k.gauges, k.heap, k.done, k.pending = nil, nil, nil, nil
+	k.gauges, k.tree, k.done, k.pending = nil, nil, nil, nil
 }

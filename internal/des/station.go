@@ -30,14 +30,18 @@ type Station struct {
 	disc kvcache.PrefillDiscounter
 	// pv is Alloc's prefix-residency view when it has one (asserted
 	// once at NewStation, like disc). The kernel copies it into the
-	// station's gauge after each event that can move it (publish); nil
+	// station's gauge after each event that moved it (publish); nil
 	// stations publish nothing, and their gauge's prefix fields stay 0.
 	pv prefixView
+	// moved is set by every Alloc, Free and prefill slice, the only
+	// calls that move the prefix gauges, and cleared by publish: the
+	// kernel publishes after an event only when it is set.
+	moved bool
 
 	// Retired marks a station drained by the autoscaler. The kernel
 	// itself ignores the flag — a retired station is empty and the
-	// router stops picking it, so it simply never wakes again (and
-	// never re-enters the kernel's event heap).
+	// router stops picking it, so it simply never wakes again (its
+	// leaf in the kernel's event tree stays idle).
 	Retired bool
 
 	cfg Config
@@ -56,7 +60,6 @@ type Station struct {
 	pending int
 
 	nextAt   float64 // next window-exhausted event; < 0 when idle
-	hidx     int     // position in the kernel's event heap; -1 off it
 	busy     float64 // time spent executing iterations
 	maxIter  float64 // longest single iteration
 	lastDone float64 // end of this station's last completed work
@@ -206,10 +209,10 @@ func (s *Station) reset() {
 	s.qhead = 0
 	s.run = s.run[:0]
 	s.pending = 0
-	s.nextAt, s.hidx = -1, -1
+	s.nextAt = -1
 	s.busy, s.maxIter, s.lastDone = 0, 0, 0
 	s.done, s.preempts, s.evicting = 0, 0, false
-	s.disc, s.pv = nil, nil
+	s.disc, s.pv, s.moved = nil, nil, false
 	s.hitToks, s.promptToks = 0, 0
 	s.win = nil
 	s.events, s.windows, s.steps, s.cuts, s.priced = 0, 0, 0, 0, 0
@@ -247,14 +250,15 @@ func (s *Station) Outstanding() int { return s.queueLen() + len(s.run) }
 func (s *Station) PendingPrefillTokens() int { return s.pending }
 
 // publish copies the station's prefix view and prefill backlog into
-// its gauge. The kernel calls it after each event on a station with a
-// prefix view, except one that only opened a window: admission
-// (Alloc), a release (Free) and a prefill slice move them, and all
-// three happen only inside an event that applies work (a cut completes
-// nothing and only Extends).
+// its gauge. Only admission (Alloc), a release (Free) and a prefill
+// slice move them, and each sets moved; the kernel calls publish after
+// an event that set it, on a station with a prefix view. All three
+// happen only inside an event: a cut completes nothing and only
+// Extends, and an event that only opens a window applies nothing.
 func (s *Station) publish() {
 	g := &s.k.gauges[s.ID]
 	g.Hot, g.Restorable, g.Pending = s.pv.HotPrefixTokens(), s.pv.RestorablePrefixTokens(), s.pending
+	s.moved = false
 }
 
 // prefixView is the allocator view a station publishes into its gauge
@@ -626,6 +630,7 @@ func (s *Station) step(now float64) (float64, error) {
 		step += t
 		prefilling.pendingPrefill -= chunk
 		s.pending -= chunk
+		s.moved = true
 		if prefilling.pendingPrefill == 0 {
 			prefilling.stats.FirstTok = now + step
 			prefilling.generated = 1
@@ -663,6 +668,7 @@ func (s *Station) step(now float64) (float64, error) {
 			// queue (recompute later). The requeued request re-arrives
 			// at the eviction instant.
 			s.Alloc.Free(r.seq)
+			s.moved = true
 			s.preempts++
 			if r.stats.Preempted > 0 && r.evictedAt == s.done {
 				s.evicting = true
@@ -705,6 +711,7 @@ func (s *Station) admit(now float64) (restoreS float64, err error) {
 		if !s.Alloc.CanAlloc(q.req.Input) {
 			break
 		}
+		s.moved = true
 		seq, err := s.Alloc.Alloc(q.req.Input)
 		if err != nil {
 			break
@@ -788,6 +795,7 @@ func (s *Station) stepPrefill(now float64) (float64, error) {
 // arrival survives in the carried stats.
 func (s *Station) handoff(r *runReq, end float64) {
 	s.Alloc.Free(r.seq)
+	s.moved = true
 	d := s.cfg.Transfer.Seconds(r.req.Input)
 	r.stats.TransferS = d
 	req := r.req
@@ -825,6 +833,7 @@ func (s *Station) stepStatic(now float64) (float64, error) {
 	s.qhead = 0
 	for _, q := range live {
 		if len(s.admitted) < s.cfg.MaxBatch && s.Alloc.CanAlloc(q.req.Input+q.req.Output) {
+			s.moved = true
 			if seq, err := s.Alloc.Alloc(q.req.Input + q.req.Output); err == nil {
 				r := s.getReq(&q, now)
 				r.seq = seq
@@ -886,6 +895,7 @@ func (s *Station) stepStatic(now float64) (float64, error) {
 // finish records a completion at time end and recycles the record.
 func (s *Station) finish(r *runReq, end float64) {
 	s.Alloc.Free(r.seq)
+	s.moved = true
 	r.stats.Finished = end
 	s.k.record(&r.stats)
 	s.putReq(r)
