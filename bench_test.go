@@ -521,8 +521,13 @@ func BenchmarkServeAutoscale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.ServeAutoscale(cluster.Config{MaxBatch: 16}, cluster.Autoscale{
-			Factory: factory, Min: 1, Max: 8, UpOutstanding: 12, DownIdleS: 3, CooldownS: 1,
+		first, err := factory()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cluster.Serve(cluster.Config{
+			Replicas: []cluster.Replica{first}, Policy: cluster.LeastLoaded, MaxBatch: 16,
+			Autoscale: &cluster.Autoscale{Factory: factory, Max: 8, UpOutstanding: 12},
 		}, reqs); err != nil {
 			b.Fatal(err)
 		}

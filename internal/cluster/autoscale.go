@@ -13,42 +13,50 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"llmbench/internal/des"
-	"llmbench/internal/workload"
 )
 
-// Autoscale configures dynamic replica management.
+// Autoscale configures dynamic replica management (Config.Autoscale).
+// The fleet starts as Config.Replicas, whose size is also the floor
+// scale-downs never cross, and routes least-loaded.
 type Autoscale struct {
-	// Factory builds a fresh replica (engine + KV allocator).
+	// Factory builds a fresh replica (engine + KV allocator) for each
+	// scale-up. A run may build more than Max replicas over its
+	// lifetime: a retired replica is never revived.
 	Factory func() (Replica, error)
-	// Min and Max bound the replica count.
-	Min, Max int
+	// Max bounds the live replica count; it must be at least
+	// len(Config.Replicas).
+	Max int
 	// UpOutstanding: scale up when mean outstanding requests per
-	// active replica exceeds this.
+	// active replica exceeds this. A replica is retired when it is
+	// empty and the remaining replicas would still run at under half
+	// this threshold.
 	UpOutstanding int
-	// DownIdleS is the minimum spacing between scale-downs; a replica
-	// is retired when it is empty and the remaining replicas would
-	// still run at under half the scale-up threshold.
-	DownIdleS float64
-	// CooldownS is the minimum spacing between scale-ups.
-	CooldownS float64
 }
 
-func (a *Autoscale) validate() error {
+// The minimum spacings between scale-ups and between scale-downs: a
+// replica joins at most once a second, and one retires at most once
+// per 3 s.
+const (
+	scaleUpCooldownS  = 1.0
+	scaleDownSpacingS = 3.0
+)
+
+// validate checks the autoscaler against the fleet it starts from.
+func (a *Autoscale) validate(cfg *Config) error {
 	switch {
 	case a.Factory == nil:
 		return errors.New("cluster: autoscale needs a replica factory")
-	case a.Min < 1 || a.Max < a.Min:
-		return fmt.Errorf("cluster: bad autoscale bounds [%d, %d]", a.Min, a.Max)
+	case a.Max < len(cfg.Replicas):
+		return fmt.Errorf("cluster: autoscale Max %d is below the initial fleet of %d", a.Max, len(cfg.Replicas))
 	case a.UpOutstanding < 1:
 		return errors.New("cluster: UpOutstanding must be ≥ 1")
-	case math.IsNaN(a.DownIdleS) || math.IsInf(a.DownIdleS, 0) || math.IsNaN(a.CooldownS) || math.IsInf(a.CooldownS, 0):
-		return fmt.Errorf("cluster: non-finite idle/cooldown times (%v, %v)", a.DownIdleS, a.CooldownS)
-	case a.DownIdleS <= 0 || a.CooldownS < 0:
-		return errors.New("cluster: non-positive idle/cooldown times")
+	case cfg.PrefillReplicas > 0:
+		return errors.New("cluster: autoscaling does not compose with disaggregation (pool splits are fixed)")
+	case cfg.Policy != LeastLoaded:
+		return fmt.Errorf("cluster: autoscaling routes least-loaded; policy %v is not supported", cfg.Policy)
 	}
 	return nil
 }
@@ -60,91 +68,72 @@ type ScaleEvent struct {
 	Up       bool
 }
 
-// AutoStats extends Stats with the scaling trajectory.
-type AutoStats struct {
-	Stats
-	Events       []ScaleEvent
-	PeakReplicas int
+// scaler is one run's autoscaler state: the scale tick and the
+// least-loaded router over the live stations.
+type scaler struct {
+	as     Autoscale
+	k      *des.Kernel
+	floor  int
+	events []ScaleEvent
+	peak   int
+	// live holds the IDs of the unretired stations in creation order:
+	// the router and the scale tick scan their gauges over it.
+	live                       []int
+	lastScaleUp, lastScaleDown float64
 }
 
-// ServeAutoscale runs the trace with dynamic capacity, starting from
-// Min replicas.
-func ServeAutoscale(cfg Config, as Autoscale, reqs []workload.Request) (AutoStats, error) {
-	if err := as.validate(); err != nil {
-		return AutoStats{}, err
+// installScaler makes the kernel's fleet dynamic, starting from the
+// stations already on it: it registers the scale-tick handler and the
+// router, and returns the state the run's Stats read afterwards.
+func installScaler(k *des.Kernel, as Autoscale, stations []*des.Station) *scaler {
+	sc := &scaler{as: as, k: k, floor: len(stations), peak: len(stations), lastScaleUp: -1e18, lastScaleDown: -1e18}
+	for _, s := range stations {
+		sc.live = append(sc.live, s.ID)
 	}
-	if err := cfg.validate(reqs); err != nil {
-		return AutoStats{}, err
-	}
-	var events []ScaleEvent
-	peak := 0
-	lastScaleUp := -1e18
-	lastScaleDown := -1e18
-	stats, err := run(cfg, reqs, func(k *des.Kernel) error {
-		// live holds the IDs of the unretired stations in creation order:
-		// the router and the scale tick scan their gauges over it.
-		var live []int
-		addReplica := func(now float64, initial bool) error {
-			rep, err := as.Factory()
-			if err != nil {
-				return err
-			}
-			if rep.Engine == nil || rep.Alloc == nil {
-				return errors.New("cluster: factory produced an incomplete replica")
-			}
-			live = append(live, k.NewStation(rep.Engine, rep.Alloc).ID)
-			if !initial {
-				events = append(events, ScaleEvent{TimeS: now, Replicas: len(live), Up: true})
-			}
-			peak = max(peak, len(live))
-			return nil
-		}
-		for i := 0; i < as.Min; i++ {
-			if err := addReplica(0, true); err != nil {
-				return err
-			}
-		}
-		peak = as.Min
+	k.ScaleTick = sc.tick
+	k.Route = func(float64) *des.Station { return k.Stations()[sc.live[pickLeast(k.Gauges(), sc.live)]] }
+	return sc
+}
 
-		// The scale-tick handler: fired by the kernel immediately before
-		// each arrival is routed, after every replica event before the
-		// arrival instant.
-		k.ScaleTick = func(now float64) error {
-			// Scale up on queue pressure.
-			g := k.Gauges()
-			outstanding := 0
-			for _, id := range live {
-				outstanding += g[id].Load
-			}
-			act := len(live)
-			if act < as.Max && now-lastScaleUp >= as.CooldownS &&
-				outstanding > as.UpOutstanding*act {
-				if err := addReplica(now, false); err != nil {
-					return err
-				}
-				lastScaleUp = now
-			}
-			// Retire one empty replica when the rest run comfortably.
-			if act > as.Min && now-lastScaleDown >= as.DownIdleS &&
-				outstanding <= as.UpOutstanding*(act-1)/2 {
-				g = k.Gauges() // a scale-up may have grown it
-				for i, id := range live {
-					if g[id].Load == 0 {
-						k.Stations()[id].Retired = true
-						live = slices.Delete(live, i, i+1)
-						lastScaleDown = now
-						events = append(events, ScaleEvent{TimeS: now, Replicas: len(live), Up: false})
-						break
-					}
-				}
-			}
-			return nil
-		}
-		k.Route = func(float64) *des.Station { return k.Stations()[live[pickLeast(k.Gauges(), live)]] }
-		return nil
-	})
-	if err != nil {
-		return AutoStats{}, err
+// tick is the scale-tick handler: fired by the kernel immediately
+// before each arrival is routed, after every replica event before the
+// arrival instant.
+func (sc *scaler) tick(now float64) error {
+	k, as := sc.k, &sc.as
+	// Scale up on queue pressure.
+	g := k.Gauges()
+	outstanding := 0
+	for _, id := range sc.live {
+		outstanding += g[id].Load
 	}
-	return AutoStats{Stats: stats, Events: events, PeakReplicas: peak}, nil
+	act := len(sc.live)
+	if act < as.Max && now-sc.lastScaleUp >= scaleUpCooldownS &&
+		outstanding > as.UpOutstanding*act {
+		rep, err := as.Factory()
+		if err != nil {
+			return err
+		}
+		if rep.Engine == nil || rep.Alloc == nil {
+			return errors.New("cluster: factory produced an incomplete replica")
+		}
+		sc.live = append(sc.live, k.NewStation(rep.Engine, rep.Alloc).ID)
+		sc.events = append(sc.events, ScaleEvent{TimeS: now, Replicas: len(sc.live), Up: true})
+		sc.peak = max(sc.peak, len(sc.live))
+		sc.lastScaleUp = now
+	}
+	// Retire one empty replica when the rest run comfortably.
+	if act > sc.floor && now-sc.lastScaleDown >= scaleDownSpacingS &&
+		outstanding <= as.UpOutstanding*(act-1)/2 {
+		g = k.Gauges() // a scale-up may have grown it
+		for i, id := range sc.live {
+			if g[id].Load == 0 {
+				k.Stations()[id].Retired = true
+				sc.live = slices.Delete(sc.live, i, i+1)
+				sc.lastScaleDown = now
+				sc.events = append(sc.events, ScaleEvent{TimeS: now, Replicas: len(sc.live), Up: false})
+				break
+			}
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -47,51 +46,54 @@ func burstyTrace(t *testing.T) []workload.Request {
 }
 
 func defaultAutoscale(t *testing.T) Autoscale {
-	return Autoscale{
-		Factory:       factory(t),
-		Min:           1,
-		Max:           6,
-		UpOutstanding: 12,
-		DownIdleS:     3,
-		CooldownS:     1,
+	return Autoscale{Factory: factory(t), Max: 6, UpOutstanding: 12}
+}
+
+// autoscaled fills cfg in as an autoscaled run routing least-loaded
+// over an initial fleet of n fresh replicas from as.Factory.
+func autoscaled(t *testing.T, cfg Config, as Autoscale, n int) Config {
+	t.Helper()
+	cfg.Policy, cfg.Autoscale, cfg.Replicas = LeastLoaded, &as, nil
+	for i := 0; i < n; i++ {
+		r, err := as.Factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Replicas = append(cfg.Replicas, r)
 	}
+	return cfg
 }
 
 func TestAutoscaleValidation(t *testing.T) {
 	reqs := burstyTrace(t)
-	bad := defaultAutoscale(t)
-	bad.Factory = nil
-	if _, err := ServeAutoscale(Config{MaxBatch: 16}, bad, reqs); err == nil {
-		t.Error("nil factory must fail")
-	}
-	bad = defaultAutoscale(t)
-	bad.Max = 0
-	if _, err := ServeAutoscale(Config{MaxBatch: 16}, bad, reqs); err == nil {
-		t.Error("bad bounds must fail")
-	}
-	for _, mut := range []func(*Autoscale){
-		func(a *Autoscale) { a.DownIdleS = math.NaN() },
-		func(a *Autoscale) { a.DownIdleS = math.Inf(1) },
-		func(a *Autoscale) { a.CooldownS = math.NaN() },
-		func(a *Autoscale) { a.CooldownS = math.Inf(1) },
+	for name, tc := range map[string]struct {
+		mut  func(*Config)
+		want string
+	}{
+		"nil factory":     {func(c *Config) { c.Autoscale.Factory = nil }, "factory"},
+		"Max below fleet": {func(c *Config) { c.Autoscale.Max = 1 }, "below the initial fleet"},
+		"zero threshold":  {func(c *Config) { c.Autoscale.UpOutstanding = 0 }, "UpOutstanding"},
+		// The autoscaler has one router and one topology: a config
+		// asking for another must fail, not serve without it.
+		"disaggregated": {func(c *Config) { c.PrefillReplicas = 1 }, "disaggregation"},
+		"prefix policy": {func(c *Config) { c.Policy = Prefix }, "least-loaded"},
+		"round-robin":   {func(c *Config) { c.Policy = RoundRobin }, "least-loaded"},
+		"MaxBatch 0":    {func(c *Config) { c.MaxBatch = 0 }, "MaxBatch"},
+		"no replicas":   {func(c *Config) { c.Replicas = nil }, "no replicas"},
 	} {
-		bad = defaultAutoscale(t)
-		mut(&bad)
-		if _, err := ServeAutoscale(Config{MaxBatch: 16}, bad, reqs); err == nil ||
-			!strings.Contains(err.Error(), "non-finite") {
-			t.Errorf("idle %v, cooldown %v must fail as non-finite, got %v", bad.DownIdleS, bad.CooldownS, err)
+		cfg := autoscaled(t, Config{MaxBatch: 16}, defaultAutoscale(t), 2)
+		tc.mut(&cfg)
+		if _, err := Serve(cfg, reqs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error naming %q, got %v", name, tc.want, err)
 		}
 	}
-	if _, err := ServeAutoscale(Config{MaxBatch: 0}, defaultAutoscale(t), reqs); err == nil {
-		t.Error("MaxBatch 0 must fail")
-	}
-	if _, err := ServeAutoscale(Config{MaxBatch: 16}, defaultAutoscale(t), nil); err == nil {
+	if _, err := Serve(autoscaled(t, Config{MaxBatch: 16}, defaultAutoscale(t), 1), nil); err == nil {
 		t.Error("empty trace must fail")
 	}
 }
 
 func TestAutoscaleScalesUpUnderBurst(t *testing.T) {
-	stats, err := ServeAutoscale(Config{MaxBatch: 16}, defaultAutoscale(t), burstyTrace(t))
+	stats, err := Serve(autoscaled(t, Config{MaxBatch: 16}, defaultAutoscale(t), 1), burstyTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestAutoscaleScalesUpUnderBurst(t *testing.T) {
 		t.Errorf("peak %d exceeds Max", stats.PeakReplicas)
 	}
 	sawUp, sawDown := false, false
-	for _, e := range stats.Events {
+	for _, e := range stats.ScaleEvents {
 		if e.Up {
 			sawUp = true
 		} else {
@@ -125,7 +127,7 @@ func TestAutoscaleScalesUpUnderBurst(t *testing.T) {
 
 func TestAutoscaleBeatsFixedMinUnderLoad(t *testing.T) {
 	reqs := burstyTrace(t)
-	auto, err := ServeAutoscale(Config{MaxBatch: 16}, defaultAutoscale(t), reqs)
+	auto, err := Serve(autoscaled(t, Config{MaxBatch: 16}, defaultAutoscale(t), 1), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +153,39 @@ func TestAutoscaleStaysAtMinWhenIdleLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := defaultAutoscale(t)
-	as.Min = 2
-	stats, err := ServeAutoscale(Config{MaxBatch: 16}, as, reqs)
+	stats, err := Serve(autoscaled(t, Config{MaxBatch: 16}, defaultAutoscale(t), 2), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.PeakReplicas != 2 {
-		t.Errorf("trickle load must never scale past Min: peak %d", stats.PeakReplicas)
+		t.Errorf("trickle load must never scale past the initial fleet: peak %d", stats.PeakReplicas)
 	}
-	for _, e := range stats.Events {
+	for _, e := range stats.ScaleEvents {
 		if e.Up {
 			t.Errorf("unexpected scale-up at %.1fs", e.TimeS)
 		}
+	}
+}
+
+// TestAutoscaleFloorIsInitialFleet: the initial fleet is the
+// scale-down floor. A bursty run from 2 replicas scales up and back
+// down, but never retires below 2 and never exceeds Max.
+func TestAutoscaleFloorIsInitialFleet(t *testing.T) {
+	stats, err := Serve(autoscaled(t, Config{MaxBatch: 16}, defaultAutoscale(t), 2), burstyTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PeakReplicas <= 2 || stats.PeakReplicas > 6 {
+		t.Errorf("peak %d: the burst must scale past the initial 2 within Max 6", stats.PeakReplicas)
+	}
+	sawDown := false
+	for _, e := range stats.ScaleEvents {
+		if e.Replicas < 2 {
+			t.Errorf("fleet retired below its initial size: %+v", e)
+		}
+		sawDown = sawDown || !e.Up
+	}
+	if !sawDown {
+		t.Error("expected a scale-down back toward the floor (bursts end)")
 	}
 }

@@ -24,12 +24,15 @@
 // replica via a priced kv-transfer event (Config.Transfer) — the
 // routing policy then applies within each pool independently.
 //
+// The fleet is fixed unless Config.Autoscale is set: then it starts
+// as Config.Replicas and grows under queue pressure and shrinks when
+// replicas sit idle (autoscale.go), routing least-loaded.
+//
 // The event loop is the shared discrete-event kernel (internal/des):
-// this package contributes only the routing policy (and, in
-// autoscale.go, the scale-tick handler); the kernel owns arrival
-// delivery, the coalesced-window advance, and the determinism
-// contract, with Stats byte-identical between the coalesced and
-// Stepped paths.
+// this package contributes only the routers and the autoscaler's
+// scale-tick handler; the kernel owns arrival delivery, the
+// coalesced-window advance, and the determinism contract, with Stats
+// byte-identical between the coalesced and Stepped paths.
 package cluster
 
 import (
@@ -86,9 +89,19 @@ type Replica struct {
 // a request overflows the pool alone; decode-pool replicas
 // (PrefillReplicas > 0) fail the run instead.
 type Config struct {
+	// Replicas is the fleet: fixed, or with Autoscale set the initial
+	// fleet and the floor scale-downs never go below.
 	Replicas []Replica
 	Policy   Policy
 	MaxBatch int // per replica
+
+	// Autoscale, when non-nil, makes the fleet dynamic: replicas built
+	// by Autoscale.Factory join under queue pressure, up to
+	// Autoscale.Max live at once, and empty replicas retire when the
+	// rest run comfortably. The autoscaler routes least-loaded, so it
+	// requires Policy LeastLoaded, and it requires an aggregated fleet
+	// (PrefillReplicas 0). Nil means a fixed fleet.
+	Autoscale *Autoscale
 
 	// PrefillReplicas > 0 splits the fleet into a prefill pool (the
 	// first PrefillReplicas replicas) and a decode pool (the rest):
@@ -156,10 +169,16 @@ type Config struct {
 	Counts *des.EventCounts
 }
 
-// Stats aggregates the run; PerReplica reports each replica's share.
+// Stats aggregates the run; PerReplica reports each replica's share,
+// retired autoscaled replicas included, in creation order.
 type Stats struct {
 	sched.Stats
 	PerReplica []ReplicaStats
+	// ScaleEvents is the autoscaler's capacity trajectory and
+	// PeakReplicas its live-replica high-water mark; both are zero on
+	// fixed fleets.
+	ScaleEvents  []ScaleEvent
+	PeakReplicas int
 }
 
 // ReplicaStats summarises one replica.
@@ -174,80 +193,12 @@ type ReplicaStats struct {
 }
 
 // Serve routes the trace across the replicas and runs to completion.
+// With cfg.Autoscale set the fleet grows and shrinks under load,
+// starting from cfg.Replicas.
 func Serve(cfg Config, reqs []workload.Request) (Stats, error) {
-	if len(cfg.Replicas) == 0 {
-		return Stats{}, errors.New("cluster: no replicas")
-	}
 	if err := cfg.validate(reqs); err != nil {
 		return Stats{}, err
 	}
-	for i, r := range cfg.Replicas {
-		if r.Engine == nil || r.Alloc == nil {
-			return Stats{}, fmt.Errorf("cluster: replica %d incomplete", i)
-		}
-	}
-	if cfg.PrefillReplicas > 0 {
-		if cfg.ChunkedPrefill {
-			return Stats{}, errors.New("cluster: chunked prefill does not compose with disaggregation (the prefill pool hands off whole prompts)")
-		}
-		if cfg.PrefillReplicas >= len(cfg.Replicas) {
-			return Stats{}, fmt.Errorf("cluster: PrefillReplicas %d leaves no decode replicas (fleet of %d)",
-				cfg.PrefillReplicas, len(cfg.Replicas))
-		}
-		if cfg.Static {
-			return Stats{}, errors.New("cluster: static batching does not compose with disaggregation (the decode pool needs iteration-level admission)")
-		}
-		if err := cfg.Transfer.Validate(); err != nil {
-			return Stats{}, fmt.Errorf("cluster: %w", err)
-		}
-	}
-	return run(cfg, reqs, func(k *des.Kernel) error {
-		stations := make([]*des.Station, len(cfg.Replicas))
-		if cfg.PrefillReplicas > 0 {
-			for i, r := range cfg.Replicas {
-				role := des.RolePrefill
-				if i >= cfg.PrefillReplicas {
-					role = des.RoleDecode
-				}
-				stations[i] = k.NewPoolStation(r.Engine, r.Alloc, role)
-			}
-			// Arrivals route within the prefill pool, kv-transfer
-			// deliveries within the decode pool — each with its own router
-			// state, under the one configured policy.
-			k.Route = poolRouter(cfg, k, stations[:cfg.PrefillReplicas])
-			k.RouteTransfer = poolRouter(cfg, k, stations[cfg.PrefillReplicas:])
-			return nil
-		}
-		for i, r := range cfg.Replicas {
-			stations[i] = k.NewStation(r.Engine, r.Alloc)
-		}
-		k.Route = poolRouter(cfg, k, stations)
-		return nil
-	})
-}
-
-// validate checks the settings Serve and ServeAutoscale share.
-func (cfg Config) validate(reqs []workload.Request) error {
-	if cfg.MaxBatch < 1 {
-		return errors.New("cluster: MaxBatch must be ≥ 1")
-	}
-	if len(reqs) == 0 {
-		return errors.New("cluster: empty trace")
-	}
-	if cfg.PrefillChunk < 0 {
-		return fmt.Errorf("cluster: negative PrefillChunk %d", cfg.PrefillChunk)
-	}
-	if cfg.ChunkedPrefill && cfg.Static {
-		return errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
-	}
-	return nil
-}
-
-// run is the kernel-run path Serve and ServeAutoscale share: it maps a
-// validated cfg onto a kernel, lets setup add the stations and router,
-// runs the trace with completions streamed or ledgered, and assembles
-// the Stats.
-func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (Stats, error) {
 	k := des.New(des.Config{
 		MaxBatch:       cfg.MaxBatch,
 		ChunkedPrefill: cfg.ChunkedPrefill,
@@ -258,8 +209,30 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 	})
 	k.Reuse(cfg.Scratch)
 	defer k.Release()
-	if err := setup(k); err != nil {
-		return Stats{}, err
+	stations := make([]*des.Station, len(cfg.Replicas))
+	var sc *scaler
+	if cfg.PrefillReplicas > 0 {
+		for i, r := range cfg.Replicas {
+			role := des.RolePrefill
+			if i >= cfg.PrefillReplicas {
+				role = des.RoleDecode
+			}
+			stations[i] = k.NewPoolStation(r.Engine, r.Alloc, role)
+		}
+		// Arrivals route within the prefill pool, kv-transfer
+		// deliveries within the decode pool — each with its own router
+		// state, under the one configured policy.
+		k.Route = poolRouter(cfg, k, stations[:cfg.PrefillReplicas])
+		k.RouteTransfer = poolRouter(cfg, k, stations[cfg.PrefillReplicas:])
+	} else {
+		for i, r := range cfg.Replicas {
+			stations[i] = k.NewStation(r.Engine, r.Alloc)
+		}
+		if cfg.Autoscale != nil {
+			sc = installScaler(k, *cfg.Autoscale, stations)
+		} else {
+			k.Route = poolRouter(cfg, k, stations)
+		}
 	}
 	var agg *sched.StreamAggregator
 	if cfg.Streaming {
@@ -290,7 +263,55 @@ func run(cfg Config, reqs []workload.Request, setup func(k *des.Kernel) error) (
 			Transferred: ps.Transferred,
 		})
 	}
+	if sc != nil {
+		out.ScaleEvents, out.PeakReplicas = sc.events, sc.peak
+	}
 	return out, nil
+}
+
+// validate rejects configurations the kernel cannot serve.
+func (cfg *Config) validate(reqs []workload.Request) error {
+	if len(cfg.Replicas) == 0 {
+		return errors.New("cluster: no replicas")
+	}
+	if cfg.MaxBatch < 1 {
+		return errors.New("cluster: MaxBatch must be ≥ 1")
+	}
+	if len(reqs) == 0 {
+		return errors.New("cluster: empty trace")
+	}
+	if cfg.PrefillChunk < 0 {
+		return fmt.Errorf("cluster: negative PrefillChunk %d", cfg.PrefillChunk)
+	}
+	if cfg.ChunkedPrefill && cfg.Static {
+		return errors.New("cluster: chunked prefill does not compose with static batching (no iteration-level admission to fuse slices into)")
+	}
+	for i, r := range cfg.Replicas {
+		if r.Engine == nil || r.Alloc == nil {
+			return fmt.Errorf("cluster: replica %d incomplete", i)
+		}
+	}
+	if cfg.Autoscale != nil {
+		if err := cfg.Autoscale.validate(cfg); err != nil {
+			return err
+		}
+	}
+	if cfg.PrefillReplicas > 0 {
+		if cfg.ChunkedPrefill {
+			return errors.New("cluster: chunked prefill does not compose with disaggregation (the prefill pool hands off whole prompts)")
+		}
+		if cfg.PrefillReplicas >= len(cfg.Replicas) {
+			return fmt.Errorf("cluster: PrefillReplicas %d leaves no decode replicas (fleet of %d)",
+				cfg.PrefillReplicas, len(cfg.Replicas))
+		}
+		if cfg.Static {
+			return errors.New("cluster: static batching does not compose with disaggregation (the decode pool needs iteration-level admission)")
+		}
+		if err := cfg.Transfer.Validate(); err != nil {
+			return fmt.Errorf("cluster: %w", err)
+		}
+	}
+	return nil
 }
 
 // poolRouter builds the routing closure over one station group. It

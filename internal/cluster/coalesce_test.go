@@ -90,26 +90,19 @@ func autoscaleFactory(t *testing.T) func() (Replica, error) {
 // state an open window changes, so the whole scaling trajectory —
 // events, peak, and every request stat — must match the stepped path.
 func TestAutoscaleCoalescedMatchesStepped(t *testing.T) {
-	as := Autoscale{
-		Factory:       autoscaleFactory(t),
-		Min:           1,
-		Max:           4,
-		UpOutstanding: 6,
-		DownIdleS:     5,
-		CooldownS:     2,
-	}
+	as := Autoscale{Factory: autoscaleFactory(t), Max: 4, UpOutstanding: 6}
 	reqs := longClusterTrace(t, 60, 3, 384)
-	co, err := ServeAutoscale(Config{MaxBatch: 8}, as, reqs)
+	co, err := Serve(autoscaled(t, Config{MaxBatch: 8}, as, 1), reqs)
 	if err != nil {
 		t.Fatalf("coalesced: %v", err)
 	}
-	st, err := ServeAutoscale(Config{MaxBatch: 8, Stepped: true}, as, reqs)
+	st, err := Serve(autoscaled(t, Config{MaxBatch: 8, Stepped: true}, as, 1), reqs)
 	if err != nil {
 		t.Fatalf("stepped: %v", err)
 	}
 	if !reflect.DeepEqual(co, st) {
 		t.Errorf("autoscale coalesced differs from stepped\ncoalesced: events=%v peak=%d stats=%+v\nstepped:   events=%v peak=%d stats=%+v",
-			co.Events, co.PeakReplicas, co.Stats.Stats, st.Events, st.PeakReplicas, st.Stats.Stats)
+			co.ScaleEvents, co.PeakReplicas, co.Stats, st.ScaleEvents, st.PeakReplicas, st.Stats)
 	}
 	if co.Completed != 60 {
 		t.Errorf("completed %d/60", co.Completed)

@@ -181,14 +181,9 @@ func TestChunkedPrefillValidation(t *testing.T) {
 		t.Errorf("plain chunked must serve: %v", err)
 	}
 	// And the autoscaler enforces the same static rule.
-	if _, err := ServeAutoscale(Config{MaxBatch: 8, ChunkedPrefill: true, Static: true}, Autoscale{
-		Factory:       autoscaleFactory(t),
-		Min:           1,
-		Max:           2,
-		UpOutstanding: 4,
-		DownIdleS:     2,
-		CooldownS:     1,
-	}, reqs); err == nil || !strings.Contains(err.Error(), "static") {
+	if _, err := Serve(autoscaled(t, Config{MaxBatch: 8, ChunkedPrefill: true, Static: true}, Autoscale{
+		Factory: autoscaleFactory(t), Max: 2, UpOutstanding: 4,
+	}, 1), reqs); err == nil || !strings.Contains(err.Error(), "static") {
 		t.Errorf("autoscale chunked+static must fail naming static, got %v", err)
 	}
 }

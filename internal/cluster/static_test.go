@@ -93,16 +93,9 @@ func TestClusterStaticArrivalTies(t *testing.T) {
 // static replica holds its queue through a whole batch run, so
 // pressure builds fast).
 func TestAutoscaleStaticMatchesStepped(t *testing.T) {
-	as := Autoscale{
-		Factory:       factory(t),
-		Min:           1,
-		Max:           4,
-		UpOutstanding: 6,
-		DownIdleS:     3,
-		CooldownS:     1,
-	}
+	as := Autoscale{Factory: factory(t), Max: 4, UpOutstanding: 6}
 	reqs := burstyTrace(t)
-	coalesced, err := ServeAutoscale(Config{MaxBatch: 8, Static: true}, as, reqs)
+	coalesced, err := Serve(autoscaled(t, Config{MaxBatch: 8, Static: true}, as, 1), reqs)
 	if err != nil {
 		t.Fatalf("coalesced: %v", err)
 	}
@@ -115,11 +108,11 @@ func TestAutoscaleStaticMatchesStepped(t *testing.T) {
 	if coalesced.Preemptions != 0 {
 		t.Errorf("static autoscale preempted %d times", coalesced.Preemptions)
 	}
-	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Static: true, Stepped: true}, as, reqs)
+	stepped, err := Serve(autoscaled(t, Config{MaxBatch: 8, Static: true, Stepped: true}, as, 1), reqs)
 	if err != nil {
 		t.Fatalf("stepped: %v", err)
 	}
 	if !reflect.DeepEqual(stepped, coalesced) {
-		t.Error("stepped static AutoStats differ from coalesced")
+		t.Error("stepped static autoscaled Stats differ from coalesced")
 	}
 }

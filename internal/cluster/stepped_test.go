@@ -33,25 +33,18 @@ func TestClusterMatchesStepped(t *testing.T) {
 // that retire an empty replica while the remaining replicas still hold
 // in-flight requests.
 func TestAutoscaleMatchesStepped(t *testing.T) {
-	as := Autoscale{
-		Factory:       autoscaleFactory(t),
-		Min:           1,
-		Max:           5,
-		UpOutstanding: 6,
-		DownIdleS:     4,
-		CooldownS:     1,
-	}
+	as := Autoscale{Factory: autoscaleFactory(t), Max: 5, UpOutstanding: 6}
 	reqs := burstyTrace(t)
-	coalesced, err := ServeAutoscale(Config{MaxBatch: 8}, as, reqs)
+	coalesced, err := Serve(autoscaled(t, Config{MaxBatch: 8}, as, 1), reqs)
 	if err != nil {
 		t.Fatalf("coalesced: %v", err)
 	}
-	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Stepped: true}, as, reqs)
+	stepped, err := Serve(autoscaled(t, Config{MaxBatch: 8, Stepped: true}, as, 1), reqs)
 	if err != nil {
 		t.Fatalf("stepped: %v", err)
 	}
 	if !reflect.DeepEqual(stepped, coalesced) {
-		t.Error("stepped AutoStats differ from coalesced")
+		t.Error("stepped autoscaled Stats differ from coalesced")
 	}
 
 	// The trajectory must actually exercise down-scaling while work
@@ -61,7 +54,7 @@ func TestAutoscaleMatchesStepped(t *testing.T) {
 	// retire path.
 	lastFinish := coalesced.MakespanS
 	sawLiveDown := false
-	for _, e := range coalesced.Events {
+	for _, e := range coalesced.ScaleEvents {
 		if !e.Up && e.TimeS < lastFinish {
 			sawLiveDown = true
 		}

@@ -91,23 +91,20 @@ func TestClusterStreamingDeterministicAcrossModes(t *testing.T) {
 		}
 	}
 
-	as := Autoscale{
-		Factory: autoscaleFactory(t), Min: 1, Max: 4,
-		UpOutstanding: 6, DownIdleS: 4, CooldownS: 1,
-	}
+	as := Autoscale{Factory: autoscaleFactory(t), Max: 4, UpOutstanding: 6}
 	bursty := burstyTrace(t)
-	coalesced, err := ServeAutoscale(Config{MaxBatch: 8, Streaming: true}, as, bursty)
+	coalesced, err := Serve(autoscaled(t, Config{MaxBatch: 8, Streaming: true}, as, 1), bursty)
 	if err != nil {
 		t.Fatalf("autoscale coalesced: %v", err)
 	}
 	if coalesced.Requests != nil {
 		t.Error("streaming autoscale run must not ledger requests")
 	}
-	stepped, err := ServeAutoscale(Config{MaxBatch: 8, Streaming: true, Stepped: true}, as, bursty)
+	stepped, err := Serve(autoscaled(t, Config{MaxBatch: 8, Streaming: true, Stepped: true}, as, 1), bursty)
 	if err != nil {
 		t.Fatalf("autoscale stepped: %v", err)
 	}
 	if !reflect.DeepEqual(stepped, coalesced) {
-		t.Error("autoscale streaming AutoStats differ between coalesced and stepped")
+		t.Error("autoscale streaming Stats differ between coalesced and stepped")
 	}
 }

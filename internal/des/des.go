@@ -447,7 +447,6 @@ func (k *Kernel) Counts() EventCounts {
 type StationResult struct {
 	Completed int
 	BusyS     float64 // time spent executing iterations
-	Retired   bool
 	// Transferred counts prefill sub-requests this station handed to
 	// the decode pool. Always zero off the prefill pool; prefill
 	// stations in turn record no Completed (only the decode phase
@@ -749,7 +748,7 @@ func (k *Kernel) collect() Result {
 		res.PrefixHitTokens += s.hitToks
 		res.PromptTokens += s.promptToks
 		res.PerStation = append(res.PerStation, StationResult{
-			Completed: s.done, BusyS: s.busy, Retired: s.Retired,
+			Completed: s.done, BusyS: s.busy,
 			Transferred:     s.transferred,
 			PrefixHitTokens: s.hitToks,
 			PromptTokens:    s.promptToks,

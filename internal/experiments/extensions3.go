@@ -125,30 +125,35 @@ func ext9() (*Output, error) {
 		fig.Add("fixed [mean lat]", float64(n), stats.MeanLatency)
 		fig.Add("fixed [replica-s]", float64(n), float64(n)*stats.MakespanS)
 	}
-	// Autoscaled.
-	auto, err := cluster.ServeAutoscale(cluster.Config{MaxBatch: 16}, cluster.Autoscale{
-		Factory: factory, Min: 1, Max: 6, UpOutstanding: 12, DownIdleS: 3, CooldownS: 1,
+	// Autoscaled, from one replica.
+	first, err := factory()
+	if err != nil {
+		return nil, err
+	}
+	auto, err := cluster.Serve(cluster.Config{
+		Replicas: []cluster.Replica{first}, Policy: cluster.LeastLoaded, MaxBatch: 16,
+		Autoscale: &cluster.Autoscale{Factory: factory, Max: 6, UpOutstanding: 12},
 	}, reqs)
 	if err != nil {
 		return nil, err
 	}
 	fig.Add("autoscaled [mean lat]", 0, auto.MeanLatency)
 	// Replica-seconds actually provisioned: integrate the trajectory.
-	fig.Add("autoscaled [replica-s]", 0, replicaSeconds(auto, reqs))
-	fig.Note("autoscaler peaked at %d replicas over %d scale events", auto.PeakReplicas, len(auto.Events))
+	fig.Add("autoscaled [replica-s]", 0, replicaSeconds(auto, 1))
+	fig.Note("autoscaler peaked at %d replicas over %d scale events", auto.PeakReplicas, len(auto.ScaleEvents))
 	return &Output{Figure: fig}, nil
 }
 
-// replicaSeconds integrates the autoscaler's capacity trajectory.
-func replicaSeconds(auto cluster.AutoStats, reqs []workload.Request) float64 {
-	end := auto.MakespanS
-	cur, last := 1, 0.0
+// replicaSeconds integrates an autoscaled run's capacity trajectory
+// from its initial fleet of initial replicas to its makespan.
+func replicaSeconds(st cluster.Stats, initial int) float64 {
+	cur, last := initial, 0.0
 	total := 0.0
-	for _, e := range auto.Events {
+	for _, e := range st.ScaleEvents {
 		total += float64(cur) * (e.TimeS - last)
 		cur = e.Replicas
 		last = e.TimeS
 	}
-	total += float64(cur) * (end - last)
+	total += float64(cur) * (st.MakespanS - last)
 	return total
 }

@@ -9,13 +9,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current output")
 
-// TestServingExtensionsGolden pins the single-replica serving
-// experiments byte-for-byte: each golden is the `llmbench run <id>`
-// output (the Markdown plus the CLI's trailing newline). ext3 and ext8
-// exercise recompute preemption under KV pressure, ext4 chunked
-// prefill.
+// TestServingExtensionsGolden pins serving experiments
+// byte-for-byte: each golden is the `llmbench run <id>` output (the
+// Markdown plus the CLI's trailing newline). ext3 and ext8 exercise
+// recompute preemption under KV pressure, ext4 chunked prefill, and
+// ext9 the autoscaler against fixed fleets.
 func TestServingExtensionsGolden(t *testing.T) {
-	for _, id := range []string{"ext3", "ext4", "ext8"} {
+	for _, id := range []string{"ext3", "ext4", "ext8", "ext9"} {
 		exp, err := Get(id)
 		if err != nil {
 			t.Fatal(err)

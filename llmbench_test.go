@@ -179,9 +179,10 @@ func TestServeClusterParallelismIdentical(t *testing.T) {
 
 func TestServeAutoscaleFacade(t *testing.T) {
 	pts, err := ServeSweep(ServeSweepConfig{
-		System:   System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
-		Replicas: 4, MaxBatch: 16,
-		UpOutstanding: 8, DownIdleS: 3, CooldownS: 1,
+		System: System{Model: "Mistral-7B", Device: "A100", Framework: "vLLM"},
+		// MaxBatch 4 puts the scale-up threshold at 2×4 = 8
+		// outstanding requests per replica, low enough for this burst.
+		Replicas: 4, MaxBatch: 4,
 		Seed: 9, Requests: 120, InputMean: 384, OutputMean: 96, BurstLenS: 4,
 	}, ServeGrid{
 		Rates:        []float64{12},

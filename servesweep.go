@@ -11,7 +11,6 @@ import (
 	"llmbench/internal/cluster"
 	"llmbench/internal/des"
 	"llmbench/internal/engine"
-	"llmbench/internal/kvcache"
 	"llmbench/internal/pool"
 	"llmbench/internal/workload"
 )
@@ -39,8 +38,11 @@ type ServePolicy struct {
 	// Mutually exclusive with LeastLoaded and Autoscale.
 	Prefix bool
 	// Autoscale grows the fleet from 1 replica up to the point's
-	// replica count under queue pressure instead of holding it fixed
-	// (see internal/cluster); the point's Replicas value becomes the
+	// replica count instead of holding it fixed (cluster.Config.
+	// Autoscale): a replica joins when outstanding requests exceed
+	// 2×MaxBatch per live replica, at most one per second, and an
+	// empty one retires when the rest would run under half that, at
+	// most one per 3 s. The point's Replicas value becomes the
 	// capacity ceiling. The autoscaler always routes least-loaded, so
 	// LeastLoaded changes only the policy's name when Autoscale is
 	// set, and Prefix is rejected (ErrPrefixAutoscale).
@@ -273,7 +275,9 @@ type ServeGrid struct {
 
 // ServeSweepConfig is the base serving configuration a ServeGrid
 // varies: the system under test, the trace shape, and the defaults
-// for every axis the grid leaves unset.
+// for every axis the grid leaves unset. Autoscaled points take their
+// thresholds from the point's MaxBatch (see ServePolicy.Autoscale);
+// no field tunes them.
 type ServeSweepConfig struct {
 	System System
 
@@ -348,13 +352,6 @@ type ServeSweepConfig struct {
 	// byte-identical to the exact path; percentiles carry the sketch's
 	// documented ≤ 1% relative error. Implies LeanStats.
 	StreamStats bool
-
-	// Autoscale tuning for Policies with Autoscale set. Zero values
-	// mean UpOutstanding = 2×MaxBatch, DownIdleS = 3s, CooldownS = 1s
-	// (the dashboard's defaults).
-	UpOutstanding int
-	DownIdleS     float64
-	CooldownS     float64
 }
 
 // ReplicaStats re-exports the cluster's per-replica summary.
@@ -517,18 +514,17 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 			cfg.Requests, cfg.InputMean, cfg.OutputMean)
 	}
 	// Bad tuning values would otherwise fail every point individually
-	// (via cluster.Autoscale.validate or the trace generator), or be
-	// silently replaced by a default (BurstLenS, PrefillChunk) or
-	// silently change the run (a NaN cooldown never scales up): fail
-	// the whole call up front like every other base-config field.
-	if cfg.UpOutstanding < 0 || cfg.PrefillChunk < 0 || cfg.DownIdleS < 0 || cfg.CooldownS < 0 || cfg.BurstLenS < 0 || cfg.Sigma < 0 {
-		return a, fmt.Errorf("llmbench: negative serve tuning (UpOutstanding %d, PrefillChunk %d, DownIdleS %v, CooldownS %v, BurstLenS %v, Sigma %v)",
-			cfg.UpOutstanding, cfg.PrefillChunk, cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma)
+	// (via the trace generator), or be silently replaced by a default
+	// (BurstLenS, PrefillChunk) or silently change the trace (a NaN
+	// burst length): fail the whole call up front like every other
+	// base-config field.
+	if cfg.PrefillChunk < 0 || cfg.BurstLenS < 0 || cfg.Sigma < 0 {
+		return a, fmt.Errorf("llmbench: negative serve tuning (PrefillChunk %d, BurstLenS %v, Sigma %v)",
+			cfg.PrefillChunk, cfg.BurstLenS, cfg.Sigma)
 	}
-	for _, v := range []float64{cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma} {
+	for _, v := range []float64{cfg.BurstLenS, cfg.Sigma} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return a, fmt.Errorf("llmbench: non-finite serve tuning (DownIdleS %v, CooldownS %v, BurstLenS %v, Sigma %v)",
-				cfg.DownIdleS, cfg.CooldownS, cfg.BurstLenS, cfg.Sigma)
+			return a, fmt.Errorf("llmbench: non-finite serve tuning (BurstLenS %v, Sigma %v)", cfg.BurstLenS, cfg.Sigma)
 		}
 	}
 	return a, nil
@@ -701,9 +697,9 @@ var kernelScratch = sync.Pool{New: func() any { return new(des.Scratch) }}
 // runServePoint runs one grid point's simulation, recording failures
 // in p.Err. Each point owns its trace
 // and allocators; the engine is shared (engines are immutable and
-// concurrency-safe). Every fixed fleet — continuous or static — runs
-// on the cluster kernel, so the full Policies × Replicas grid is
-// served without per-point gaps.
+// concurrency-safe). Every fleet — fixed or autoscaled, continuous or
+// static — runs through cluster.Serve, so the full Policies ×
+// Replicas grid is served without per-point gaps.
 func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget float64,
 	cfg ServeSweepConfig, axes serveAxes, traceIdx int) {
 	trace, err := axes.pointTrace(cfg, p, traceIdx)
@@ -717,59 +713,30 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 	// every replica regardless of routing policy, so the Policies axis
 	// compares rr/ll/prefix routing on identical caches. Zero-share
 	// points build the exact allocator non-prefix sweeps always had.
-	newAlloc := func() (kvcache.Allocator, error) { return servingAlloc(sys, budget) }
-	if ptoks := prefixTokensFor(p.PrefixShare, p.Mix.Input); ptoks > 0 {
-		hostBudget := cfg.HostKVGiB * (1 << 30)
-		if hostBudget == 0 {
-			hostBudget = budget
-		}
-		newAlloc = func() (kvcache.Allocator, error) {
-			return servingPrefixAlloc(sys, budget, hostBudget, ptoks)
-		}
+	ptoks := prefixTokensFor(p.PrefixShare, p.Mix.Input)
+	hostBudget := cfg.HostKVGiB * (1 << 30)
+	if hostBudget == 0 {
+		hostBudget = budget
 	}
-	if p.Policy.Autoscale {
-		upOut := cfg.UpOutstanding
-		if upOut == 0 {
-			upOut = 2 * p.MaxBatch
+	newReplica := func() (r cluster.Replica, err error) {
+		r.Engine = eng
+		if ptoks > 0 {
+			r.Alloc, err = servingPrefixAlloc(sys, budget, hostBudget, ptoks)
+		} else {
+			r.Alloc, err = servingAlloc(sys, budget)
 		}
-		downIdle, cooldown := cfg.DownIdleS, cfg.CooldownS
-		if downIdle == 0 {
-			downIdle = 3
-		}
-		if cooldown == 0 {
-			cooldown = 1
-		}
-		factory := func() (cluster.Replica, error) {
-			alloc, err := newAlloc()
-			if err != nil {
-				return cluster.Replica{}, err
-			}
-			return cluster.Replica{Engine: eng, Alloc: alloc}, nil
-		}
-		auto, err := cluster.ServeAutoscale(
-			cluster.Config{
-				MaxBatch: p.MaxBatch, Static: p.Policy.Static,
-				ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-				Streaming: cfg.StreamStats, Scratch: scratch,
-			},
-			cluster.Autoscale{
-				Factory: factory, Min: 1, Max: p.Replicas,
-				UpOutstanding: upOut, DownIdleS: downIdle, CooldownS: cooldown,
-			}, trace)
-		if err != nil {
-			p.Err = err
-			return
-		}
-		p.Stats = auto.Stats.Stats
-		p.PerReplica = auto.PerReplica
-		p.PeakReplicas = auto.PeakReplicas
-		return
+		return r, err
 	}
 	ccfg := cluster.Config{
 		Policy: routePolicy(p.Policy), MaxBatch: p.MaxBatch,
 		Static:         p.Policy.Static,
 		ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
 		Streaming: cfg.StreamStats, Scratch: scratch,
+	}
+	fleet := p.Replicas
+	if p.Policy.Autoscale {
+		fleet = 1
+		ccfg.Autoscale = &cluster.Autoscale{Factory: newReplica, Max: p.Replicas, UpOutstanding: 2 * p.MaxBatch}
 	}
 	if p.Policy.Disagg() {
 		// The policy's pool split is a ratio: the point's fleet must
@@ -790,16 +757,13 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 		ccfg.PrefillReplicas = p.Replicas / share * p.Policy.PrefillPool
 		ccfg.Transfer = tc
 	}
-	replicas := make([]cluster.Replica, p.Replicas)
-	for i := range replicas {
-		alloc, err := newAlloc()
-		if err != nil {
+	ccfg.Replicas = make([]cluster.Replica, fleet)
+	for i := range ccfg.Replicas {
+		if ccfg.Replicas[i], err = newReplica(); err != nil {
 			p.Err = err
 			return
 		}
-		replicas[i] = cluster.Replica{Engine: eng, Alloc: alloc}
 	}
-	ccfg.Replicas = replicas
 	st, err := cluster.Serve(ccfg, trace)
 	if err != nil {
 		p.Err = err
@@ -807,13 +771,15 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 	}
 	p.Stats = st.Stats
 	p.PerReplica = st.PerReplica
+	p.PeakReplicas = st.PeakReplicas
 }
 
 func routePolicy(p ServePolicy) cluster.Policy {
 	switch {
 	case p.Prefix:
 		return cluster.Prefix
-	case p.LeastLoaded:
+	case p.LeastLoaded, p.Autoscale:
+		// The autoscaler routes least-loaded only.
 		return cluster.LeastLoaded
 	}
 	return cluster.RoundRobin

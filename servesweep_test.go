@@ -390,11 +390,8 @@ func TestServeSweepValidation(t *testing.T) {
 		t.Error("zero-request trace shape must fail up front")
 	}
 	for name, mut := range map[string]func(*ServeSweepConfig){
-		"UpOutstanding": func(c *ServeSweepConfig) { c.UpOutstanding = -1 },
-		"DownIdleS":     func(c *ServeSweepConfig) { c.DownIdleS = -0.5 },
-		"CooldownS":     func(c *ServeSweepConfig) { c.CooldownS = -1 },
-		"BurstLenS":     func(c *ServeSweepConfig) { c.BurstLenS = -2 },
-		"PrefillChunk":  func(c *ServeSweepConfig) { c.PrefillChunk = -1 },
+		"BurstLenS":    func(c *ServeSweepConfig) { c.BurstLenS = -2 },
+		"PrefillChunk": func(c *ServeSweepConfig) { c.PrefillChunk = -1 },
 	} {
 		bad := base
 		mut(&bad)
@@ -404,17 +401,12 @@ func TestServeSweepValidation(t *testing.T) {
 		}
 	}
 	// NaN slips past a "< 0" check, and a non-finite value would fail
-	// every point (Sigma), silently change the trace (BurstLenS) or
-	// silently stop the autoscaler (CooldownS, DownIdleS).
+	// every point (Sigma) or silently change the trace (BurstLenS).
 	for name, mut := range map[string]func(*ServeSweepConfig){
-		"NaN Sigma":      func(c *ServeSweepConfig) { c.Sigma = math.NaN() },
-		"Inf Sigma":      func(c *ServeSweepConfig) { c.Sigma = math.Inf(1) },
-		"NaN BurstLenS":  func(c *ServeSweepConfig) { c.BurstLenS = math.NaN() },
-		"Inf BurstLenS":  func(c *ServeSweepConfig) { c.BurstLenS = math.Inf(1) },
-		"NaN DownIdleS":  func(c *ServeSweepConfig) { c.DownIdleS = math.NaN() },
-		"Inf DownIdleS":  func(c *ServeSweepConfig) { c.DownIdleS = math.Inf(1) },
-		"NaN CooldownS":  func(c *ServeSweepConfig) { c.CooldownS = math.NaN() },
-		"-Inf CooldownS": func(c *ServeSweepConfig) { c.CooldownS = math.Inf(-1) },
+		"NaN Sigma":     func(c *ServeSweepConfig) { c.Sigma = math.NaN() },
+		"Inf Sigma":     func(c *ServeSweepConfig) { c.Sigma = math.Inf(1) },
+		"NaN BurstLenS": func(c *ServeSweepConfig) { c.BurstLenS = math.NaN() },
+		"Inf BurstLenS": func(c *ServeSweepConfig) { c.BurstLenS = math.Inf(1) },
 	} {
 		bad := base
 		mut(&bad)
