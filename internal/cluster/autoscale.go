@@ -127,7 +127,6 @@ func (sc *scaler) tick(now float64) error {
 		g = k.Gauges() // a scale-up may have grown it
 		for i, id := range sc.live {
 			if g[id].Load == 0 {
-				k.Stations()[id].Retired = true
 				sc.live = slices.Delete(sc.live, i, i+1)
 				sc.lastScaleDown = now
 				sc.events = append(sc.events, ScaleEvent{TimeS: now, Replicas: len(sc.live), Up: false})

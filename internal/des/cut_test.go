@@ -86,10 +86,11 @@ func autoFleet(max int, capGiB float64) fleet {
 	return func(t *testing.T, k *des.Kernel) {
 		eng := testEngine(t)
 		k.NewStation(eng, testAlloc(t, capGiB))
+		retired := map[*des.Station]bool{}
 		live := func() []*des.Station {
 			var out []*des.Station
 			for _, s := range k.Stations() {
-				if !s.Retired {
+				if !retired[s] {
 					out = append(out, s)
 				}
 			}
@@ -106,7 +107,7 @@ func autoFleet(max int, capGiB float64) fleet {
 			} else if len(act) > 1 && load <= 2*(len(act)-1) {
 				for _, s := range act {
 					if s.Outstanding() == 0 {
-						s.Retired = true
+						retired[s] = true
 						break
 					}
 				}

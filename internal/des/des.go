@@ -39,8 +39,10 @@
 //   - kv-transfer: in a disaggregated topology (stations with pool
 //     roles — see Role and NewPoolStation) a request is a sequence of
 //     phase sub-requests rather than a monolithic unit. Its prefill
-//     runs on a prefill-pool station; the moment that prefill
-//     completes, a kv-transfer event is scheduled, priced by the
+//     runs on a prefill-pool station, admitted and charged as one
+//     batched prefill exactly as an aggregated station admits it; the
+//     moment that batch completes, the station keeps nothing (it
+//     never decodes) and a kv-transfer event is scheduled, priced by the
 //     prompt's KV blocks over the pool interconnect plus a latency
 //     floor (TransferCost), and its expiry delivers the decode
 //     sub-request as an arrival at a decode-pool station picked by the
@@ -367,8 +369,8 @@ func (k *Kernel) NewPoolStation(eng *engine.Engine, alloc kvcache.Allocator, rol
 	return s
 }
 
-// Stations returns the live station list (including retired ones), in
-// creation order.
+// Stations returns every station the kernel holds, in creation order,
+// including any a scaling policy has stopped routing to.
 func (k *Kernel) Stations() []*Station { return k.stations }
 
 // Gauge is the routing state of one station: what the routing and

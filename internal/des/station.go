@@ -38,12 +38,6 @@ type Station struct {
 	// kernel publishes after an event only when it is set.
 	moved bool
 
-	// Retired marks a station drained by the autoscaler. The kernel
-	// itself ignores the flag — a retired station is empty and the
-	// router stops picking it, so it simply never wakes again (its
-	// leaf in the kernel's event tree stays idle).
-	Retired bool
-
 	cfg Config
 
 	// queue is the admission queue; the live entries are
@@ -204,7 +198,6 @@ func (s *Station) putReq(r *runReq) { s.free = append(s.free, r) }
 // reset returns a recycled station shell to its just-created state,
 // keeping the warmed buffers and free list.
 func (s *Station) reset() {
-	s.Retired = false
 	s.queue = s.queue[:0]
 	s.qhead = 0
 	s.run = s.run[:0]
@@ -445,8 +438,11 @@ func (s *Station) commit(k int, end float64) error {
 // up to the next state change. An open window applies nothing yet: it
 // returns the start of its last step as the event time, and the step
 // that runs there commits the whole window (see cut for the early
-// commit on a delivery). It returns the event's end time (== now when
-// the station stays idle).
+// commit on a delivery). A prefill-pool station stops after the
+// admission charge: it hands every admitted prompt off to the decode
+// pool at the batch's end (handoff), so its running set is empty
+// between events and it never decodes or preempts. It returns the
+// event's end time (== now when the station stays idle).
 func (s *Station) step(now float64) (float64, error) {
 	if len(s.win) > 0 {
 		// The event runs at the last step's start (event priced the
@@ -459,9 +455,6 @@ func (s *Station) step(now float64) (float64, error) {
 	}
 	if s.cfg.Static {
 		return s.stepStatic(now)
-	}
-	if s.role == RolePrefill {
-		return s.stepPrefill(now)
 	}
 	restoreS, err := s.admit(now)
 	if err != nil {
@@ -518,6 +511,16 @@ func (s *Station) step(now float64) (float64, error) {
 			for _, a := range admitted {
 				a.stats.FirstTok = now + step
 				a.generated = 1 // prefill emits the first token
+			}
+			if s.role == RolePrefill {
+				// A prefill-pool station's work ends with the batch:
+				// every prompt leaves for the decode pool with its KV.
+				end := now + step
+				s.busy += step
+				for _, a := range admitted {
+					s.handoff(a, end)
+				}
+				return end, nil
 			}
 		}
 		s.run = append(s.run, admitted...)
@@ -739,49 +742,6 @@ func phaseName(decode bool) string {
 		return "decode"
 	}
 	return "prefill"
-}
-
-// stepPrefill runs one prefill-pool event: admit up to MaxBatch
-// queued prompts, charge one batched prefill, and hand every admitted
-// sub-request off to the decode pool via a kv-transfer record. The
-// running set is empty between events — the prefilled KV leaves with
-// the transfer — so prefill stations never decode, never preempt, and
-// their allocator only bounds the prefill batch in flight.
-func (s *Station) stepPrefill(now float64) (float64, error) {
-	restoreS, err := s.admit(now)
-	if err != nil {
-		return 0, err
-	}
-	if len(s.admitted) == 0 {
-		if s.queueLen() > 0 {
-			// Nothing in flight survives a prefill event, so a head
-			// that does not fit an empty pool never will.
-			return 0, fmt.Errorf("des: station %d cannot admit request %d (input %d): KV cache too small",
-				s.ID, s.queue[s.qhead].req.ID, s.queue[s.qhead].req.Input)
-		}
-		return now, nil
-	}
-	in := 0
-	for _, a := range s.admitted {
-		in += a.req.Input - a.prefillSkip
-	}
-	pf, err := s.Engine.PrefillSeconds(len(s.admitted), in/len(s.admitted))
-	if err != nil {
-		return 0, err
-	}
-	if restoreS > 0 {
-		pf += restoreS // demoted prefix blocks restore before the batch
-	}
-	end := now + pf
-	s.busy += pf
-	for _, a := range s.admitted {
-		// The batched prefill emits each prompt's first token at the
-		// batch's end, exactly as aggregated admission charges it.
-		a.stats.FirstTok = end
-		a.generated = 1
-		s.handoff(a, end)
-	}
-	return end, nil
 }
 
 // handoff retires a prefill sub-request at time end: the local KV

@@ -114,6 +114,18 @@ func TestKernelDisaggModesMatchesStepped(t *testing.T) {
 		if xferred != 48 {
 			t.Errorf("seed %d: prefill pool transferred %d/48", c.seed, xferred)
 		}
+		// The prefill pool is busy exactly while its batches run: one
+		// (Started, FirstTok) interval per batch.
+		batches, want := map[[2]float64]bool{}, 0.0
+		for _, r := range res.Finished {
+			if k := [2]float64{r.Started, r.FirstTok}; !batches[k] {
+				batches[k] = true
+				want += r.FirstTok - r.Started
+			}
+		}
+		if busy := res.PerStation[0].BusyS + res.PerStation[1].BusyS; math.Abs(busy-want) > 1e-9*want {
+			t.Errorf("seed %d: prefill pool busy %v s, batches span %v s", c.seed, busy, want)
+		}
 		for _, r := range res.Finished {
 			if !(r.TransferS > 0) {
 				t.Fatalf("seed %d: request %d has TransferS %v", c.seed, r.ID, r.TransferS)
@@ -413,5 +425,36 @@ func TestKernelDeliveryBeforeCursorMatchesStepped(t *testing.T) {
 	if c.Cuts == 0 || c.Priced <= c.DecodeSteps {
 		t.Errorf("%d cuts, %d window steps summed for %d decode steps: no delivery landed before a priced cursor",
 			c.Cuts, c.Priced, c.DecodeSteps)
+	}
+}
+
+// TestKernelPrefillPoolCannotAdmit pins the admission error on a
+// prefill-pool station: a prompt that does not fit an empty prefill
+// station's pool never will (nothing survives a prefill event), so
+// the run fails naming that station and request, exactly as an
+// aggregated station does (TestKernelEarliestError).
+func TestKernelPrefillPoolCannotAdmit(t *testing.T) {
+	eng := testEngine(t)
+	k := des.New(des.Config{MaxBatch: 4, Transfer: testTransferCost(t)})
+	prefill := []*des.Station{
+		k.NewPoolStation(eng, testAlloc(t, 16), des.RolePrefill),
+		k.NewPoolStation(eng, testAlloc(t, 0.01), des.RolePrefill), // ~80 tokens
+	}
+	decode := k.NewPoolStation(eng, testAlloc(t, 16), des.RoleDecode)
+	reqs := []workload.Request{
+		{ID: 0, Input: 64, Output: 8, Arrival: 0},
+		{ID: 1, Input: 1000, Output: 8, Arrival: 0.5},
+	}
+	next := 0
+	k.Route = func(float64) *des.Station {
+		s := prefill[reqs[next].ID%2]
+		next++
+		return s
+	}
+	k.RouteTransfer = func(float64) *des.Station { return decode }
+	_, err := k.Run(reqs)
+	const want = "des: station 1 cannot admit request 1 (input 1000): KV cache too small"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
 	}
 }

@@ -13,12 +13,10 @@ import "testing"
 func TestWarmPricingAllocs(t *testing.T) {
 	e := rangeTestEngine(t, "vLLM")
 	warm := func() {
-		if _, err := e.DecodeStepCost(8, 450); err != nil {
+		if _, err := e.DecodeStepSeconds(8, 450); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.DecodeRangeSeconds(8, 300, 200); err != nil {
-			t.Fatal(err)
-		}
+		e.decodeRange(8, 300, 200)
 		if _, err := stepCosts(e, 8, 300, 200); err != nil {
 			t.Fatal(err)
 		}
@@ -37,9 +35,7 @@ func TestWarmPricingAllocs(t *testing.T) {
 	// published cells — also allocation-free.
 	if avg := testing.AllocsPerRun(100, func() {
 		for steps := 1; steps <= 200; steps += 37 {
-			if _, err := e.DecodeRangeSeconds(8, 300, steps); err != nil {
-				t.Fatal(err)
-			}
+			e.decodeRange(8, 300, steps)
 		}
 	}); avg != 0 {
 		t.Errorf("warm prefix reads allocate %.2f times, want 0", avg)

@@ -31,9 +31,9 @@
 // contract. Policy layers must not break them:
 //
 //   - Warm reads never lock. The memo tables live behind atomic
-//     pointers; DecodeStepCost, DecodeRangeSeconds, DecodeStepVec and
-//     PrefillSeconds on a cached key take no lock and allocate
-//     nothing: a handful of atomic loads, plus a range's additions.
+//     pointers; DecodeStepSeconds, DecodeStepVec, PrefillSeconds and
+//     Run's decode fold on a cached key take no lock and allocate
+//     nothing: a handful of atomic loads, plus the fold's additions.
 //     Writers serialise on a small build mutex and re-check the table
 //     before pricing, so no price is computed twice; prices are pure
 //     values, so the tables are deterministic regardless of
@@ -47,14 +47,15 @@
 //     count and release-storing the new count, so a slice returned by
 //     StepVec.Seconds is shared between every caller and must never
 //     be written.
-//   - Ranges fold from that table in step order. DecodeRangeSeconds
-//     accumulates Σseconds, Σbalance·seconds and the running max
-//     left-to-right from its own anchor over the master's cells (never
-//     differenced from a shared prefix — that would round
-//     differently), so it is byte-identical to the stepped sum. Any
-//     change to how the range is folded changes floating-point
-//     rounding and breaks the equivalence suites here, in
-//     internal/sched, and in internal/cluster.
+//   - Run's decode phase folds from that table in step order
+//     (decodeRange): Σseconds and Σbalance·seconds accumulate
+//     left-to-right from the phase's own anchor over the master's
+//     cells (never differenced from a shared prefix — that would
+//     round differently), so E2E is byte-identical to summing
+//     DecodeStepSeconds step by step. Any change to how the phase is
+//     folded changes floating-point rounding and breaks the
+//     equivalence suites here, in internal/sched, and in
+//     internal/cluster.
 //   - One prefill table. PrefillSeconds prices each (batch, input)
 //     pair once per engine in its own lock-free grid; Run and the
 //     serving kernel both read it.
@@ -551,11 +552,7 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 	// The whole decode phase is one range of identical-batch steps at
 	// contexts Input+1 … Input+Output-1, folded from the batch's master
 	// table in step order.
-	rng, err := e.DecodeRangeSeconds(batch, spec.Input+1, spec.Output-1)
-	if err != nil {
-		return Result{}, err
-	}
-	decode := rng.Seconds
+	decode, balSec, bound := e.decodeRange(batch, spec.Input+1, spec.Output-1)
 	e2e := float64(waves) * (ttft + decode)
 
 	itl := 0.0
@@ -566,8 +563,8 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 	throughput := spec.TotalTokens() / e2e // Paper Eq. (2)
 
 	balance := 0.0
-	if rng.Seconds > 0 {
-		balance = rng.BalanceSeconds / rng.Seconds
+	if decode > 0 {
+		balance = balSec / decode
 	}
 	occupancy := math.Min(1, float64(batch)/64)
 	util := power.Utilization(balance, occupancy, e.effC)
@@ -583,7 +580,7 @@ func (e *Engine) Run(spec workload.Spec) (Result, error) {
 		ITLSeconds:       itl,
 		E2ESeconds:       e2e,
 		Throughput:       throughput,
-		DecodeBound:      rng.LastBound,
+		DecodeBound:      bound,
 		AvgPowerWatts:    watts,
 		TotalPowerWatts:  total,
 		TokensPerSecPerW: power.TokensPerSecondPerWatt(throughput, total),
@@ -614,11 +611,15 @@ func (e *Engine) PrefillSeconds(batch, input int) (float64, error) {
 	return sec, nil
 }
 
-// DecodeStepSeconds exposes the cost of one decode step at a given
-// context — the speculative-decoding study builds on it. It reads
-// DecodeStepCost's cell of the batch's master table, so repeated
-// queries are a few atomic loads.
+// DecodeStepSeconds is the cost of one decode step at a given batch
+// size and context: the serving kernel's stepped iterations and the
+// speculative-decoding study read it. It is one cell of the batch's
+// master table, priced on first use; warm reads are a few atomic
+// loads.
 func (e *Engine) DecodeStepSeconds(batch, ctx int) (float64, error) {
-	c, err := e.DecodeStepCost(batch, ctx)
-	return c.Seconds, err
+	if batch < 1 || ctx < 1 {
+		return 0, errors.New("engine: non-positive batch or context")
+	}
+	v := e.masterFor(batch, ctx, ctx)
+	return v.seconds[ctx-v.base], nil
 }

@@ -12,22 +12,35 @@ import (
 	"math"
 	"testing"
 
+	"llmbench/internal/roofline"
 	"llmbench/internal/workload"
 )
+
+// fold is one decode fold: Σ seconds, Σ balance·seconds and the last
+// step's bound, as decodeRange returns them.
+type fold struct {
+	sec, balSec float64
+	last        roofline.Bound
+}
+
+// rangeFold is decodeRange's result as a fold.
+func rangeFold(e *Engine, batch, ctxStart, steps int) fold {
+	sec, balSec, last := e.decodeRange(batch, ctxStart, steps)
+	return fold{sec, balSec, last}
+}
 
 // directFold folds steps direct step evaluations on fresh, left
 // to right from ctxStart: the reference every range must equal. The
 // master stores the rounded balance·seconds product, so the conversion
 // keeps an FMA-fusing compiler from fusing the multiply-add.
-func directFold(t *testing.T, fresh *Engine, batch, ctxStart, steps int) RangeStats {
+func directFold(t *testing.T, fresh *Engine, batch, ctxStart, steps int) fold {
 	t.Helper()
-	var want RangeStats
+	var want fold
 	for ctx := ctxStart; ctx < ctxStart+steps; ctx++ {
 		st := fresh.stepTerms(batch, ctx).cost()
-		want.Seconds += st.Seconds
-		want.BalanceSeconds += float64(powerBalance(st) * st.Seconds)
-		want.MaxStepSeconds = max(want.MaxStepSeconds, st.Seconds)
-		want.LastBound = st.Bound
+		want.sec += st.Seconds
+		want.balSec += float64(powerBalance(st) * st.Seconds)
+		want.last = st.Bound
 	}
 	return want
 }
@@ -35,10 +48,6 @@ func directFold(t *testing.T, fresh *Engine, batch, ctxStart, steps int) RangeSt
 func TestMemoPricesEachPointOnce(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
 	fresh := rangeTestEngine(t, "vLLM") // direct evaluations, no memo
-	direct := func(batch, ctx int) StepCost {
-		r := fresh.stepTerms(batch, ctx).cost()
-		return StepCost{Seconds: r.Seconds, Bound: r.Bound}
-	}
 
 	type band struct{ batch, ctx, steps int }
 	var bands []band
@@ -48,12 +57,8 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 	}
 	bands = append(bands, band{4, 100, 400}, band{9, 625, 30}) // extend an anchor; a warm prefix
 	for _, b := range bands {
-		rng, err := eng.DecodeRangeSeconds(b.batch, b.ctx, b.steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := directFold(t, fresh, b.batch, b.ctx, b.steps); rng != want {
-			t.Errorf("range %+v: %+v, direct fold %+v", b, rng, want)
+		if got, want := rangeFold(eng, b.batch, b.ctx, b.steps), directFold(t, fresh, b.batch, b.ctx, b.steps); got != want {
+			t.Errorf("range %+v: %+v, direct fold %+v", b, got, want)
 		}
 	}
 	// Vectors and single steps over the same bands, and one band past
@@ -66,18 +71,15 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 		}
 		cells := v.Seconds()
 		for i := 0; i < b.steps; i++ {
-			st := direct(b.batch, b.ctx+i)
+			st := fresh.stepTerms(b.batch, b.ctx+i).cost()
 			got, err := eng.DecodeStepSeconds(b.batch, b.ctx+i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cost, err := eng.DecodeStepCost(b.batch, b.ctx+i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cells[i] != st.Seconds || got != st.Seconds || cost != st {
-				t.Fatalf("batch %d ctx %d: vector %v, step %v, cost %+v; direct %+v",
-					b.batch, b.ctx+i, cells[i], got, cost, st)
+			_, _, bound := eng.decodeRange(b.batch, b.ctx+i, 1)
+			if cells[i] != st.Seconds || got != st.Seconds || bound != st.Bound {
+				t.Fatalf("batch %d ctx %d: vector %v, step %v, bound %v; direct %v, %v",
+					b.batch, b.ctx+i, cells[i], got, bound, st.Seconds, st.Bound)
 			}
 		}
 	}
@@ -128,13 +130,14 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRangeMatchesSteps drives one engine through a sequence of
+// FuzzDecodeFoldMatchesSteps drives one engine through a sequence of
 // ranges — each 4 input bytes are one (batch, ctxStart, steps) query,
 // so rising, falling and overlapping anchors grow and re-base the
-// batch masters in any order — and requires every DecodeRangeSeconds
-// result to equal a left-to-right fold of direct step
-// evaluations on a fresh engine, bit for bit.
-func FuzzDecodeRangeMatchesSteps(f *testing.F) {
+// batch masters in any order — and requires every decodeRange fold,
+// and every cell of the DecodeStepVec view at the same anchor, to
+// equal direct step evaluations on a fresh engine (the fold left to
+// right), bit for bit.
+func FuzzDecodeFoldMatchesSteps(f *testing.F) {
 	f.Add([]byte{3, 0, 100, 40, 3, 0, 140, 90})                   // rising, overlapping
 	f.Add([]byte{3, 7, 208, 60, 3, 3, 232, 60, 3, 0, 10, 200})    // falling: re-bases
 	f.Add([]byte{0, 0, 0, 1, 15, 15, 255, 255, 0, 0, 0, 0})       // smallest, largest, empty
@@ -149,12 +152,17 @@ func FuzzDecodeRangeMatchesSteps(f *testing.F) {
 			batch := 1 + int(data[0]%16)
 			ctxStart := 1 + (int(data[1])<<8|int(data[2]))%4096
 			steps := int(data[3])
-			got, err := eng.DecodeRangeSeconds(batch, ctxStart, steps)
+			if got, want := rangeFold(eng, batch, ctxStart, steps), directFold(t, fresh, batch, ctxStart, steps); got != want {
+				t.Fatalf("range (%d, %d, %d): %+v, direct fold %+v", batch, ctxStart, steps, got, want)
+			}
+			v, err := eng.DecodeStepVec(batch, ctxStart, steps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := directFold(t, fresh, batch, ctxStart, steps); got != want {
-				t.Fatalf("range (%d, %d, %d): %+v, direct fold %+v", batch, ctxStart, steps, got, want)
+			for i, c := range v.Seconds()[:steps] {
+				if want := fresh.stepTerms(batch, ctxStart+i).cost().Seconds; c != want {
+					t.Fatalf("vector (%d, %d) cell %d: %v, direct %v", batch, ctxStart, i, c, want)
+				}
 			}
 		}
 	})

@@ -38,22 +38,19 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 	// goroutine. Keep the full result bytes of every entry point.
 	ref := rangeTestEngine(t, "vLLM")
 	type expect struct {
-		step    StepCost
-		rng     RangeStats
+		step    float64 // DecodeStepSeconds at the probe's context
+		rng     fold
 		costs   []float64
 		stepSec float64 // DecodeStepSeconds one step past the range
 		prefill float64 // PrefillSeconds(batch, ctx)
 	}
 	want := make([]expect, len(probes))
 	for i, p := range probes {
-		step, err := ref.DecodeStepCost(p.batch, p.ctx)
+		step, err := ref.DecodeStepSeconds(p.batch, p.ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng, err := ref.DecodeRangeSeconds(p.batch, p.ctx, p.steps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rng := rangeFold(ref, p.batch, p.ctx, p.steps)
 		costs, err := stepCosts(ref, p.batch, p.ctx, p.steps)
 		if err != nil {
 			t.Fatal(err)
@@ -84,18 +81,14 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			check := func(i int, p memoProbe) error {
-				step, err := eng.DecodeStepCost(p.batch, p.ctx)
+				step, err := eng.DecodeStepSeconds(p.batch, p.ctx)
 				if err != nil {
 					return err
 				}
-				if step != want[i].step {
-					return fmt.Errorf("probe %v: step %+v, serial %+v", p, step, want[i].step)
+				if math.Float64bits(step) != math.Float64bits(want[i].step) {
+					return fmt.Errorf("probe %v: step %v, serial %v", p, step, want[i].step)
 				}
-				rng, err := eng.DecodeRangeSeconds(p.batch, p.ctx, p.steps)
-				if err != nil {
-					return err
-				}
-				if rng != want[i].rng {
+				if rng := rangeFold(eng, p.batch, p.ctx, p.steps); rng != want[i].rng {
 					return fmt.Errorf("probe %v: range %+v, serial %+v", p, rng, want[i].rng)
 				}
 				costs, err := stepCosts(eng, p.batch, p.ctx, p.steps)

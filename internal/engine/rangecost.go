@@ -2,29 +2,29 @@ package engine
 
 // Range pricing: every top-level metric this package produces is a sum
 // of per-token decode-step costs, and for an immutable engine a step's
-// cost depends only on (batch, context). This file prices single
-// steps, raw step vectors and whole runs of consecutive steps —
-// engine.Run's decode phase and the serving kernel's coalesced windows
-// (internal/des) both sit on top of it.
+// cost depends only on (batch, context). This file keeps the one table
+// of those prices and its readers — engine.Run's decode phase and the
+// serving kernel's coalesced windows (internal/des) both sit on top of
+// it.
 //
 // One table of prices per batch: the batch's master vector (stepVec)
 // holds each step's seconds, balance·seconds product and roofline
 // bound, and is the only place a decode step is priced for Run and the
-// serving kernel (Explain prices its steps directly). Single steps
-// (DecodeStepCost), vector views (DecodeStepVec) and ranges
-// (DecodeRangeSeconds) all read it, so each distinct (batch, ctx) pair
-// is evaluated once per engine lifetime and no warm read locks.
-// Beside it the engine keeps one more memo, the prefill grid of
-// PrefillSeconds (engine.go).
+// serving kernel (Explain prices its steps directly). It has three
+// readers: single steps (DecodeStepSeconds, engine.go), vector views
+// (DecodeStepVec) and Run's decode fold (decodeRange), so each distinct
+// (batch, ctx) pair is evaluated once per engine lifetime and no warm
+// read locks. Beside it the engine keeps one more memo, the prefill
+// grid of PrefillSeconds (engine.go).
 //
 // Invariant: a range is summed in step order (ctxStart, ctxStart+1,
 // …), exactly the order the step-by-step loops use, so range-priced
 // results are byte-identical to stepped results — floating-point
 // summation order is part of the contract, and the equivalence tests
 // in this package, internal/sched, and internal/cluster guard it.
-// DecodeRangeSeconds therefore folds the master's cells from its own
-// anchor on every call rather than differencing a shared prefix, which
-// would round differently.
+// decodeRange therefore folds the master's cells from its own anchor
+// on every call rather than differencing a shared prefix, which would
+// round differently.
 //
 // Concurrency: readers never lock. The memo tables live behind atomic
 // pointers (costGrid); writers serialise on the engine's small build
@@ -123,32 +123,13 @@ func (g *costGrid[T]) put(r, c int, v *T) {
 	(*cells)[c].Store(v)
 }
 
-// StepCost is the memoised outcome of one decode step, the unit the
-// serving simulators advance by when they coalesce iterations.
-type StepCost struct {
-	Seconds float64
-	Bound   roofline.Bound
-}
-
-// DecodeStepCost returns the cost of one decode step at the given
-// batch size and context length: one cell of the batch's master
-// vector, priced on first use. Warm reads are lock-free.
-func (e *Engine) DecodeStepCost(batch, ctx int) (StepCost, error) {
-	if batch < 1 || ctx < 1 {
-		return StepCost{}, errors.New("engine: non-positive batch or context")
-	}
-	v := e.masterFor(batch, ctx, ctx)
-	i := ctx - v.base
-	return StepCost{Seconds: v.seconds[i], Bound: roofline.Bound(v.bounds[i])}, nil
-}
-
 // --- per-batch master step vectors ---------------------------------------
 
 // stepVec is one generation of a batch's master step table, the one
 // priced copy of every decode step the engine has seen at that batch:
 // cell i holds the step at context base+i — its seconds, its
-// powerBalance·seconds product (the term DecodeRangeSeconds folds into
-// BalanceSeconds) and its roofline bound — and n is the published cell
+// powerBalance·seconds product (the term decodeRange folds into Run's
+// power balance) and its roofline bound — and n is the published cell
 // count, so contexts [base, base+n) are covered. The arrays are
 // allocated at full capacity (len == cap) and filled left-to-right;
 // cells below n are immutable, cells at or above n are written only
@@ -316,52 +297,26 @@ func growMaster(latest *stepVec, lo, hi int, price priceFunc) *stepVec {
 	return latest
 }
 
-// RangeStats aggregates a run of consecutive decode steps at constant
-// batch: steps at contexts ctxStart, ctxStart+1, …, ctxStart+steps-1,
-// summed in that order.
-type RangeStats struct {
-	// Seconds is Σ step seconds.
-	Seconds float64
-	// BalanceSeconds is Σ powerBalance(step) · step seconds, the
-	// time-weighted balance accumulator of the power model.
-	BalanceSeconds float64
-	// MaxStepSeconds is the longest single step in the range.
-	MaxStepSeconds float64
-	// LastBound is the binding resource of the final step.
-	LastBound roofline.Bound
-}
-
-// DecodeRangeSeconds prices steps consecutive decode iterations of a
-// batch whose context starts at ctxStart. steps may be 0 (an empty
-// range). It folds the batch's master cells left to right from the
-// anchor — Σ seconds, Σ balance·seconds and the running max — and
-// takes the last cell's bound, so the result is byte-identical to
-// calling DecodeStepCost step by step and accumulating. A warm call
-// prices nothing and takes no lock: one master read plus O(steps)
-// additions.
-func (e *Engine) DecodeRangeSeconds(batch, ctxStart, steps int) (RangeStats, error) {
-	if batch < 1 || ctxStart < 1 {
-		return RangeStats{}, errors.New("engine: non-positive batch or context")
-	}
-	if steps < 0 {
-		return RangeStats{}, fmt.Errorf("engine: negative step count %d", steps)
-	}
+// decodeRange folds steps consecutive decode iterations of a batch
+// whose context starts at ctxStart: Run's decode phase. It sums the
+// batch's master cells left to right from the anchor — seconds and
+// balance·seconds — and takes the last cell's bound, so the result is
+// byte-identical to accumulating DecodeStepSeconds step by step. Zero
+// steps give all zeros. A warm call prices nothing and takes no lock:
+// one master read plus O(steps) additions. Callers pass batch,
+// ctxStart ≥ 1 and steps ≥ 0.
+func (e *Engine) decodeRange(batch, ctxStart, steps int) (sec, balSec float64, last roofline.Bound) {
 	if steps == 0 {
-		return RangeStats{}, nil
+		return 0, 0, 0
 	}
 	m := e.masterFor(batch, ctxStart, ctxStart+steps-1)
 	off := ctxStart - m.base
 	bal := m.balSec[off : off+steps]
-	var r RangeStats
 	for i, s := range m.seconds[off : off+steps] {
-		r.Seconds += s
-		r.BalanceSeconds += bal[i]
-		if s > r.MaxStepSeconds {
-			r.MaxStepSeconds = s
-		}
+		sec += s
+		balSec += bal[i]
 	}
-	r.LastBound = roofline.Bound(m.bounds[off+steps-1])
-	return r, nil
+	return sec, balSec, roofline.Bound(m.bounds[off+steps-1])
 }
 
 // StepVec is a shared view of a batch's master step-cost vector,

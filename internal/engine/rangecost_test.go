@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"llmbench/internal/model"
 	"llmbench/internal/parallel"
 	"llmbench/internal/quant"
+	"llmbench/internal/roofline"
 	"llmbench/internal/workload"
 )
 
@@ -27,9 +29,9 @@ func rangeTestEngine(t *testing.T, fw string) *Engine {
 }
 
 // TestDecodeRangeMatchesSteppedSum verifies the core range-pricing
-// invariant: DecodeRangeSeconds aggregates exactly what a per-step
-// loop over the raw (unmemoised) decode pricing produces, in the same
-// summation order, byte for byte.
+// invariant: decodeRange aggregates exactly what a per-step loop over
+// the raw (unmemoised) decode pricing produces, in the same summation
+// order, byte for byte, and reports the last step's bound.
 func TestDecodeRangeMatchesSteppedSum(t *testing.T) {
 	for _, fw := range []string{"vLLM", "llama.cpp"} {
 		eng := rangeTestEngine(t, fw)
@@ -40,25 +42,8 @@ func TestDecodeRangeMatchesSteppedSum(t *testing.T) {
 			{64, 1025, 1023},
 			{8, 4097, 100},
 		} {
-			rng, err := eng.DecodeRangeSeconds(c.batch, c.ctxStart, c.steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sum, balSum, maxStep float64
-			for i := 0; i < c.steps; i++ {
-				st := fresh.stepTerms(c.batch, c.ctxStart+i).cost()
-				sum += st.Seconds
-				// The master stores the rounded product, so the
-				// conversion keeps an FMA-fusing compiler from fusing
-				// this multiply-add.
-				balSum += float64(powerBalance(st) * st.Seconds)
-				if st.Seconds > maxStep {
-					maxStep = st.Seconds
-				}
-			}
-			if rng.Seconds != sum || rng.BalanceSeconds != balSum || rng.MaxStepSeconds != maxStep {
-				t.Errorf("%s %+v: range {%v %v %v} != stepped {%v %v %v}",
-					fw, c, rng.Seconds, rng.BalanceSeconds, rng.MaxStepSeconds, sum, balSum, maxStep)
+			if got, want := rangeFold(eng, c.batch, c.ctxStart, c.steps), directFold(t, fresh, c.batch, c.ctxStart, c.steps); got != want {
+				t.Errorf("%s %+v: range %+v != stepped %+v", fw, c, got, want)
 			}
 		}
 	}
@@ -87,12 +72,70 @@ func TestRunDeterministicUnderMemo(t *testing.T) {
 	}
 }
 
+// TestRunMatchesStepFold pins Run's decode phase to the single-step
+// reader: on catalog points, E2E is waves·(PrefillSeconds + the
+// left-to-right sum of DecodeStepSeconds over the decode contexts),
+// bit for bit, and DecodeBound is the last step's bound (the zero
+// bound when Output is 1 and there is no step). The step prices come
+// from a second engine, so Run's memo state cannot leak into the
+// reference.
+func TestRunMatchesStepFold(t *testing.T) {
+	cases := []struct {
+		model, device, fw string
+		spec              workload.Spec
+		waves             bool // the point must plan more than one wave
+	}{
+		{"LLaMA-3-8B", "A100", "vLLM", workload.Spec{Batch: 16, Input: 512, Output: 512}, false},
+		{"LLaMA-2-7B", "A100", "vLLM", workload.Spec{Batch: 64, Input: 1024, Output: 1024}, true},
+		{"LLaMA-3-8B", "MI250", "vLLM", workload.Spec{Batch: 64, Input: 1024, Output: 256}, false},
+		// The decode bound flips from compute to memory mid-phase.
+		{"LLaMA-3-8B", "A100", "vLLM", workload.Spec{Batch: 256, Input: 128, Output: 128}, false},
+		{"LLaMA-3-8B", "H100", "TRT-LLM", workload.Spec{Batch: 8, Input: 512, Output: 1}, false},
+		{"LLaMA-3-8B", "A100", "llama.cpp", workload.Spec{Batch: 1, Input: 128, Output: 2}, false},
+	}
+	for _, c := range cases {
+		e := mustEngine(t, c.model, c.device, c.fw, parallel.Single)
+		res, err := e.Run(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mustEngine(t, c.model, c.device, c.fw, parallel.Single)
+		_, waves, batch, err := ref.memoryPlan(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.waves != (waves > 1) {
+			t.Fatalf("%s/%s %+v: %d waves, want a wave plan: %v", c.model, c.device, c.spec, waves, c.waves)
+		}
+		ttft, err := ref.PrefillSeconds(batch, c.spec.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := 0.0
+		var bound roofline.Bound
+		for ctx := c.spec.Input + 1; ctx < c.spec.Input+c.spec.Output; ctx++ {
+			s, err := ref.DecodeStepSeconds(batch, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decode += s
+			bound = ref.stepTerms(batch, ctx).cost().Bound
+		}
+		if want := float64(waves) * (ttft + decode); math.Float64bits(res.E2ESeconds) != math.Float64bits(want) {
+			t.Errorf("%s/%s %+v: Run E2E %v, step fold %v", c.model, c.device, c.spec, res.E2ESeconds, want)
+		}
+		if res.DecodeBound != bound {
+			t.Errorf("%s/%s %+v: DecodeBound %v, last step %v", c.model, c.device, c.spec, res.DecodeBound, bound)
+		}
+	}
+}
+
 // TestDecodeStepCostConcurrent hammers one engine's memo table from
-// many goroutines (meaningful under -race) and checks every reader
-// observes the same value.
+// many goroutines (meaningful under -race) through DecodeStepSeconds
+// and decodeRange, and checks every reader observes the same value.
 func TestDecodeStepCostConcurrent(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
-	want, err := eng.DecodeStepCost(8, 777)
+	want, err := eng.DecodeStepSeconds(8, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +146,16 @@ func TestDecodeStepCostConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				got, err := eng.DecodeStepCost(8, 700+i%100)
+				got, err := eng.DecodeStepSeconds(8, 700+i%100)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if i%100 == 77 && got != want {
-					errs <- fmt.Errorf("ctx 777: got %+v want %+v", got, want)
+					errs <- fmt.Errorf("ctx 777: got %v want %v", got, want)
 					return
 				}
-				if _, err := eng.DecodeRangeSeconds(8, 700, 50); err != nil {
-					errs <- err
-					return
-				}
+				eng.decodeRange(8, 700, 50)
 			}
 		}()
 	}
@@ -161,21 +201,19 @@ func TestCachedSharesOneEngine(t *testing.T) {
 	}
 }
 
-// TestDecodeRangeValidation covers the error surface.
+// TestDecodeRangeValidation covers the error surface of the single-step
+// reader (DecodeStepVec's is in TestDecodeStepCostsVector) and the
+// empty fold.
 func TestDecodeRangeValidation(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
-	if _, err := eng.DecodeRangeSeconds(0, 1, 1); err == nil {
+	if _, err := eng.DecodeStepSeconds(0, 1); err == nil {
 		t.Error("batch 0 must fail")
 	}
-	if _, err := eng.DecodeRangeSeconds(1, 0, 1); err == nil {
+	if _, err := eng.DecodeStepSeconds(1, 0); err == nil {
 		t.Error("ctx 0 must fail")
 	}
-	if _, err := eng.DecodeRangeSeconds(1, 1, -1); err == nil {
-		t.Error("negative steps must fail")
-	}
-	empty, err := eng.DecodeRangeSeconds(1, 1, 0)
-	if err != nil || empty != (RangeStats{}) {
-		t.Errorf("empty range must be zero: %+v, %v", empty, err)
+	if sec, balSec, last := eng.decodeRange(1, 1, 0); sec != 0 || balSec != 0 || last != 0 {
+		t.Errorf("empty range must be zero: %v %v %v", sec, balSec, last)
 	}
 }
 
@@ -191,7 +229,7 @@ func stepCosts(e *Engine, batch, ctxStart, steps int) ([]float64, error) {
 
 // TestDecodeStepCostsVector verifies the serving kernel's pricing
 // primitive: the memoised vector view holds exactly the per-step costs
-// DecodeStepCost returns, the cached slice is shared across calls,
+// DecodeStepSeconds returns, the cached slice is shared across calls,
 // and invalid arguments are rejected.
 func TestDecodeStepCostsVector(t *testing.T) {
 	e := rangeTestEngine(t, "vLLM")
@@ -203,12 +241,12 @@ func TestDecodeStepCostsVector(t *testing.T) {
 		t.Fatalf("vector length %d, want 50", len(vec))
 	}
 	for i, c := range vec {
-		want, err := e.DecodeStepCost(8, 300+i)
+		want, err := e.DecodeStepSeconds(8, 300+i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c != want.Seconds {
-			t.Fatalf("step %d cost %v, want %v", i, c, want.Seconds)
+		if c != want {
+			t.Fatalf("step %d cost %v, want %v", i, c, want)
 		}
 	}
 	again, err := stepCosts(e, 8, 300, 50)

@@ -302,15 +302,12 @@ type ServeSweepConfig struct {
 
 	// ChunkedPrefill runs every replica with Dynamic-SplitFuse-style
 	// admission (cluster.Config.ChunkedPrefill): prompts prefill in
-	// PrefillChunk-token slices fused into decode iterations. The
-	// pairing that lets prefix-affinity routing concentrate arrivals
-	// on warm replicas without queueing them behind whole admission
-	// prefills. Static or disaggregated policy entries reject it per
-	// point.
+	// 512-token slices (the kernel's default) fused into decode
+	// iterations. The pairing that lets prefix-affinity routing
+	// concentrate arrivals on warm replicas without queueing them
+	// behind whole admission prefills. Static or disaggregated policy
+	// entries reject it per point.
 	ChunkedPrefill bool
-	// PrefillChunk is the slice size in tokens (0 means 512; negative
-	// values are rejected).
-	PrefillChunk int
 
 	// Trace parameters. Every point generates a private trace whose
 	// seed is derived from Seed and the point's position on the
@@ -515,12 +512,12 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 	}
 	// Bad tuning values would otherwise fail every point individually
 	// (via the trace generator), or be silently replaced by a default
-	// (BurstLenS, PrefillChunk) or silently change the trace (a NaN
+	// (BurstLenS) or silently change the trace (a NaN
 	// burst length): fail the whole call up front like every other
 	// base-config field.
-	if cfg.PrefillChunk < 0 || cfg.BurstLenS < 0 || cfg.Sigma < 0 {
-		return a, fmt.Errorf("llmbench: negative serve tuning (PrefillChunk %d, BurstLenS %v, Sigma %v)",
-			cfg.PrefillChunk, cfg.BurstLenS, cfg.Sigma)
+	if cfg.BurstLenS < 0 || cfg.Sigma < 0 {
+		return a, fmt.Errorf("llmbench: negative serve tuning (BurstLenS %v, Sigma %v)",
+			cfg.BurstLenS, cfg.Sigma)
 	}
 	for _, v := range []float64{cfg.BurstLenS, cfg.Sigma} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -730,8 +727,8 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 	ccfg := cluster.Config{
 		Policy: routePolicy(p.Policy), MaxBatch: p.MaxBatch,
 		Static:         p.Policy.Static,
-		ChunkedPrefill: cfg.ChunkedPrefill, PrefillChunk: cfg.PrefillChunk,
-		Streaming: cfg.StreamStats, Scratch: scratch,
+		ChunkedPrefill: cfg.ChunkedPrefill,
+		Streaming:      cfg.StreamStats, Scratch: scratch,
 	}
 	fleet := p.Replicas
 	if p.Policy.Autoscale {

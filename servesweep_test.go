@@ -390,8 +390,7 @@ func TestServeSweepValidation(t *testing.T) {
 		t.Error("zero-request trace shape must fail up front")
 	}
 	for name, mut := range map[string]func(*ServeSweepConfig){
-		"BurstLenS":    func(c *ServeSweepConfig) { c.BurstLenS = -2 },
-		"PrefillChunk": func(c *ServeSweepConfig) { c.PrefillChunk = -1 },
+		"BurstLenS": func(c *ServeSweepConfig) { c.BurstLenS = -2 },
 	} {
 		bad := base
 		mut(&bad)
