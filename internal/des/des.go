@@ -19,9 +19,10 @@
 //     either a single stepped iteration (Config.Stepped) or a
 //     coalesced fast-forward over every identical decode iteration up
 //     to the station's next completion or KV headroom limit
-//     (CoalesceWindow). A coalesced window opens whole and applies
-//     nothing until its last step starts: that instant is its event
-//     time, and the event commits every step, completions included.
+//     (kvcache.Allocator.MaxExtendSteps). A coalesced window opens
+//     whole and applies nothing until its last step starts: that
+//     instant is its event time, and the event commits every step,
+//     completions included.
 //     A delivery (arrival or kv-transfer) to the station cuts the open
 //     window instead: the steps up to the first boundary at or after
 //     the delivery commit, and admission runs at that boundary —

@@ -3,7 +3,19 @@ package des
 import (
 	"fmt"
 	"testing"
+
+	"llmbench/internal/engine"
+	"llmbench/internal/kvcache"
 )
+
+// CoalesceWindow prices one coalesced window through a throwaway
+// pricer, with the contract of pricer.coalesce, for the window-bound
+// tests; stations route the same call through their cached pricer.
+func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
+	batch, ctx0, kMax int) ([]float64, error) {
+	var p pricer
+	return p.coalesce(eng, alloc, seqs, batch, ctx0, kMax)
+}
 
 // GaugeAudit reports what the gauge oracle saw: how many checks ran,
 // and whether any check found a station with a nonzero hot, restorable

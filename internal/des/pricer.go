@@ -73,7 +73,20 @@ func (p *pricer) window(eng *engine.Engine, batch, ctx0, n int) ([]float64, erro
 }
 
 // coalesce bounds and prices one coalesced run of identical decode
-// iterations; see CoalesceWindow for the contract.
+// iterations: batch sequences whose mean context starts at ctx0, each
+// growing one token per step. kMax must already be bounded by the
+// earliest completion in the batch; the allocator bound
+// (kvcache.MaxExtendSteps over seqs) is applied here. Deliveries do
+// not bound the window: a station opens it whole and cuts it when a
+// request is delivered to it (Station.cut).
+//
+// The returned slice is a view of a shared immutable engine snapshot —
+// read-only for the caller. An empty result means the state does not
+// admit a fast-forward of at least one full iteration beyond the
+// current one, and the caller must fall back to its one-step reference
+// path (which also handles preemption). The caller advances its clock
+// by adding the returned costs one at a time, in order — that keeps
+// coalesced time byte-identical to stepped time.
 func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
 	batch, ctx0, kMax int) ([]float64, error) {
 	if kMax > 1 {
@@ -88,29 +101,4 @@ func (p *pricer) coalesce(eng *engine.Engine, alloc kvcache.Allocator, seqs []kv
 		return nil, nil
 	}
 	return p.window(eng, batch, ctx0, kMax)
-}
-
-// CoalesceWindow bounds and prices one coalesced run of identical
-// decode iterations: batch sequences whose mean context starts at
-// ctx0, each growing one token per step. kMax must already be bounded
-// by the earliest completion in the batch; the allocator bound
-// (kvcache.MaxExtendSteps over seqs) is applied here. Deliveries do
-// not bound the window: a station opens it whole and cuts it when a
-// request is delivered to it (Station.cut).
-//
-// The returned slice is a view of a shared immutable engine snapshot —
-// read-only for the caller. An empty result means the state does not
-// admit a fast-forward of at least one full iteration beyond the
-// current one, and the caller must fall back to its one-step reference
-// path (which also handles preemption). The caller advances its clock
-// by adding the returned costs one at a time, in order — that keeps
-// coalesced time byte-identical to stepped time.
-//
-// Stations route this through their cached pricing handle; the
-// standalone form prices through a throwaway handle and is retained
-// for the window-bound tests.
-func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
-	batch, ctx0, kMax int) ([]float64, error) {
-	var p pricer
-	return p.coalesce(eng, alloc, seqs, batch, ctx0, kMax)
 }

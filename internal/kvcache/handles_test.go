@@ -18,7 +18,7 @@ import (
 
 // allocatorCase builds a fresh allocator plus an opaque accounting
 // snapshot used to prove abuse left no trace. Snapshots reach into
-// allocator internals (freeBlocks/slackTokens/prefixRef) on purpose:
+// allocator internals (freeBlocks/slackTokens/live) on purpose:
 // the public UsedBytes/WasteBytes views round through float64 and
 // could mask a one-block leak.
 type allocatorCase struct {
@@ -41,7 +41,7 @@ func allocatorCases() []allocatorCase {
 			},
 			snapshot: func(a Allocator) [4]int {
 				p := a.(*Paged)
-				return [4]int{p.freeBlocks, p.slackTokens, p.table.live, 0}
+				return [4]int{p.freeBlocks, p.slackTokens(), p.table.live, 0}
 			},
 		},
 		{
@@ -71,7 +71,7 @@ func allocatorCases() []allocatorCase {
 			},
 			snapshot: func(a Allocator) [4]int {
 				p := a.(*PrefixPaged)
-				return [4]int{p.freeBlocks, p.slackTokens, p.prefixRef, p.table.live}
+				return [4]int{p.freeBlocks, p.slackTokens(), p.table.live, 0}
 			},
 		},
 		{
@@ -90,7 +90,11 @@ func allocatorCases() []allocatorCase {
 			},
 			snapshot: func(a Allocator) [4]int {
 				tv := a.(*Tiered)
-				return [4]int{tv.gpu.freeBlocks, tv.gpu.slackTokens, tv.gpu.prefixRef, tv.tier.UsedBlocks()}
+				host := 0
+				if tv.onHost {
+					host = 1
+				}
+				return [4]int{tv.gpu.freeBlocks, tv.gpu.slackTokens(), tv.gpu.table.live, host}
 			},
 		},
 	}

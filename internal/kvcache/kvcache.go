@@ -19,17 +19,20 @@
 //
 // Production serving stacks keep a CPU tier behind the device cache:
 // when the last sequence referencing a shared prefix frees, the
-// prefix's KV blocks are demoted to host memory (HostTier — a
-// capacity-bounded LRU with touch/demote/restore/evict counters)
-// rather than dropped, and the next request needing the prefix
-// restores them over the device↔host link (HostLink, priced from
+// prefix's KV blocks are demoted to host memory rather than dropped,
+// and the next request needing the prefix restores them over the
+// device↔host link (HostLink, priced from
 // hw.HostLinkGBs/HostLinkLatencyUS) instead of recomputing prefill.
-// Tiered wraps PrefixPaged with exactly this behaviour and exposes
-// the saving through PrefillDiscounter: after each Alloc the serving
-// kernel drains (skipTokens, restoreS) — cached full-block prefix
-// tokens that need no prefill compute, and the host-link seconds to
-// charge for blocks that had to come back up. Warm promote/demote/
-// restore cycles allocate nothing, like the rest of the package.
+// Tiered wraps PrefixPaged with exactly this behaviour. The device
+// holds one shared prefix, so the host tier holds at most that one
+// block group: a prefix whose full blocks fit the tier's capacity is
+// demoted and later restored, one that does not is dropped, and
+// Tiered counts its demotions and restores. It exposes the saving
+// through PrefillDiscounter: after each Alloc the serving kernel
+// drains (skipTokens, restoreS) — cached full-block prefix tokens that
+// need no prefill compute, and the host-link seconds to charge for
+// blocks that had to come back up. Warm promote/demote/restore cycles
+// allocate nothing, like the rest of the package.
 package kvcache
 
 import (
@@ -84,10 +87,10 @@ type Allocator interface {
 // --- dense sequence table ------------------------------------------------
 
 // seqTable is the shared slot store behind every allocator: per-slot
-// token counts, one allocator-specific auxiliary integer (block count
-// for Paged, private-block count for PrefixPaged), and the generation
-// guard. Lookups, inserts, and releases are O(1) slice operations; the
-// only allocations are the geometric growth of the tables themselves,
+// token counts, one allocator-specific auxiliary integer (Paged's
+// private block count), and the generation guard. Lookups,
+// inserts, and releases are O(1) slice operations; the only
+// allocations are the geometric growth of the tables themselves,
 // which stops once the peak concurrency has been seen — the warm
 // steady state of a serving run touches no map and allocates nothing.
 type seqTable struct {
@@ -141,15 +144,21 @@ func (t *seqTable) release(slot int) {
 // Paged is a vLLM-style block allocator: storage is carved into
 // fixed-size blocks of BlockTokens tokens; sequences own block lists
 // and waste at most one partial block each.
+//
+// Paged is also the block pool behind PrefixPaged, whose sequences
+// start with sharedTokens tokens held in shared full blocks: the pool
+// counts only a sequence's tokens beyond them as its own (private)
+// tokens. On a plain Paged sharedTokens is 0, so every token is
+// private.
 type Paged struct {
 	BlockTokens   int
 	BytesPerToken float64
 	capacity      float64
 	totalBlocks   int
 	freeBlocks    int
-	slackTokens   int // reserved-but-unwritten tokens across live seqs
-	table         seqTable
-	scratch       []int // reused by MaxExtendSteps (token counts)
+	sharedTokens  int      // tokens held in shared full blocks; 0 on a plain Paged
+	table         seqTable // aux is the sequence's private block count
+	scratch       []int    // reused by MaxExtendSteps (token counts)
 }
 
 // NewPaged creates a paged allocator over capacityBytes of storage.
@@ -160,29 +169,43 @@ func NewPaged(blockTokens int, bytesPerToken, capacityBytes float64) (*Paged, er
 	if bytesPerToken <= 0 || capacityBytes <= 0 {
 		return nil, fmt.Errorf("kvcache: non-positive sizes")
 	}
-	blockBytes := float64(blockTokens) * bytesPerToken
-	total := int(capacityBytes / blockBytes)
-	return &Paged{
+	p := newPaged(blockTokens, bytesPerToken, capacityBytes)
+	return &p, nil
+}
+
+// newPaged builds the empty pool of a validated configuration.
+func newPaged(blockTokens int, bytesPerToken, capacityBytes float64) Paged {
+	total := int(capacityBytes / (float64(blockTokens) * bytesPerToken))
+	return Paged{
 		BlockTokens:   blockTokens,
 		BytesPerToken: bytesPerToken,
 		capacity:      capacityBytes,
 		totalBlocks:   total,
 		freeBlocks:    total,
-	}, nil
+	}
 }
 
+// private returns a sequence's private tokens: those beyond the shared
+// full blocks, or none when the sequence is no longer than them.
+func (p *Paged) private(tokens int) int { return max(tokens-p.sharedTokens, 0) }
+
+// blocksFor returns the private blocks a sequence of tokens holds.
 func (p *Paged) blocksFor(tokens int) int {
-	return (tokens + p.BlockTokens - 1) / p.BlockTokens
+	return (p.private(tokens) + p.BlockTokens - 1) / p.BlockTokens
 }
 
 // Alloc implements Allocator.
-func (p *Paged) Alloc(tokens int) (Seq, error) {
+func (p *Paged) Alloc(tokens int) (Seq, error) { return p.alloc(tokens, 0) }
+
+// alloc takes a new sequence's private blocks together with extra
+// blocks the caller accounts for itself, or takes nothing when they do
+// not all fit.
+func (p *Paged) alloc(tokens, extra int) (Seq, error) {
 	need := p.blocksFor(tokens)
-	if need > p.freeBlocks {
+	if need+extra > p.freeBlocks {
 		return 0, ErrOutOfMemory
 	}
-	p.freeBlocks -= need
-	p.slackTokens += need*p.BlockTokens - tokens
+	p.freeBlocks -= need + extra
 	return p.table.alloc(tokens, need), nil
 }
 
@@ -201,7 +224,6 @@ func (p *Paged) Extend(seq Seq, tokens int) error {
 		return ErrOutOfMemory
 	}
 	p.freeBlocks -= need
-	p.slackTokens += need*p.BlockTokens - (tokens - cur)
 	p.table.tokens[slot] = tokens
 	p.table.aux[slot] += need
 	return nil
@@ -213,9 +235,7 @@ func (p *Paged) Free(seq Seq) {
 	if slot < 0 {
 		return
 	}
-	blocks := p.table.aux[slot]
-	p.freeBlocks += blocks
-	p.slackTokens -= blocks*p.BlockTokens - p.table.tokens[slot]
+	p.freeBlocks += p.table.aux[slot]
 	p.table.release(slot)
 }
 
@@ -225,9 +245,24 @@ func (p *Paged) UsedBytes() float64 {
 	return float64(used) * float64(p.BlockTokens) * p.BytesPerToken
 }
 
-// WasteBytes implements Allocator.
+// WasteBytes implements Allocator: per-sequence partial-block slack
+// (shared blocks are full, so they add none).
 func (p *Paged) WasteBytes() float64 {
-	return float64(p.slackTokens) * p.BytesPerToken
+	return float64(p.slackTokens()) * p.BytesPerToken
+}
+
+// slackTokens sums the live sequences' reserved-but-unwritten private
+// tokens. It scans the sequence table rather than keeping a running
+// total on every Alloc, Extend and Free, because no serving path reads
+// it.
+func (p *Paged) slackTokens() int {
+	slack := 0
+	for slot, g := range p.table.gen {
+		if g&1 == 1 {
+			slack += p.table.aux[slot]*p.BlockTokens - p.private(p.table.tokens[slot])
+		}
+	}
+	return slack
 }
 
 // CapacityBytes implements Allocator.
@@ -262,11 +297,10 @@ func (p *Paged) MaxExtendSteps(seqs []Seq, limit int) int {
 	if fitsWhole(len(seqs), limit, p.BlockTokens, p.freeBlocks) {
 		return limit
 	}
-	b := p.BlockTokens
 	demand := func(k int) int {
 		blocks := -base
 		for _, t := range toks {
-			blocks += (t + k + b - 1) / b
+			blocks += p.blocksFor(t + k)
 		}
 		return blocks
 	}

@@ -3,7 +3,6 @@ package kvcache
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func mustPrefix(t *testing.T, block, prefix int, perTok, cap float64) *PrefixPaged {
@@ -118,38 +117,10 @@ func TestPrefixStaleHandle(t *testing.T) {
 	if s2 == s {
 		t.Fatal("recycled slot must carry a new generation")
 	}
-	refBefore := p.prefixRef
+	used := p.UsedBytes()
 	p.Free(s) // stale free must not drop the new occupant's reference
-	if p.prefixRef != refBefore {
+	if p.Sequences() != 1 || p.UsedBytes() != used || p.SharedBytes() != 64 {
 		t.Error("stale free must be a no-op")
-	}
-}
-
-func TestPrefixZeroPrefixEquivalentToPaged(t *testing.T) {
-	// With PrefixTokens 0, the allocator degenerates to plain paging.
-	f := func(tok uint16, n uint8) bool {
-		shared, err := NewPrefixPaged(16, 0, 1, 1e9)
-		if err != nil {
-			return false
-		}
-		plain, err := NewPaged(16, 1, 1e9)
-		if err != nil {
-			return false
-		}
-		seqs := int(n%10) + 1
-		for i := 0; i < seqs; i++ {
-			t1 := int(tok)%2048 + 1
-			if _, err := shared.Alloc(t1); err != nil {
-				return false
-			}
-			if _, err := plain.Alloc(t1); err != nil {
-				return false
-			}
-		}
-		return shared.UsedBytes() == plain.UsedBytes() && shared.WasteBytes() == plain.WasteBytes()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

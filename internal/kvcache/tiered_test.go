@@ -1,8 +1,8 @@
 package kvcache
 
-// Tiered offload tests: the HostTier LRU must evict in recency order
-// under its capacity bound, and the Tiered wrapper must price exactly
-// one restore per cold re-reference while a warm prefix discounts for
+// Tiered offload tests: the Tiered wrapper must demote a prefix that
+// fits the host tier and drop one that does not, price exactly one
+// restore per cold re-reference while a warm prefix discounts for
 // free — with the whole promote/demote/restore cycle allocating
 // nothing once warm, like every other allocator in the package.
 
@@ -47,78 +47,6 @@ func TestHostLinkValidate(t *testing.T) {
 	// 32 GB/s moving 32e9 bytes is one second plus the latency floor.
 	if got := good.Seconds(32e9); math.Abs(got-(1+5e-6)) > 1e-12 {
 		t.Errorf("Seconds(32 GB) = %v, want 1+5e-6", got)
-	}
-}
-
-func TestHostTierConstructor(t *testing.T) {
-	if _, err := NewHostTier(0); err == nil {
-		t.Error("zero-capacity tier must fail")
-	}
-	if _, err := NewHostTier(-3); err == nil {
-		t.Error("negative-capacity tier must fail")
-	}
-}
-
-func TestHostTierLRUEviction(t *testing.T) {
-	tier, err := NewHostTier(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 3; id++ { // 12 blocks demanded of 10
-		if !tier.Demote(id, 4) {
-			t.Fatalf("demote %d rejected", id)
-		}
-	}
-	// id 0 was least recently used: it must be the eviction victim.
-	if tier.Has(0) || !tier.Has(1) || !tier.Has(2) {
-		t.Fatalf("want {1,2} resident, got 0:%v 1:%v 2:%v", tier.Has(0), tier.Has(1), tier.Has(2))
-	}
-	if tier.UsedBlocks() != 8 {
-		t.Errorf("used = %d, want 8", tier.UsedBlocks())
-	}
-	// Touch reorders: after touching 1, demoting a new group evicts 2.
-	if !tier.Touch(1) {
-		t.Fatal("touch of resident entry must succeed")
-	}
-	if tier.Touch(0) {
-		t.Fatal("touch of absent entry must fail")
-	}
-	if !tier.Demote(3, 4) {
-		t.Fatal("demote 3 rejected")
-	}
-	if !tier.Has(1) || tier.Has(2) || !tier.Has(3) {
-		t.Fatalf("touch must have protected 1; got 1:%v 2:%v 3:%v", tier.Has(1), tier.Has(2), tier.Has(3))
-	}
-	c := tier.Counters()
-	if c.Demotions != 4 || c.Evictions != 2 || c.Touches != 1 {
-		t.Errorf("counters = %+v, want 4 demotions, 2 evictions, 1 touch", c)
-	}
-}
-
-func TestHostTierDemoteRestoreRules(t *testing.T) {
-	tier, err := NewHostTier(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier.Demote(-1, 2) || tier.Demote(0, 0) || tier.Demote(0, 9) {
-		t.Error("negative ID, empty group, and oversized group must be rejected")
-	}
-	if !tier.Demote(0, 3) || tier.Blocks(0) != 3 {
-		t.Fatal("demote of 3 blocks must land")
-	}
-	// Re-demoting a resident ID replaces its size, not adds to it.
-	if !tier.Demote(0, 5) || tier.Blocks(0) != 5 || tier.UsedBlocks() != 5 {
-		t.Errorf("re-demote must replace: blocks %d used %d, want 5/5", tier.Blocks(0), tier.UsedBlocks())
-	}
-	b, ok := tier.Restore(0)
-	if !ok || b != 5 || tier.Has(0) || tier.UsedBlocks() != 0 {
-		t.Errorf("restore = (%d,%v), used %d; want (5,true), 0", b, ok, tier.UsedBlocks())
-	}
-	if _, ok := tier.Restore(0); ok {
-		t.Error("restoring an absent entry must fail")
-	}
-	if tier.CapacityBlocks() != 8 {
-		t.Errorf("capacity = %d, want 8", tier.CapacityBlocks())
 	}
 }
 
@@ -182,7 +110,7 @@ func TestTieredColdWarmDemoteRestore(t *testing.T) {
 	tv.Free(s3)
 
 	st := tv.Stats()
-	if st.Touches != 1 || st.Demotions != 2 || st.Restores != 1 || st.Evictions != 0 {
+	if st.Touches != 1 || st.Demotions != 2 || st.Restores != 1 {
 		t.Errorf("stats = %+v, want 1 touch, 2 demotions, 1 restore", st)
 	}
 }
@@ -208,22 +136,52 @@ func TestTieredSkipNeverCoversLastToken(t *testing.T) {
 }
 
 func TestTieredPrefixTooLargeForTier(t *testing.T) {
-	// Host tier of 2 blocks cannot hold the 4-block prefix: demotion
-	// drops the blocks, exactly as no tier would.
-	tv := mustTiered(t, 16, 64, 16*100, 16*2)
-	s := mustAlloc(t, tv, 100)
-	tv.TakePrefillDiscount()
-	tv.Free(s)
-	if tv.RestorablePrefixTokens() != 0 || tv.HostUsedBytes() != 0 {
-		t.Fatal("oversized prefix must be dropped, not demoted")
+	// Block 16, prefix 64 → a 4-block prefix. A tier of exactly 4
+	// blocks holds it; one block fewer drops it on demotion, exactly
+	// as no tier would.
+	cases := []struct {
+		name      string
+		hostBytes float64
+		fits      bool
+	}{
+		{"exact-fit", 16 * 4, true},
+		{"one-block-short", 16 * 3, false},
 	}
-	s = mustAlloc(t, tv, 100) // truly cold: full re-prefill, no charge
-	if skip, rs := tv.TakePrefillDiscount(); skip != 0 || rs != 0 {
-		t.Errorf("cold re-reference must not discount, got skip %d restore %v", skip, rs)
-	}
-	tv.Free(s)
-	if st := tv.Stats(); st.Demotions != 0 {
-		t.Errorf("demotions = %d, want 0 (tier too small)", st.Demotions)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tv := mustTiered(t, 16, 64, 16*100, c.hostBytes)
+			s := mustAlloc(t, tv, 100)
+			tv.TakePrefillDiscount()
+			tv.Free(s)
+			restorable, hostBytes := 0, 0.0
+			if c.fits {
+				restorable, hostBytes = 64, 64
+			}
+			if tv.RestorablePrefixTokens() != restorable || tv.HostUsedBytes() != hostBytes {
+				t.Fatalf("after demotion: restorable %d, host bytes %v; want %d, %v",
+					tv.RestorablePrefixTokens(), tv.HostUsedBytes(), restorable, hostBytes)
+			}
+			s = mustAlloc(t, tv, 100)
+			skip, rs := tv.TakePrefillDiscount()
+			switch {
+			case c.fits && (skip != 64 || rs != tv.RestoreSeconds()):
+				t.Errorf("restored prefix: skip %d restore %v, want 64 and one charge of %v", skip, rs, tv.RestoreSeconds())
+			case !c.fits && (skip != 0 || rs != 0):
+				t.Errorf("cold re-reference must not discount, got skip %d restore %v", skip, rs)
+			}
+			if tv.HostUsedBytes() != 0 {
+				t.Error("the host tier must be empty once the prefix is back on the device")
+			}
+			tv.Free(s)
+			st := tv.Stats()
+			want := TieredStats{}
+			if c.fits {
+				want = TieredStats{Demotions: 2, Restores: 1}
+			}
+			if st != want {
+				t.Errorf("stats = %+v, want %+v", st, want)
+			}
+		})
 	}
 }
 
@@ -266,7 +224,7 @@ func TestTieredStaleFreeNeverDemotes(t *testing.T) {
 
 // TestTieredWarmCycleAllocs extends the package's zero-allocation
 // discipline across the tier boundary: once the slot table, free
-// stack, and host-tier tables have grown, a full
+// stack and scratch buffer have grown, a full
 // alloc→extend→free→demote→alloc→restore cycle allocates nothing.
 func TestTieredWarmCycleAllocs(t *testing.T) {
 	tv := mustTiered(t, 16, 256, 16*4096, 16*64)
@@ -299,7 +257,7 @@ func TestTieredWarmCycleAllocs(t *testing.T) {
 			tv.Free(seq) // last free demotes the prefix to the host tier
 		}
 	}
-	cycle() // warm every table, including the tier's; next cycle restores
+	cycle() // warm every table; the next cycle restores the demoted prefix
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Errorf("warm tiered demote/restore cycle allocates %.1f times, want 0", avg)
 	}

@@ -184,7 +184,7 @@ func TestMaxExtendStepsFastPathMatchesSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, table, blocks, free = p, &p.table, p.privateBlocksFor, func() int { return p.freeBlocks }
+			a, table, blocks, free = p, &p.table, p.blocksFor, func() int { return p.freeBlocks }
 		}
 		tokens := func(s Seq) int { return table.tokens[table.lookup(s)] }
 		// Churn: allocate, grow and free sequences at random.
