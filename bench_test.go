@@ -77,7 +77,7 @@ func BenchmarkTab1Models(b *testing.B)                 { benchExperiment(b, "tab
 func BenchmarkTab2Hardware(b *testing.B)               { benchExperiment(b, "tab2") }
 func BenchmarkTab3Frameworks(b *testing.B)             { benchExperiment(b, "tab3") }
 
-// Extension experiments (ablations and future-work items; DESIGN.md §4).
+// Extension experiments (ablations and future-work items).
 func BenchmarkExt1AllDevicePower(b *testing.B)    { benchExperiment(b, "ext1") }
 func BenchmarkExt2SpecDecGamma(b *testing.B)      { benchExperiment(b, "ext2") }
 func BenchmarkExt3PagedVsMonolithic(b *testing.B) { benchExperiment(b, "ext3") }

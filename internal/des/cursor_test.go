@@ -229,16 +229,16 @@ func BenchmarkWindowAdvance(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var p pricer
-	w, err := p.window(eng, 3, 300, 1000)
+	v, err := eng.DecodeStepVec(3, 300, 1000)
 	if err != nil {
 		b.Fatal(err)
 	}
+	w := v.Seconds
 	s := &Station{}
 	b.ResetTimer()
 	for range b.N {
 		s.win, s.winAt, s.wi, s.wt, s.wp, s.wbusy = w, 0, 0, 0, 0, 0
-		s.wfloor, s.wrise = p.floor, p.rising
+		s.wfloor, s.wrise = v.Floor, v.Rise <= 300
 		s.advance(math.Inf(1))
 		if _, err := s.step(s.nextAt); err != nil {
 			b.Fatal(err)

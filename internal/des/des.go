@@ -84,6 +84,11 @@
 //
 // # Window keys
 //
+// A window is priced by one engine.DecodeStepVec call when it opens,
+// after the allocator's MaxExtendSteps bound: its costs are the
+// engine's memo cells, not a copy, read with the batch master's floor
+// and rising certificate. A station holds no other price state.
+//
 // A coalesced window's event time is the start of its last step, the
 // left-to-right float64 sum of every step cost before it. Summing that
 // chain when the window opens would add each step about twice, because
@@ -97,8 +102,8 @@
 // the last committed cost. Max is exact and independent of order, so
 // that equals a running max. Until the cursor reaches the last step,
 // the event key is a lower bound on the last step's start. With r
-// steps unsummed, the cursor at wt and every cost at least the engine
-// snapshot's floor (engine.StepVec.Floor), the key is
+// steps unsummed, the cursor at wt and every cost at least the floor
+// read with the window's costs (engine.StepVec.Floor), the key is
 //
 //	max(wt, (wt + r·floor)·(1 − (r+8)·2⁻⁵²))
 //

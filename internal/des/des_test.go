@@ -422,7 +422,8 @@ func TestCoalesceWindowBounds(t *testing.T) {
 	}
 
 	// The arrival cut is the station's (Station.cut), not the
-	// pricer's; TestStationCutBoundary checks it on this same window.
+	// window pricing's; TestStationCutBoundary checks it on this same
+	// window.
 
 	// Allocator cut: a pool with room for only a few more blocks bounds
 	// the window at exactly MaxExtendSteps.

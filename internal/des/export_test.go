@@ -8,13 +8,17 @@ import (
 	"llmbench/internal/kvcache"
 )
 
-// CoalesceWindow prices one coalesced window through a throwaway
-// pricer, with the contract of pricer.coalesce, for the window-bound
-// tests; stations route the same call through their cached pricer.
+// CoalesceWindow bounds and prices one coalesced window the way a
+// station opens it (windowSteps, then one DecodeStepVec call), for the
+// window-bound tests. An empty result means no window opens.
 func CoalesceWindow(eng *engine.Engine, alloc kvcache.Allocator, seqs []kvcache.Seq,
 	batch, ctx0, kMax int) ([]float64, error) {
-	var p pricer
-	return p.coalesce(eng, alloc, seqs, batch, ctx0, kMax)
+	k := windowSteps(alloc, seqs, kMax)
+	if k == 0 {
+		return nil, nil
+	}
+	v, err := eng.DecodeStepVec(batch, ctx0, k)
+	return v.Seconds, err
 }
 
 // GaugeAudit reports what the gauge oracle saw: how many checks ran,

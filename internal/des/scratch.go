@@ -62,8 +62,7 @@ func (k *Kernel) Release() {
 		}
 		s.run = s.run[:0]
 		s.k, s.Engine, s.Alloc, s.disc, s.pv = nil, nil, nil, nil, nil
-		s.pricer = pricer{} // drop the snapshot so the arena cannot pin engine memo arrays
-		s.win = nil
+		s.win = nil // engine memo cells: the arena must not pin them
 		sc.stations = append(sc.stations, s)
 	}
 	k.stations = nil

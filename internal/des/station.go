@@ -76,7 +76,7 @@ type Station struct {
 	promptToks int
 
 	// win is the open coalesced window: the per-step costs of its
-	// decode iterations (a view of an immutable engine snapshot),
+	// decode iterations (the engine's memo cells, read-only),
 	// starting at winAt. Nothing in it is applied until it commits —
 	// whole at its last step's start, or in part when a delivery cuts
 	// it (cut). Empty when no window is open.
@@ -112,13 +112,6 @@ type Station struct {
 	admitted []*runReq     // reused admission / static-batch buffer
 	free     []*runReq     // recycled request records
 	slab     []runReq      // bump-allocation backing for fresh records
-
-	// pricer is the station's cached pricing handle: the current
-	// (batch, ctxStart) step-vector snapshot, so steady-state window
-	// advance reads a station-local slice instead of engine state.
-	// Cleared on reset and Release so a recycled shell cannot pin
-	// engine memo arrays.
-	pricer pricer
 
 	// role is the station's pool assignment (RoleBoth when
 	// aggregated); see NewPoolStation.
@@ -209,7 +202,6 @@ func (s *Station) reset() {
 	s.hitToks, s.promptToks = 0, 0
 	s.win = nil
 	s.events, s.windows, s.steps, s.cuts, s.priced = 0, 0, 0, 0, 0
-	s.pricer = pricer{}
 	s.role = RoleBoth
 	s.transferred = 0
 }
@@ -320,6 +312,29 @@ func (s *Station) event() error {
 	}
 	s.nextAt = end
 	return nil
+}
+
+// windowSteps bounds one coalesced run of identical decode
+// iterations over seqs, each growing one token per step, and returns
+// its step count, or 0 when the state does not admit a fast-forward of
+// at least one full iteration beyond the current one: the caller then
+// falls back to its one-step reference path (which also handles
+// preemption). kMax must already be bounded by the earliest completion
+// in the batch; the allocator bound (kvcache.Allocator.MaxExtendSteps)
+// is applied here. Deliveries do not bound the window: a station opens
+// it whole and cuts it when a request is delivered to it
+// (Station.cut).
+func windowSteps(alloc kvcache.Allocator, seqs []kvcache.Seq, kMax int) int {
+	if kMax > 1 {
+		// The KV pool may run dry inside the window: fast-forward to
+		// the last iteration that fits, then let the reference path
+		// take the preemption (or OOM) at the boundary.
+		kMax = min(kMax, alloc.MaxExtendSteps(seqs, kMax))
+	}
+	if kMax < 2 {
+		return 0
+	}
+	return kMax
 }
 
 // lazy reports whether an open window's event key is still a lower
@@ -587,23 +602,23 @@ func (s *Station) step(now float64) (float64, error) {
 			ctxSum += r.req.Input + r.generated
 			s.seqs = append(s.seqs, r.seq)
 		}
-		if kMax > 0 {
-			window, err := s.pricer.coalesce(s.Engine, s.Alloc, s.seqs,
-				len(s.run), ctxSum/len(s.run), kMax)
+		if k := windowSteps(s.Alloc, s.seqs, kMax); k > 0 {
+			ctx0 := ctxSum / len(s.run)
+			v, err := s.Engine.DecodeStepVec(len(s.run), ctx0, k)
 			if err != nil {
 				return 0, err
 			}
-			if len(window) > 0 {
-				// Open with nothing summed: the event key is a lower
-				// bound on the last step's start, and the cursor sums
-				// the costs left to right, as the stepped path adds
-				// them, only as far as deliveries and the kernel need.
-				s.win, s.winAt = window, now
-				s.wi, s.wt, s.wp, s.wbusy = 0, now, now, s.busy
-				s.wfloor, s.wrise = s.pricer.floor, s.pricer.rising
-				s.windows++
-				return s.windowKey(), nil
-			}
+			// Open with nothing summed: the event key is a lower bound
+			// on the last step's start, and the cursor sums the costs
+			// (the engine's memo cells, read-only) left to right, as
+			// the stepped path adds them, only as far as deliveries
+			// and the kernel need. That keeps coalesced time
+			// byte-identical to stepped time.
+			s.win, s.winAt = v.Seconds, now
+			s.wi, s.wt, s.wp, s.wbusy = 0, now, now, s.busy
+			s.wfloor, s.wrise = v.Floor, v.Rise <= ctx0
+			s.windows++
+			return s.windowKey(), nil
 		}
 	}
 	// One reference iteration.

@@ -59,7 +59,8 @@ func lastStart(w []float64) float64 {
 
 // TestStationCutBoundary: a delivery inside an open window commits
 // exactly the steps up to the first boundary at or after it — the
-// arrival cut TestCoalesceWindowBounds used to assert on the pricer —
+// arrival cut TestCoalesceWindowBounds used to assert on the window
+// pricing —
 // moves the station's next event there, and completes no request.
 // The outcome is the same wherever the priced cursor stands: short of
 // the delivery (the cut resumes it), at its boundary (the cut commits

@@ -42,11 +42,12 @@
 //     product and roofline bound are pure functions of (batch, ctx),
 //     so one master vector per batch holds them all and is where Run
 //     and the serving kernel price a decode step: each (batch, ctx) is
-//     evaluated once per engine. It serves every window as a subslice
-//     view and grows in place by filling cells past the published
-//     count and release-storing the new count, so a slice returned by
-//     StepVec.Seconds is shared between every caller and must never
-//     be written.
+//     evaluated once per engine. DecodeStepVec returns a run of steps
+//     as a subslice of it, capped at the run's length, and the serving
+//     kernel sums a window straight from those cells; the master grows
+//     in place by filling cells past the published count and
+//     release-storing the new count. So StepVec.Seconds is shared
+//     between every caller and must never be written.
 //   - Run's decode phase folds from that table in step order
 //     (decodeRange): Σseconds and Σbalance·seconds accumulate
 //     left-to-right from the phase's own anchor over the master's
@@ -138,7 +139,7 @@ type Engine struct {
 
 	// buildMu serialises memo writers only; see rangecost.go.
 	buildMu sync.Mutex
-	vecs    costGrid[stepVec] // per-batch master step tables, column 0
+	vecs    costRow[stepVec] // per-batch master step tables, keyed batch-1
 	// prefills memoises PrefillSeconds keyed (input, batch): rows by
 	// prompt length keep each row as short as the batch cap, where
 	// rows by batch would each span the whole input range.

@@ -69,7 +69,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells := v.Seconds()
+		cells := v.Seconds
 		for i := 0; i < b.steps; i++ {
 			st := fresh.stepTerms(b.batch, b.ctx+i).cost()
 			got, err := eng.DecodeStepSeconds(b.batch, b.ctx+i)
@@ -85,7 +85,7 @@ func TestMemoPricesEachPointOnce(t *testing.T) {
 	}
 	published := int64(0)
 	for _, batch := range []int{4, 9} {
-		published += eng.vecs.get(batch-1, 0).n.Load()
+		published += eng.vecs.get(batch - 1).n.Load()
 	}
 	if got := eng.decodeEvals.Load(); got != published {
 		t.Errorf("%d decode evaluations for %d published master cells", got, published)
@@ -159,7 +159,10 @@ func FuzzDecodeFoldMatchesSteps(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, c := range v.Seconds()[:steps] {
+			if len(v.Seconds) != steps {
+				t.Fatalf("vector (%d, %d, %d): %d cells", batch, ctxStart, steps, len(v.Seconds))
+			}
+			for i, c := range v.Seconds {
 				if want := fresh.stepTerms(batch, ctxStart+i).cost().Seconds; c != want {
 					t.Fatalf("vector (%d, %d) cell %d: %v, direct %v", batch, ctxStart, i, c, want)
 				}

@@ -138,15 +138,16 @@ func TestMemoConcurrentMatchesSerial(t *testing.T) {
 // TestStepVecFloorConcurrent (run with -race): goroutines grow one
 // engine's master step vectors upward in place, past capacity, and
 // downward (a re-base publishes a fresh generation) at once, and every
-// view they get back must carry a floor no greater than any cell it
+// StepVec they get back must carry a floor no greater than any cell it
 // covers and a rising certificate no lower than any descent in it —
 // both read after the cells, as the serving kernel reads them. Once
-// the builders are done, each generation's floor is exactly its
-// smallest published cell and its certificate its highest descent.
+// the builders are done, each generation a builder saw cover its band
+// has a floor of exactly its smallest published cell and a
+// certificate of exactly its highest descent.
 func TestStepVecFloorConcurrent(t *testing.T) {
 	eng := rangeTestEngine(t, "vLLM")
 	const workers = 6
-	views := make([][]StepVec, workers)
+	gens := make([][]*stepVec, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -160,13 +161,13 @@ func TestStepVecFloorConcurrent(t *testing.T) {
 				if w%2 == 1 {
 					ctx = 300 + 41*i // rising anchors grow in place
 				}
-				v, err := eng.DecodeStepVec(batch, ctx, 1+23*i)
+				steps := 1 + 23*i
+				v, err := eng.DecodeStepVec(batch, ctx, steps)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				cells := v.Seconds()
-				floor, rise := v.Floor(), v.Rise()
+				cells, floor, rise := v.Seconds, v.Floor, v.Rise
 				for j, c := range cells {
 					if floor > c {
 						errs[w] = fmt.Errorf("batch %d ctx %d: floor %v above cell %d = %v", batch, ctx, floor, j, c)
@@ -177,7 +178,7 @@ func TestStepVecFloorConcurrent(t *testing.T) {
 						return
 					}
 				}
-				views[w] = append(views[w], v)
+				gens[w] = append(gens[w], eng.masterFor(batch, ctx, ctx+steps-1))
 			}
 		}()
 	}
@@ -187,18 +188,18 @@ func TestStepVecFloorConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, vs := range views {
-		for _, v := range vs {
-			gen := v.vec.seconds[:v.vec.n.Load()]
-			lowest := gen[0]
-			for _, c := range gen {
+	for _, gs := range gens {
+		for _, g := range gs {
+			cells := g.seconds[:g.n.Load()]
+			lowest := cells[0]
+			for _, c := range cells {
 				lowest = min(lowest, c)
 			}
-			if f := v.Floor(); f != lowest {
-				t.Fatalf("generation at base %d: floor %v, smallest published cell %v", v.vec.base, f, lowest)
+			if f := math.Float64frombits(g.floor.Load()); f != lowest {
+				t.Fatalf("generation at base %d: floor %v, smallest published cell %v", g.base, f, lowest)
 			}
-			if r, want := v.Rise(), bruteRise(v.vec); r != want {
-				t.Fatalf("generation at base %d: certificate %d, highest descent %d", v.vec.base, r, want)
+			if r, want := int(g.rise.Load()), bruteRise(g); r != want {
+				t.Fatalf("generation at base %d: certificate %d, highest descent %d", g.base, r, want)
 			}
 		}
 	}

@@ -11,11 +11,14 @@ package engine
 // holds each step's seconds, balance·seconds product and roofline
 // bound, and is the only place a decode step is priced for Run and the
 // serving kernel (Explain prices its steps directly). It has three
-// readers: single steps (DecodeStepSeconds, engine.go), vector views
-// (DecodeStepVec) and Run's decode fold (decodeRange), so each distinct
-// (batch, ctx) pair is evaluated once per engine lifetime and no warm
-// read locks. Beside it the engine keeps one more memo, the prefill
-// grid of PrefillSeconds (engine.go).
+// readers: single steps (DecodeStepSeconds, engine.go), runs of steps
+// (DecodeStepVec, whose cells are a serving window's costs) and Run's
+// decode fold (decodeRange), so each distinct (batch, ctx) pair is
+// evaluated once per engine lifetime and no warm read locks. Beside it
+// the engine keeps one more memo, the prefill grid of PrefillSeconds
+// (engine.go). These two memos are the only cache of a price: the
+// serving kernel and the experiments read them on every window and
+// every point, and keep no copy of their own.
 //
 // Invariant: a range is summed in step order (ctxStart, ctxStart+1,
 // …), exactly the order the step-by-step loops use, so range-priced
@@ -27,11 +30,11 @@ package engine
 // round differently.
 //
 // Concurrency: readers never lock. The memo tables live behind atomic
-// pointers (costGrid); writers serialise on the engine's small build
-// mutex, and a master grows in place by filling cells past the
-// published count and release-storing the new count. Every fill runs
-// under that mutex and re-checks what is already published, so no
-// cell is priced twice, and step costs are pure functions of the
+// pointers (costRow, costGrid); writers serialise on the engine's
+// small build mutex, and a master grows in place by filling cells past
+// the published count and release-storing the new count. Every fill
+// runs under that mutex and re-checks what is already published, so
+// no cell is priced twice, and step costs are pure functions of the
 // immutable configuration, so the tables are deterministic.
 
 import (
@@ -46,81 +49,75 @@ import (
 	"llmbench/internal/roofline"
 )
 
-// --- lock-free memo grid -------------------------------------------------
+// --- lock-free memo tables -----------------------------------------------
 
-// costGrid is a two-level lock-free memo table indexed by two small
-// non-negative integers (batch-1, ctx-1). Reads are pure atomic loads;
-// writes — including geometric growth of either level — happen under
-// the owning engine's build mutex and publish fresh slices through
-// atomic stores, so a reader either sees the old snapshot or the new
-// one, never a partially-updated slot.
-type costGrid[T any] struct {
-	rows atomic.Pointer[[]atomic.Pointer[costRow[T]]]
-}
-
+// costRow is a lock-free memo table indexed by one small non-negative
+// integer. Reads are pure atomic loads; writes — including geometric
+// growth — happen under the owning engine's build mutex and publish a
+// fresh slice through an atomic store, so a reader either sees the old
+// snapshot or the new one, never a partially-updated slot.
 type costRow[T any] struct {
 	cells atomic.Pointer[[]atomic.Pointer[T]]
 }
 
-// get returns the entry at (r, c), or nil if it has not been built.
-// Safe for concurrent use with no locking.
-func (g *costGrid[T]) get(r, c int) *T {
-	rows := g.rows.Load()
-	if rows == nil || r >= len(*rows) {
+// get returns the entry at i, or nil if it has not been built. Safe
+// for concurrent use with no locking.
+func (r *costRow[T]) get(i int) *T {
+	cells := r.cells.Load()
+	if cells == nil || i >= len(*cells) {
 		return nil
 	}
-	row := (*rows)[r].Load()
-	if row == nil {
-		return nil
-	}
-	cells := row.cells.Load()
-	if cells == nil || c >= len(*cells) {
-		return nil
-	}
-	return (*cells)[c].Load()
+	return (*cells)[i].Load()
 }
 
-// put stores v at (r, c), growing either level geometrically. Callers
-// must hold the owning engine's build mutex; concurrent readers are
-// fine — growth copies the old slots into a fresh slice and publishes
-// it atomically before the new entry lands.
-func (g *costGrid[T]) put(r, c int, v *T) {
-	rows := g.rows.Load()
-	if rows == nil || r >= len(*rows) {
-		n := r + 1
-		if rows != nil && 2*len(*rows) > n {
-			n = 2 * len(*rows)
-		}
-		grown := make([]atomic.Pointer[costRow[T]], n)
-		if rows != nil {
-			for i := range *rows {
-				grown[i].Store((*rows)[i].Load())
-			}
-		}
-		g.rows.Store(&grown)
-		rows = &grown
-	}
-	row := (*rows)[r].Load()
-	if row == nil {
-		row = &costRow[T]{}
-		(*rows)[r].Store(row)
-	}
-	cells := row.cells.Load()
-	if cells == nil || c >= len(*cells) {
-		n := c + 1
+// put stores v at i, growing the table geometrically. Callers must
+// hold the owning engine's build mutex; concurrent readers are fine —
+// growth copies the old slots into a fresh slice and publishes it
+// atomically before the new entry lands.
+func (r *costRow[T]) put(i int, v *T) {
+	cells := r.cells.Load()
+	if cells == nil || i >= len(*cells) {
+		n := i + 1
 		if cells != nil && 2*len(*cells) > n {
 			n = 2 * len(*cells)
 		}
 		grown := make([]atomic.Pointer[T], n)
 		if cells != nil {
-			for i := range *cells {
-				grown[i].Store((*cells)[i].Load())
+			for j := range *cells {
+				grown[j].Store((*cells)[j].Load())
 			}
 		}
-		row.cells.Store(&grown)
+		r.cells.Store(&grown)
 		cells = &grown
 	}
-	(*cells)[c].Store(v)
+	(*cells)[i].Store(v)
+}
+
+// costGrid is a two-level lock-free memo table indexed by two small
+// non-negative integers: a costRow of costRows, with the same
+// concurrency contract at each level.
+type costGrid[T any] struct {
+	rows costRow[costRow[T]]
+}
+
+// get returns the entry at (r, c), or nil if it has not been built.
+func (g *costGrid[T]) get(r, c int) *T {
+	row := g.rows.get(r)
+	if row == nil {
+		return nil
+	}
+	return row.get(c)
+}
+
+// put stores v at (r, c), creating row r on first use. Callers must
+// hold the owning engine's build mutex.
+func (g *costGrid[T]) put(r, c int, v *T) {
+	row := g.rows.get(r)
+	if row == nil {
+		row = &costRow[T]{}
+		g.rows.put(r, row)
+	}
+	row.put(c, v)
 }
 
 // --- per-batch master step vectors ---------------------------------------
@@ -219,21 +216,21 @@ func highestDescent(rise int, cells []float64, base, lo, hi int) int {
 
 // masterFor returns the batch's master vector covering contexts
 // [lo, hi], building or extending it on first use. Warm calls are
-// lock-free: one grid read, one atomic length check.
+// lock-free: one table read, one atomic length check.
 func (e *Engine) masterFor(batch, lo, hi int) *stepVec {
-	if v := e.vecs.get(batch-1, 0); v != nil && lo >= v.base && hi < v.base+int(v.n.Load()) {
+	if v := e.vecs.get(batch - 1); v != nil && lo >= v.base && hi < v.base+int(v.n.Load()) {
 		return v
 	}
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	latest := e.vecs.get(batch-1, 0)
+	latest := e.vecs.get(batch - 1)
 	v := growMaster(latest, lo, hi, func(ctx int) (float64, float64, uint8) {
 		e.decodeEvals.Add(1)
 		st := e.stepTerms(batch, ctx).cost()
 		return st.Seconds, powerBalance(st) * st.Seconds, uint8(st.Bound)
 	})
 	if v != latest {
-		e.vecs.put(batch-1, 0, v)
+		e.vecs.put(batch-1, v)
 	}
 	return v
 }
@@ -319,66 +316,28 @@ func (e *Engine) decodeRange(batch, ctxStart, steps int) (sec, balSec float64, l
 	return sec, balSec, roofline.Bound(m.bounds[off+steps-1])
 }
 
-// StepVec is a shared view of a batch's master step-cost vector,
-// anchored at the ctxStart it was requested for — the per-station
-// pricing handle of the serving kernel caches one of these so its
-// steady-state window advance touches no engine state at all. The
-// view's length only ever grows (any station may extend the master in
-// place); cells below the length are immutable.
+// StepVec is the price of a run of consecutive decode steps of one
+// batch, read off the batch's master table.
 type StepVec struct {
-	vec *stepVec
-	off int // anchor's offset into the generation's cells
+	// Seconds holds one cell per step: entry i is the cost of the
+	// decode step at context ctxStart+i. It is shared with every other
+	// reader of the master and must never be written.
+	Seconds []float64
+	// Floor is a lower bound on every cell of Seconds (on every cell
+	// of the batch's master when it was read).
+	Floor float64
+	// Rise is the batch master's rising certificate when Seconds was
+	// read: the highest context whose step cost is below its left
+	// neighbour's, or 0 when there is none. The cells of Seconds at
+	// contexts from Rise on are nondecreasing, so a run starting at or
+	// above Rise has its longest step last.
+	Rise int
 }
 
-// Len reports how many steps the view currently covers.
-func (v StepVec) Len() int {
-	if v.vec == nil {
-		return 0
-	}
-	n := int(v.vec.n.Load()) - v.off
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// Seconds returns the view's per-step costs: entry i is the cost of
-// the decode step at context ctxStart+i. The slice is shared and must
-// be treated as immutable.
-func (v StepVec) Seconds() []float64 {
-	if v.vec == nil {
-		return nil
-	}
-	return v.vec.seconds[v.off:v.vec.n.Load()]
-}
-
-// Floor returns a lower bound on every step cost of the batch's master
-// vector: no greater than any cell of Seconds read before it. The
-// bound only falls as the vector grows, and is 0 for an empty view.
-func (v StepVec) Floor() float64 {
-	if v.vec == nil {
-		return 0
-	}
-	return math.Float64frombits(v.vec.floor.Load())
-}
-
-// Rise returns the batch master's rising certificate: the highest
-// context whose step cost is below its left neighbour's, or 0 when
-// there is none. Every cell of Seconds read before it at a context
-// above Rise() is at least the cell before it, so a window of the view
-// starting at or above Rise() is nondecreasing and has its longest
-// step last. It only rises as the vector grows, and is 0 for an empty
-// view.
-func (v StepVec) Rise() int {
-	if v.vec == nil {
-		return 0
-	}
-	return int(v.vec.rise.Load())
-}
-
-// DecodeStepVec returns a view of the batch's master step-cost vector
-// anchored at ctxStart, grown to cover at least steps entries. Warm
-// calls are lock-free.
+// DecodeStepVec prices steps consecutive decode steps of a batch whose
+// context starts at ctxStart, pricing any cell the batch's master does
+// not hold yet. Zero steps give the zero StepVec. Warm calls are
+// lock-free and allocate nothing.
 func (e *Engine) DecodeStepVec(batch, ctxStart, steps int) (StepVec, error) {
 	if batch < 1 || ctxStart < 1 {
 		return StepVec{}, errors.New("engine: non-positive batch or context")
@@ -387,10 +346,17 @@ func (e *Engine) DecodeStepVec(batch, ctxStart, steps int) (StepVec, error) {
 		return StepVec{}, fmt.Errorf("engine: negative step count %d", steps)
 	}
 	if steps == 0 {
-		steps = 1 // a view handle always covers at least one step
+		return StepVec{}, nil
 	}
-	v := e.masterFor(batch, ctxStart, ctxStart+steps-1)
-	return StepVec{vec: v, off: ctxStart - v.base}, nil
+	m := e.masterFor(batch, ctxStart, ctxStart+steps-1)
+	off := ctxStart - m.base
+	// masterFor has loaded (or published) the count that covers these
+	// cells, so the floor and certificate loaded after it hold for them.
+	return StepVec{
+		Seconds: m.seconds[off : off+steps : off+steps],
+		Floor:   math.Float64frombits(m.floor.Load()),
+		Rise:    int(m.rise.Load()),
+	}, nil
 }
 
 // --- process-wide engine cache -------------------------------------------

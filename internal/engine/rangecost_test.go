@@ -217,14 +217,14 @@ func TestDecodeRangeValidation(t *testing.T) {
 	}
 }
 
-// stepCosts returns the first steps per-step costs of the master view
-// DecodeStepVec anchors at ctxStart.
+// stepCosts returns the per-step costs DecodeStepVec reads at
+// ctxStart.
 func stepCosts(e *Engine, batch, ctxStart, steps int) ([]float64, error) {
 	v, err := e.DecodeStepVec(batch, ctxStart, steps)
 	if err != nil {
 		return nil, err
 	}
-	return v.Seconds()[:steps], nil
+	return v.Seconds, nil
 }
 
 // TestDecodeStepCostsVector verifies the serving kernel's pricing
@@ -237,8 +237,8 @@ func TestDecodeStepCostsVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vec) != 50 {
-		t.Fatalf("vector length %d, want 50", len(vec))
+	if len(vec) != 50 || cap(vec) != 50 {
+		t.Fatalf("vector length %d, capacity %d, want 50: an append must not reach the shared master", len(vec), cap(vec))
 	}
 	for i, c := range vec {
 		want, err := e.DecodeStepSeconds(8, 300+i)

@@ -10,64 +10,6 @@ import (
 	"llmbench/internal/parallel"
 )
 
-// TestResultCacheHitAcrossFigureRuns regenerates one figure twice:
-// the second run must be served entirely from the result cache (no
-// new misses) and render identically.
-func TestResultCacheHitAcrossFigureRuns(t *testing.T) {
-	exp, err := Get("fig6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := exp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookups0, misses0 := ResultCacheCounts()
-	second, err := exp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookups1, misses1 := ResultCacheCounts()
-	if lookups1 <= lookups0 {
-		t.Fatalf("second run recorded no cache lookups (%d -> %d)", lookups0, lookups1)
-	}
-	if misses1 != misses0 {
-		t.Errorf("second run missed the result cache %d times; every point must hit", misses1-misses0)
-	}
-	if first.Markdown() != second.Markdown() {
-		t.Error("cached figure renders differently from the computed one")
-	}
-}
-
-// TestResultCacheSharedAcrossExperiments runs two different figures
-// that price overlapping (system, workload) points — fig8 (vLLM 7B
-// sweeps, including A100) and fig15 (frameworks on A100, including
-// vLLM) both evaluate LLaMA-3-8B/A100/vLLM at the paper's batches —
-// and checks the overlap is paid once: the second figure records
-// fewer misses than lookups.
-func TestResultCacheSharedAcrossExperiments(t *testing.T) {
-	fig8, err := Get("fig8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fig8.Run(); err != nil {
-		t.Fatal(err)
-	}
-	lookups0, misses0 := ResultCacheCounts()
-	fig15, err := Get("fig15")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fig15.Run(); err != nil {
-		t.Fatal(err)
-	}
-	lookups1, misses1 := ResultCacheCounts()
-	if hits := (lookups1 - lookups0) - (misses1 - misses0); hits <= 0 {
-		t.Errorf("fig15 after fig8 recorded no cross-experiment cache hits (%d lookups, %d misses)",
-			lookups1-lookups0, misses1-misses0)
-	}
-}
-
 // TestOneEngineCacheAcrossLayers pins the unification: the experiment
 // helper and a direct engine.Cached call resolve to the same *Engine,
 // because there is exactly one engine cache in the process.

@@ -73,9 +73,14 @@ func TestFig2bDefaultBlockMatchesFig1a(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	// The whole pipeline is deterministic: running an experiment twice
-	// gives identical output.
+	// gives identical output. The second run prices every point again
+	// through the engine's warm memo, which must agree with the run
+	// that filled it.
 	a := runFig(t, "fig12")
 	b := runFig(t, "fig12")
+	if len(a.Series) != len(b.Series) {
+		t.Fatalf("%d series, then %d", len(a.Series), len(b.Series))
+	}
 	for i, sa := range a.Series {
 		sb := b.Series[i]
 		if sa.Label != sb.Label || len(sa.Points) != len(sb.Points) {

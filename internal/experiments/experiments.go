@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"llmbench/internal/engine"
 	"llmbench/internal/framework"
@@ -158,43 +157,11 @@ func mk(modelName, devName, fwName string, plan parallel.Plan) (*engine.Engine, 
 
 func tp(n int) parallel.Plan { return parallel.Plan{TP: n, PP: 1, EP: 1} }
 
-// resultKey identifies one evaluated benchmark point. Engines are
-// canonical (one pointer per configuration, via engine.Cached), so
-// pointer identity plus the workload spec is a complete key.
-type resultKey struct {
-	eng  *engine.Engine
-	spec workload.Spec
-}
-
-// resultCache memoises benchmark points across experiments: many
-// figures re-run identical (system, workload) points, and a figure
-// re-run (dashboard regeneration, repeated reports) re-runs all of
-// them. Failed points are not cached (pool.Cache drops them), which
-// preserves the per-call error text the figure notes record.
-var resultCache pool.Cache[resultKey, engine.Result]
-
-var resultLookups, resultMisses atomic.Int64
-
-// runPoint evaluates one benchmark point through the result cache.
-func runPoint(eng *engine.Engine, spec workload.Spec) (engine.Result, error) {
-	resultLookups.Add(1)
-	return resultCache.Get(resultKey{eng, spec}, func() (engine.Result, error) {
-		resultMisses.Add(1)
-		return eng.Run(spec)
-	})
-}
-
-// ResultCacheCounts reports (lookups, misses) of the experiment result
-// cache; the difference is the hit count. Test hook.
-func ResultCacheCounts() (lookups, misses int64) {
-	return resultLookups.Load(), resultMisses.Load()
-}
-
 // addOrNote runs one point and records throughput, or notes the
 // skip reason (paper-style OOM gaps).
 func addOrNote(fig *metrics.Figure, eng *engine.Engine, label string, x float64, spec workload.Spec,
 	metric func(engine.Result) float64) {
-	res, err := runPoint(eng, spec)
+	res, err := eng.Run(spec)
 	if err != nil {
 		if errors.Is(err, engine.ErrOOM) || errors.Is(err, engine.ErrUnsupportedBatch) {
 			fig.Note("%s skipped at x=%g: %v", label, x, err)

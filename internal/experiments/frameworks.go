@@ -170,7 +170,7 @@ func perplexityScatter(id, dev string) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runPoint(eng, spec)
+		res, err := eng.Run(spec)
 		if err != nil {
 			fig.Note("%s skipped: %v", name, err)
 			continue

@@ -9,17 +9,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current output")
 
-// TestServingExtensionsGolden pins serving experiments
+// TestServingExtensionsGolden pins every registered experiment
 // byte-for-byte: each golden is the `llmbench run <id>` output (the
-// Markdown plus the CLI's trailing newline). ext3 and ext8 exercise
-// recompute preemption under KV pressure, ext4 chunked prefill, and
-// ext9 the autoscaler against fixed fleets.
+// Markdown plus the CLI's trailing newline). The paper's figures and
+// tables are pinned with the serving extensions, so a change to any
+// layer under them (engine pricing, the DES kernel, the allocators)
+// must either leave every golden unchanged or refresh it with
+// `go test ./internal/experiments -update` on purpose.
 func TestServingExtensionsGolden(t *testing.T) {
-	for _, id := range []string{"ext3", "ext4", "ext8", "ext9"} {
-		exp, err := Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, exp := range All() {
+		id := exp.ID
 		out, err := exp.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

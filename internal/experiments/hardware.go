@@ -338,7 +338,7 @@ func fig25() (*Output, error) {
 			best := 0.0
 			bestBatch := 0
 			for _, b := range []int{16, 32, 64} {
-				res, err := runPoint(eng, workload.Spec{Batch: b, Input: 1024, Output: 1024})
+				res, err := eng.Run(workload.Spec{Batch: b, Input: 1024, Output: 1024})
 				if err != nil {
 					continue
 				}

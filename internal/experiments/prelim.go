@@ -209,7 +209,7 @@ func fig4b() (*Output, error) {
 		}
 		for _, l := range []int{128, 256, 512, 1024} {
 			spec := workload.Spec{Batch: 1, Input: l, Output: l}
-			base, err := runPoint(target, spec)
+			base, err := target.Run(spec)
 			if err != nil {
 				fig.Note("%s skipped at %d: %v", name, l, err)
 				continue

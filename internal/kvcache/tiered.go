@@ -8,7 +8,7 @@ package kvcache
 // device holds one shared prefix, so the tier holds at most that one
 // block group: it either fits the tier or is dropped on demotion, and
 // nothing else ever competes for the tier's room. Its state is two
-// booleans and a few counters, so a warm demote/restore cycle
+// booleans and the pending discount, so a warm demote/restore cycle
 // allocates nothing.
 
 import (
@@ -86,20 +86,6 @@ type Tiered struct {
 
 	pendingSkip     int
 	pendingRestoreS float64
-	warmHits        uint64
-	demotions       uint64
-	restores        uint64
-}
-
-// TieredStats reports a Tiered allocator's prefix-cache activity.
-type TieredStats struct {
-	// Touches counts warm hits: Allocs that found the prefix still
-	// resident on the device.
-	Touches uint64
-	// Demotions counts prefixes moved to the host tier when their last
-	// reference freed; Restores counts prefixes brought back from it.
-	Demotions uint64
-	Restores  uint64
 }
 
 // NewTiered wraps the device allocator with a host tier of
@@ -146,10 +132,7 @@ func (t *Tiered) Alloc(tokens int) (Seq, error) {
 			return seq, nil // first-ever reference: prefill computes the prefix
 		}
 		t.onHost = false
-		t.restores++
 		t.pendingRestoreS += t.restoreS
-	} else {
-		t.warmHits++
 	}
 	skip := shared
 	if skip > tokens-1 {
@@ -170,7 +153,6 @@ func (t *Tiered) Extend(seq Seq, tokens int) error { return t.gpu.Extend(seq, to
 func (t *Tiered) Free(seq Seq) {
 	if t.gpu.release(seq) && t.fits {
 		t.onHost = true
-		t.demotions++
 	}
 }
 
@@ -226,8 +208,3 @@ func (t *Tiered) HostUsedBytes() float64 {
 // RestoreSeconds reports the host-link cost of one full prefix
 // restore, as priced into the admission path.
 func (t *Tiered) RestoreSeconds() float64 { return t.restoreS }
-
-// Stats reports the wrapper's prefix-cache activity.
-func (t *Tiered) Stats() TieredStats {
-	return TieredStats{Touches: t.warmHits, Demotions: t.demotions, Restores: t.restores}
-}

@@ -107,11 +107,13 @@ func TestTieredColdWarmDemoteRestore(t *testing.T) {
 	if tv.HostUsedBytes() != 0 {
 		t.Error("restore must vacate the host tier")
 	}
-	tv.Free(s3)
-
-	st := tv.Stats()
-	if st.Touches != 1 || st.Demotions != 2 || st.Restores != 1 {
-		t.Errorf("stats = %+v, want 1 touch, 2 demotions, 1 restore", st)
+	tv.Free(s3) // last reference again: a second demotion
+	if tv.HotPrefixTokens() != 0 || tv.RestorablePrefixTokens() != 64 || tv.HostUsedBytes() != 64 {
+		t.Errorf("hot/restorable = %d/%d, host bytes %v; want 0/64, 64 after the second drain",
+			tv.HotPrefixTokens(), tv.RestorablePrefixTokens(), tv.HostUsedBytes())
+	}
+	if skip, rs := tv.TakePrefillDiscount(); skip != 0 || rs != 0 {
+		t.Errorf("a demotion accrues no discount, got skip %d restore %v", skip, rs)
 	}
 }
 
@@ -172,14 +174,10 @@ func TestTieredPrefixTooLargeForTier(t *testing.T) {
 			if tv.HostUsedBytes() != 0 {
 				t.Error("the host tier must be empty once the prefix is back on the device")
 			}
-			tv.Free(s)
-			st := tv.Stats()
-			want := TieredStats{}
-			if c.fits {
-				want = TieredStats{Demotions: 2, Restores: 1}
-			}
-			if st != want {
-				t.Errorf("stats = %+v, want %+v", st, want)
+			tv.Free(s) // a second demotion when the prefix fits
+			if tv.RestorablePrefixTokens() != restorable || tv.HostUsedBytes() != hostBytes {
+				t.Errorf("after the second drain: restorable %d, host bytes %v; want %d, %v",
+					tv.RestorablePrefixTokens(), tv.HostUsedBytes(), restorable, hostBytes)
 			}
 		})
 	}

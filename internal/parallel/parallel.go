@@ -75,11 +75,6 @@ func (p Plan) Validate(m *model.Config) error {
 	return nil
 }
 
-// WorkDivision is the factor by which per-device compute and weight
-// traffic shrink. All three schemes divide the model evenly in the
-// ideal case; EP imbalance is priced separately.
-func (p Plan) WorkDivision() float64 { return float64(p.Devices()) }
-
 // WeightShare returns the fraction of the model's weights resident on
 // one device. TP and PP shard everything; EP shards only experts, so
 // attention weights are replicated across the EP group — EP plans hold

@@ -2,10 +2,10 @@
 // perplexity-vs-throughput scatters (Fig. 10 and Fig. 29, evaluated on
 // LongBench in the paper).
 //
-// Substitution (documented in DESIGN.md): the paper evaluates real
-// model weights on a real dataset; neither is available here, and a
-// model's language quality is not derivable from its architecture
-// alone (it depends on training data). We therefore build a *real*
+// Substitution: the paper evaluates real model weights on a real
+// dataset; neither is available here, and a model's language quality
+// is not derivable from its architecture alone (it depends on training
+// data). We therefore build a *real*
 // evaluation pipeline — a synthetic LongBench-like corpus, an
 // interpolated n-gram language model, a held-out cross-entropy
 // measurement — and map each LLM to an n-gram capacity calibrated so

@@ -20,12 +20,6 @@ import (
 // partially-busy devices still draw substantial power, as GPUs do.
 const gamma = 0.8
 
-// Sample is one power observation.
-type Sample struct {
-	Watts       float64
-	Utilization float64
-}
-
 // Utilization converts roofline evidence into a device-busy fraction
 // in [0,1]. balance is min(computeWall,memoryWall)/max(...) from the
 // roofline; occupancy is the fraction of peak batch feeding the device

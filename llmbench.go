@@ -5,8 +5,8 @@
 // Since the paper's testbed — NVIDIA A100/H100/GH200, AMD
 // MI250/MI300X, Habana Gaudi2, SambaNova SN40L — is not reproducible
 // in software, the library rebuilds the system under study as a
-// calibrated, mechanism-level simulator (see DESIGN.md) and reruns the
-// paper's entire evaluation on it: every figure and table has a
+// calibrated, mechanism-level simulator (internal/engine) and reruns
+// the paper's entire evaluation on it: every figure and table has a
 // corresponding experiment and benchmark.
 //
 // Quick start:
@@ -36,7 +36,7 @@
 //	    Rates:    []float64{5, 10, 20, 40},
 //	    Replicas: []int{1, 2, 4},
 //	})
-//	knees := llmbench.Knees(pts, 6.0 /* p99 SLO seconds */)
+//	knees, err := llmbench.Knees(pts, 6.0 /* p99 SLO seconds */)
 //
 // All fan-out APIs (Sweep, ServeSweep, RunExperiments, Report,
 // VerifyAnchors) are deterministic: results are ordered by
