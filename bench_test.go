@@ -436,11 +436,14 @@ func BenchmarkServeClusterPrefix(b *testing.B) {
 // stays O(1) in trace length — allocs/op here are the kernel's own,
 // not a million-entry ledger plus sort. BenchmarkServeClusterMillionExact
 // is the ledgered reference the memory delta is measured against.
-// Both report events/s: kernel events (trace arrivals, kv-transfer
+// BenchmarkServeClusterMillion32 is the kernel-throughput row: the same
+// day on 32 replicas at 200 req/s, streamed: arrivals are dense enough
+// that a station's window is cut at about every generated token.
+// All three report events/s: kernel events (trace arrivals, kv-transfer
 // deliveries and station events, des.EventCounts) per wall second,
 // and priced/step: window step costs summed per decode step executed
 // (at most 1 when each committed window step is summed once).
-func benchServeClusterMillion(b *testing.B, streaming bool) {
+func benchServeClusterMillion(b *testing.B, replicas int, rate float64, streaming bool) {
 	b.Helper()
 	if testing.Short() {
 		// The general bench smoke runs -short; the million-request rows
@@ -448,9 +451,10 @@ func benchServeClusterMillion(b *testing.B, streaming bool) {
 		b.Skip("million-request benchmark skipped in -short mode")
 	}
 	// Short chat turns at a rate the fleet sustains (~50 req/s against
-	// ~200 req/s of capacity), so the day is queueing, not meltdown.
+	// ~200 req/s of capacity on 8 replicas), so the day is queueing,
+	// not meltdown.
 	reqs, err := workload.PoissonTrace(workload.TraceConfig{
-		Seed: 17, Requests: 1_000_000, RatePerSec: 50,
+		Seed: 17, Requests: 1_000_000, RatePerSec: rate,
 		InputMean: 256, OutputMean: 64, LengthJitter: 0.3,
 	})
 	if err != nil {
@@ -469,7 +473,7 @@ func benchServeClusterMillion(b *testing.B, streaming bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reps := make([]cluster.Replica, 8)
+		reps := make([]cluster.Replica, replicas)
 		for j := range reps {
 			alloc, err := kvcache.NewPaged(16, m.KVBytesPerToken(dtype.FP16), 30*(1<<30))
 			if err != nil {
@@ -493,8 +497,9 @@ func benchServeClusterMillion(b *testing.B, streaming bool) {
 	b.ReportMetric(float64(counts.Priced)/float64(counts.DecodeSteps), "priced/step")
 }
 
-func BenchmarkServeClusterMillion(b *testing.B)      { benchServeClusterMillion(b, true) }
-func BenchmarkServeClusterMillionExact(b *testing.B) { benchServeClusterMillion(b, false) }
+func BenchmarkServeClusterMillion(b *testing.B)      { benchServeClusterMillion(b, 8, 50, true) }
+func BenchmarkServeClusterMillionExact(b *testing.B) { benchServeClusterMillion(b, 8, 50, false) }
+func BenchmarkServeClusterMillion32(b *testing.B)    { benchServeClusterMillion(b, 32, 200, true) }
 
 // BenchmarkServeAutoscale is the bench-smoke guard for the dynamic
 // capacity path (bursty chat load, replicas 1..8).
@@ -549,19 +554,7 @@ func BenchmarkServeSweep(b *testing.B) {
 		Policies:    []ServePolicy{{}, {LeastLoaded: true}},
 		Parallelism: 1,
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := ServeSweep(cfg, grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Err != nil {
-				b.Fatal(p.Err)
-			}
-		}
-	}
+	benchServeSweep(b, cfg, grid)
 }
 
 // BenchmarkServeSweepStatic is the static-policy serving grid on
@@ -582,6 +575,14 @@ func BenchmarkServeSweepStatic(b *testing.B) {
 		BurstFactors: []float64{1, 4},
 		Parallelism:  1,
 	}
+	benchServeSweep(b, cfg, grid)
+}
+
+// benchServeSweep runs one ServeSweep per iteration and reports
+// ms/point, the sweep layer's cost per grid point.
+func benchServeSweep(b *testing.B, cfg ServeSweepConfig, grid ServeGrid) {
+	b.Helper()
+	points := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -594,7 +595,9 @@ func BenchmarkServeSweepStatic(b *testing.B) {
 				b.Fatal(p.Err)
 			}
 		}
+		points += len(pts)
 	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(points), "ms/point")
 }
 
 // --- concurrency / caching benchmarks ------------------------------------

@@ -22,7 +22,11 @@ func TestAdmitRejectsWrongPhase(t *testing.T) {
 	} {
 		s := allocTestStation(t, Config{MaxBatch: 8, Transfer: disaggTestTransfer}, 16)
 		s.role = c.role
-		s.enqueue(queued{req: workload.Request{ID: 3, Input: 64, Output: 8}, decode: c.decode})
+		var carry *RequestStats
+		if c.decode {
+			carry = &RequestStats{}
+		}
+		s.enqueue(&workload.Request{ID: 3, Input: 64, Output: 8}, carry)
 		s.nextAt = 0
 		if err := s.event(); err == nil || err.Error() != c.want {
 			t.Errorf("%s station: error %v, want %q", c.role, err, c.want)

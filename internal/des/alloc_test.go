@@ -58,8 +58,8 @@ func runIdle(t *testing.T, s *Station) {
 func stationCycle(t *testing.T, s *Station, reqs []workload.Request) func() {
 	t.Helper()
 	return func() {
-		for _, r := range reqs {
-			s.enqueue(queued{req: r})
+		for i := range reqs {
+			s.enqueue(&reqs[i], nil)
 		}
 		runIdle(t, s)
 		if s.queueLen() != 0 || len(s.run) != 0 {
@@ -113,8 +113,8 @@ func TestStationStepPrefillSteadyStateAllocs(t *testing.T) {
 	s.role = RolePrefill
 	reqs := allocTestReqs(8)
 	cycle := func() {
-		for _, r := range reqs {
-			s.enqueue(queued{req: r})
+		for i := range reqs {
+			s.enqueue(&reqs[i], nil)
 		}
 		runIdle(t, s)
 		if s.queueLen() != 0 || len(s.k.pending) != len(reqs) {
@@ -136,11 +136,12 @@ func TestStationStepDecodeSteadyStateAllocs(t *testing.T) {
 	s.role = RoleDecode
 	base := allocTestReqs(8)
 	cycle := func() {
-		for _, r := range base {
-			s.enqueue(queued{req: r, decode: true, carry: RequestStats{
+		for i := range base {
+			r := &base[i]
+			s.enqueue(r, &RequestStats{
 				ID: r.ID, Input: r.Input, Output: r.Output,
 				Arrival: r.Arrival, Started: r.Arrival, FirstTok: r.Arrival, TransferS: 1e-5,
-			}})
+			})
 		}
 		runIdle(t, s)
 		if s.queueLen() != 0 || len(s.run) != 0 {

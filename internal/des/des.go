@@ -210,7 +210,8 @@
 //   - A Kernel can recycle its slices and station shells (free lists
 //     included) across runs via Reuse/Release (see Scratch) — sweeps
 //     use this so per-point setup stops allocating once the first
-//     point has warmed the arena.
+//     point has warmed the arena. A caller that drops the ledger hands
+//     it back too (Scratch.Recycle), so the next run records into it.
 package des
 
 import (
@@ -569,7 +570,8 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 
 	if k.Sink == nil {
 		// The ledger holds every request once, and leaves with the
-		// Result: size it exactly, once.
+		// Result: size it once, unless a ledger recycled through the
+		// arena (Scratch.Recycle) is already large enough.
 		k.done = slices.Grow(k.done[:0], len(reqs))
 	}
 	k.flushAt = flushBatch
@@ -628,7 +630,7 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: router returned no station")
 			}
-			if err := k.deliver(s, queued{req: ordered[i]}, t); err != nil {
+			if err := k.deliver(s, &ordered[i], nil, t); err != nil {
 				return Result{}, err
 			}
 			if k.audit != nil {
@@ -638,7 +640,11 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			i++
 		}
 		for k.phead < len(k.pending) && k.pending[k.phead].at == t {
-			x := k.pending[k.phead]
+			// x stays valid until deliver has copied it: only
+			// insertPending writes pending's entries, from a prefill
+			// station's event, and neither RouteTransfer nor deliver
+			// runs one before enqueue copies x into the queue.
+			x := &k.pending[k.phead]
 			k.phead++
 			if k.phead == len(k.pending) {
 				k.pending, k.phead = k.pending[:0], 0
@@ -647,7 +653,7 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 			if s == nil {
 				return Result{}, errors.New("des: transfer router returned no station")
 			}
-			if err := k.deliver(s, queued{req: x.req, decode: true, carry: x.stats}, t); err != nil {
+			if err := k.deliver(s, &x.req, &x.stats, t); err != nil {
 				return Result{}, err
 			}
 			if k.audit != nil {
@@ -665,12 +671,14 @@ func (k *Kernel) Run(reqs []workload.Request) (Result, error) {
 // deliver hands a routed arrival or kv-transfer to its station at t:
 // an idle station wakes at t, and a station inside an open coalesced
 // window cuts it at the first step boundary at or after t, where the
-// request can be admitted. The cut boundary precedes the window's last
-// step but may follow its lower-bound key; one set re-keys the station
-// either way. The station's load rises by one; a cut moves no
+// request can be admitted. carry is a kv-transfer's lifecycle so far,
+// nil for a trace arrival; both are copied into the station's queue
+// before anything else runs. The cut boundary precedes the window's
+// last step but may follow its lower-bound key; one set re-keys the
+// station either way. The station's load rises by one; a cut moves no
 // other gauge (it completes nothing and only Extends, see cut).
-func (k *Kernel) deliver(s *Station, q queued, t float64) error {
-	s.enqueue(q)
+func (k *Kernel) deliver(s *Station, req *workload.Request, carry *RequestStats, t float64) error {
+	s.enqueue(req, carry)
 	k.gauges[s.ID].Load++
 	var err error
 	if s.nextAt < 0 {

@@ -15,10 +15,15 @@ package des
 //	... NewStation / Run ...
 //	k.Release()        // when the Result has been read
 //
+// The arena may also hold a completion ledger: a Result.Finished its
+// reader handed back with Recycle, which the next kernel records into
+// instead of growing a new one.
+//
 // A Scratch is not concurrency-safe: use one per worker (or guard it
 // externally). Recycled state never affects results — stations are
-// fully reset on reuse, and the ledger leaves the kernel by value —
-// so a swept grid stays byte-identical with or without recycling.
+// fully reset on reuse, and every completion is written into the
+// ledger before it is read — so a swept grid stays byte-identical
+// with or without recycling.
 type Scratch struct {
 	stations []*Station
 	gauges   []Gauge
@@ -45,9 +50,9 @@ func (k *Kernel) Reuse(sc *Scratch) {
 // Release returns k's buffers and station shells to the Scratch
 // passed to Reuse. Call it only after the Result is fully consumed:
 // the per-station buffers are truncated for reuse (Result.Finished
-// itself is freshly allocated by collect and stays valid). Engine and
-// allocator references are dropped so the arena cannot pin them.
-// No-op without a prior Reuse.
+// itself has left the kernel and stays valid until handed back with
+// Recycle). Engine and allocator references are dropped so the arena
+// cannot pin them. No-op without a prior Reuse.
 func (k *Kernel) Release() {
 	sc := k.scratch
 	if sc == nil {
@@ -71,4 +76,16 @@ func (k *Kernel) Release() {
 	sc.done = k.done[:0]
 	sc.pending = k.pending[:0] // abandoned transfers hold no pointers
 	k.gauges, k.tree, k.done, k.pending = nil, nil, nil, nil
+}
+
+// Recycle hands a run's ledger (Result.Finished) back to the arena
+// once nothing reads it any more, so the next kernel to Reuse the
+// arena records into it. The caller must not touch the ledger
+// afterwards. The arena keeps whichever of the ledger and the buffer
+// it holds is larger; a nil ledger, as a streamed run returns, changes
+// nothing.
+func (sc *Scratch) Recycle(ledger []RequestStats) {
+	if cap(ledger) > cap(sc.done) {
+		sc.done = ledger[:0]
+	}
 }

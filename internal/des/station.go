@@ -129,6 +129,7 @@ type queued struct {
 	// decode marks a decode-phase sub-request delivered by a
 	// kv-transfer event; carry is its lifecycle so far (original
 	// arrival, prefill timing, transfer delay), resumed on admission.
+	// carry is written and read only when decode is set.
 	decode bool
 	carry  RequestStats
 }
@@ -166,10 +167,10 @@ func (s *Station) getReq(q *queued, now float64) *runReq {
 		r = &s.slab[0]
 		s.slab = s.slab[1:]
 	}
-	// Field by field: a composite literal of the whole record would be
-	// built in a temporary and copied.
-	*r = runReq{}
+	// Field by field, every field once: zeroing the whole record first,
+	// or building it as a composite literal, would write it twice.
 	r.req, r.evictedAt = q.req, q.evictedAt
+	r.seq, r.pendingPrefill, r.prefillSkip = 0, 0, 0
 	if q.decode {
 		// Decode sub-request: resume the carried lifecycle — original
 		// arrival, prefill timing, transfer delay — with the prompt
@@ -178,8 +179,10 @@ func (s *Station) getReq(q *queued, now float64) *runReq {
 		r.stats = q.carry
 		r.generated = 1
 	} else {
+		r.generated = 0
 		r.stats.ID, r.stats.Input, r.stats.Output = q.req.ID, q.req.Input, q.req.Output
 		r.stats.Arrival, r.stats.Started, r.stats.Preempted = q.req.Arrival, now, q.preempted
+		r.stats.FirstTok, r.stats.Finished, r.stats.TransferS = 0, 0, 0
 	}
 	return r
 }
@@ -265,7 +268,10 @@ func (s *Station) Role() Role { return s.role }
 // preempted request was requeued with an eviction time that lands
 // beyond a not-yet-routed arrival: admission order must follow
 // effective arrival, not delivery order.
-func (s *Station) enqueue(q queued) {
+//
+// The entry is written in place, field by field, from req and, for a
+// decode sub-request, carry (nil for a trace arrival).
+func (s *Station) enqueue(req *workload.Request, carry *RequestStats) {
 	if s.qhead > 0 && len(s.queue) == cap(s.queue) {
 		// Reclaim the popped prefix before append would grow the
 		// array: steady state then reuses one backing array forever.
@@ -273,11 +279,19 @@ func (s *Station) enqueue(q queued) {
 		s.queue, s.qhead = s.queue[:n], 0
 	}
 	live := s.queue[s.qhead:]
-	i := sort.Search(len(live), func(i int) bool { return live[i].req.Arrival > q.req.Arrival })
-	s.queue = append(s.queue, queued{})
+	i := sort.Search(len(live), func(i int) bool { return live[i].req.Arrival > req.Arrival })
+	if n := len(s.queue); n < cap(s.queue) {
+		s.queue = s.queue[:n+1]
+	} else {
+		s.queue = append(s.queue, queued{})
+	}
 	live = s.queue[s.qhead:]
 	copy(live[i+1:], live[i:])
-	live[i] = q
+	q := &live[i]
+	q.req, q.preempted, q.evictedAt, q.decode = *req, 0, 0, carry != nil
+	if carry != nil {
+		q.carry = *carry
+	}
 }
 
 // event runs the station's event at nextAt and schedules the next

@@ -389,6 +389,3 @@ func Cached(cfg Config) (*Engine, error) {
 	key := cacheKey(cfg)
 	return cache.Get(key, func() (*Engine, error) { return New(key) })
 }
-
-// CachedCount reports how many engines the process-wide cache holds.
-func CachedCount() int { return cache.Len() }

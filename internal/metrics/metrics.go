@@ -162,27 +162,3 @@ func trimFloat(v float64) string {
 	}
 	return fmt.Sprintf("%.3g", v)
 }
-
-// GeoMean returns the geometric mean of positive values; it errors on
-// empty or non-positive input.
-func GeoMean(vals []float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("metrics: geomean of empty slice")
-	}
-	sum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return 0, fmt.Errorf("metrics: geomean needs positive values, got %v", v)
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals))), nil
-}
-
-// Ratio returns a/b, guarding against division by zero.
-func Ratio(a, b float64) (float64, error) {
-	if b == 0 {
-		return 0, fmt.Errorf("metrics: ratio with zero denominator")
-	}
-	return a / b, nil
-}

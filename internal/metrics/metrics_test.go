@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sampleFigure() *Figure {
@@ -79,49 +77,6 @@ func TestCSV(t *testing.T) {
 	}
 	if !strings.Contains(csv, `"A",16,900`) {
 		t.Errorf("csv missing point: %s", csv)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 100})
-	if err != nil || math.Abs(g-10) > 1e-9 {
-		t.Errorf("geomean = %v, %v", g, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty geomean must error")
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative geomean must error")
-	}
-}
-
-func TestGeoMeanBetweenMinMax(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]float64, len(raw))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, r := range raw {
-			vals[i] = float64(r%1000) + 1
-			lo = math.Min(lo, vals[i])
-			hi = math.Max(hi, vals[i])
-		}
-		g, err := GeoMean(vals)
-		return err == nil && g >= lo-1e-9 && g <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	r, err := Ratio(10, 4)
-	if err != nil || r != 2.5 {
-		t.Errorf("ratio = %v, %v", r, err)
-	}
-	if _, err := Ratio(1, 0); err == nil {
-		t.Error("zero denominator must error")
 	}
 }
 

@@ -106,7 +106,7 @@ func (a *StreamAggregator) Stats(makespan float64, preemptions int) (Stats, erro
 // interpolation as observations arrive. No dependencies, no sampling,
 // deterministic for a given observation sequence. The first five
 // observations are stored directly, so Value is exact (lower-index
-// convention, matching percentile in Summarize) until the sketch
+// convention, matching Summarize) until the sketch
 // activates.
 type P2Quantile struct {
 	p    float64

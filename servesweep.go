@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"llmbench/internal/cluster"
 	"llmbench/internal/des"
@@ -309,11 +310,11 @@ type ServeSweepConfig struct {
 	// entries reject it per point.
 	ChunkedPrefill bool
 
-	// Trace parameters. Every point generates a private trace whose
-	// seed is derived from Seed and the point's position on the
-	// trace-shape axes (burst factor, length mix, rate) — points with
-	// one trace shape share one arrival process, so the replica,
-	// batch, and policy axes compare like for like. InputMean and
+	// Trace parameters. Every trace-shape position (prefix share,
+	// burst factor, length mix, rate) generates one trace, whose seed
+	// is derived from Seed and the position — the points at that
+	// position all replay it, so the replica, batch, and policy axes
+	// compare like for like. InputMean and
 	// OutputMean are the Poisson means, and double as the default
 	// length-mix medians when the grid's trace axes are set.
 	Seed       uint64
@@ -407,11 +408,6 @@ type serveAxes struct {
 	// otherwise): points rescale it to their rate instead of
 	// synthesizing arrivals.
 	replay []workload.Request
-}
-
-func (a serveAxes) perCombo() int {
-	return len(a.policies) * len(a.replicas) * len(a.maxBatches) *
-		len(a.shares) * len(a.bursts) * len(a.mixes) * len(a.rates)
 }
 
 func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
@@ -532,12 +528,18 @@ func resolveServeAxes(cfg ServeSweepConfig, grid ServeGrid) (serveAxes, error) {
 // device/framework/scheme configuration axes Sweep has —
 // concurrently. It is the serving analogue of Sweep: engines are
 // built once per configuration combination through the shared engine
-// cache, every point runs an independent simulation on a private
-// trace and private KV allocators, and the returned slice is ordered
-// by grid position (Devices ▸ Frameworks ▸ Schemes ▸ Policies ▸
-// Replicas ▸ MaxBatches ▸ PrefixShares ▸ BurstFactors ▸ LengthMixes ▸
-// Rates) — never by completion — so output is byte-identical at any
-// Parallelism.
+// cache, every point runs an independent simulation on private KV
+// allocators, and the returned slice is ordered by grid position
+// (Devices ▸ Frameworks ▸ Schemes ▸ Policies ▸ Replicas ▸ MaxBatches ▸
+// PrefixShares ▸ BurstFactors ▸ LengthMixes ▸ Rates) — never by
+// completion — so output is byte-identical at any Parallelism.
+//
+// Points execute in a different order: trace-shape position by
+// position (PrefixShares ▸ BurstFactors ▸ LengthMixes ▸ Rates), every
+// other axis within each. All points at one position replay the same
+// trace, so it is generated once, on the position's first point,
+// shared read-only, and dropped after its last, which keeps about
+// Parallelism traces alive at a time.
 //
 // A one-position grid is a single deployment simulation, run on one
 // worker.
@@ -578,42 +580,39 @@ func ServeSweep(cfg ServeSweepConfig, grid ServeGrid) ([]ServeSweepPoint, error)
 		return nil, joinBuildErrors(buildErrs)
 	}
 
-	perCombo := axes.perCombo()
-	nRep := len(axes.replicas)
-	nMB := len(axes.maxBatches)
-	nShare := len(axes.shares)
-	nBurst := len(axes.bursts)
-	nMix := len(axes.mixes)
-	nRate := len(axes.rates)
-	out := make([]ServeSweepPoint, len(combos)*perCombo)
-	_ = pool.ForEach(len(out), grid.Parallelism, func(i int) error {
-		combo := i / perCombo
-		rest := i % perCombo
-		pol := axes.policies[rest/(nRep*nMB*nShare*nBurst*nMix*nRate)]
-		rest %= nRep * nMB * nShare * nBurst * nMix * nRate
-		reps := axes.replicas[rest/(nMB*nShare*nBurst*nMix*nRate)]
-		rest %= nMB * nShare * nBurst * nMix * nRate
-		maxBatch := axes.maxBatches[rest/(nShare*nBurst*nMix*nRate)]
-		rest %= nShare * nBurst * nMix * nRate
-		shareIdx := rest / (nBurst * nMix * nRate)
-		rest %= nBurst * nMix * nRate
-		burstIdx := rest / (nMix * nRate)
-		rest %= nMix * nRate
-		mixIdx := rest / nRate
-		rateIdx := rest % nRate
+	// Execution index e is position-major: pos is its trace-shape
+	// position, and the rest decodes to (combination, policy,
+	// replicas, batch cap). The point is written to its grid index.
+	nPol, nRep, nMB := len(axes.policies), len(axes.replicas), len(axes.maxBatches)
+	nBurst, nMix, nRate := len(axes.bursts), len(axes.mixes), len(axes.rates)
+	nPos := len(axes.shares) * nBurst * nMix * nRate
+	perPos := len(combos) * nPol * nRep * nMB
+	traces := make([]positionTrace, nPos)
+	for i := range traces {
+		traces[i].left.Store(int64(perPos))
+	}
+	out := make([]ServeSweepPoint, perPos*nPos)
+	_ = pool.ForEach(len(out), grid.Parallelism, func(e int) error {
+		pos, rest := e/perPos, e%perPos
+		mb := rest % nMB
+		rest /= nMB
+		rep := rest % nRep
+		rest /= nRep
+		pol, combo := rest%nPol, rest/nPol
 		c := combos[combo]
 		p := ServeSweepPoint{
 			Device: c.Device, Framework: c.Framework,
 			Scheme:   Scheme{Weights: c.Weights, KV: c.KV},
-			Policy:   pol,
-			Replicas: reps, MaxBatch: maxBatch,
-			Mix:         axes.mixes[mixIdx],
-			PrefixShare: axes.shares[shareIdx],
-			Rate:        axes.rates[rateIdx],
+			Policy:   axes.policies[pol],
+			Replicas: axes.replicas[rep], MaxBatch: axes.maxBatches[mb],
+			Mix:         axes.mixes[pos/nRate%nMix],
+			PrefixShare: axes.shares[pos/(nRate*nMix*nBurst)],
+			Rate:        axes.rates[pos%nRate],
 		}
 		if axes.chat {
-			p.BurstFactor = axes.bursts[burstIdx]
+			p.BurstFactor = axes.bursts[pos/(nRate*nMix)%nBurst]
 		}
+		tr := &traces[pos]
 		if buildErrs[combo] != nil {
 			p.Err = buildErrs[combo]
 		} else {
@@ -621,25 +620,41 @@ func ServeSweep(cfg ServeSweepConfig, grid ServeGrid) ([]ServeSweepPoint, error)
 			// process; distinct positions draw from isolated seed
 			// streams. On plain Poisson grids this degenerates to the
 			// original per-rate seeding, keeping existing sweeps
-			// byte-identical.
-			traceIdx := ((shareIdx*nBurst+burstIdx)*nMix+mixIdx)*nRate + rateIdx
-			runServePoint(&p, c, engines[combo].eng, engines[combo].budget, cfg, axes, traceIdx)
+			// byte-identical. A trace error depends only on the
+			// position, so its points all report it.
+			tr.once.Do(func() { tr.reqs, tr.err = axes.pointTrace(cfg, &p, pos) })
+			if tr.err != nil {
+				p.Err = tr.err
+			} else {
+				runServePoint(&p, c, engines[combo].eng, engines[combo].budget, cfg, tr.reqs)
+			}
 		}
-		if cfg.LeanStats || cfg.StreamStats {
-			p.Stats.Requests = nil
+		if tr.left.Add(-1) == 0 {
+			tr.reqs = nil
 		}
-		out[i] = p
+		out[(((combo*nPol+pol)*nRep+rep)*nMB+mb)*nPos+pos] = p
 		return nil
 	})
 	return out, nil
 }
 
-// pointTrace generates one grid point's private arrival trace from
-// its resolved shape (p.BurstFactor, p.Mix, p.Rate): the base
-// config's plain Poisson process on shape-less grids, ChatTrace's
-// bursty heavy-tailed traffic when a trace axis is set. A shape
-// ChatTrace rejects (medians below its floor) is the caller's
-// per-point error.
+// positionTrace is the arrival trace of one trace-shape position,
+// shared read-only by all of that position's points (the kernel never
+// mutates a trace). once generates it; left counts the position's
+// points still to finish, and the last one drops the trace.
+type positionTrace struct {
+	once sync.Once
+	reqs []workload.Request
+	err  error
+	left atomic.Int64
+}
+
+// pointTrace generates the arrival trace of trace-shape position
+// traceIdx from a point's resolved shape there (p.BurstFactor, p.Mix,
+// p.PrefixShare, p.Rate): the base config's plain Poisson process on
+// shape-less grids, ChatTrace's bursty heavy-tailed traffic when a
+// trace axis is set. A shape ChatTrace rejects (medians below its
+// floor) is an error of every point at that position.
 func (a serveAxes) pointTrace(cfg ServeSweepConfig, p *ServeSweepPoint, traceIdx int) ([]workload.Request, error) {
 	if len(a.replay) > 0 {
 		// Replay grids rescale the one recorded trace to the point's
@@ -691,19 +706,16 @@ func prefixTokensFor(share float64, inputMedian int) int {
 // determinism tests exercise exactly this path.
 var kernelScratch = sync.Pool{New: func() any { return new(des.Scratch) }}
 
-// runServePoint runs one grid point's simulation, recording failures
-// in p.Err. Each point owns its trace
-// and allocators; the engine is shared (engines are immutable and
-// concurrency-safe). Every fleet — fixed or autoscaled, continuous or
-// static — runs through cluster.Serve, so the full Policies ×
-// Replicas grid is served without per-point gaps.
+// runServePoint runs one grid point's simulation over its position's
+// trace, recording failures in p.Err. Each point owns its allocators;
+// the trace and the engine are shared (neither is ever mutated).
+// Every fleet — fixed or autoscaled, continuous or static — runs
+// through cluster.Serve, so the full Policies × Replicas grid is
+// served without per-point gaps. Lean and streamed points drop the
+// ledger, and hand its buffer back to the kernel arena for the next
+// point to record into.
 func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget float64,
-	cfg ServeSweepConfig, axes serveAxes, traceIdx int) {
-	trace, err := axes.pointTrace(cfg, p, traceIdx)
-	if err != nil {
-		p.Err = err
-		return
-	}
+	cfg ServeSweepConfig, trace []workload.Request) {
 	scratch := kernelScratch.Get().(*des.Scratch)
 	defer kernelScratch.Put(scratch)
 	// Shared-prefix points get tiered prefix-sharing allocators on
@@ -755,6 +767,7 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 		ccfg.Transfer = tc
 	}
 	ccfg.Replicas = make([]cluster.Replica, fleet)
+	var err error
 	for i := range ccfg.Replicas {
 		if ccfg.Replicas[i], err = newReplica(); err != nil {
 			p.Err = err
@@ -769,6 +782,10 @@ func runServePoint(p *ServeSweepPoint, sys System, eng *engine.Engine, budget fl
 	p.Stats = st.Stats
 	p.PerReplica = st.PerReplica
 	p.PeakReplicas = st.PeakReplicas
+	if cfg.LeanStats || cfg.StreamStats {
+		scratch.Recycle(p.Stats.Requests)
+		p.Stats.Requests = nil
+	}
 }
 
 func routePolicy(p ServePolicy) cluster.Policy {

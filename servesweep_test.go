@@ -543,6 +543,79 @@ func TestServeSweepTraceSeedIsolation(t *testing.T) {
 	}
 }
 
+// TestServeSweepPointsIsolated: points that share a trace and recycle
+// kernel arenas still run as if each had its own. With LeanStats on
+// and off, at Parallelism 1 and 4, every point is identical apart
+// from its ledger; no two ledgers of a non-lean run share memory,
+// whatever lean runs recycled before them; and a trace-shape position
+// whose ChatTrace shape is rejected fails only its own points.
+func TestServeSweepPointsIsolated(t *testing.T) {
+	grid := ServeGrid{
+		Rates:       []float64{3, 6},
+		Replicas:    []int{1, 2},
+		Policies:    []ServePolicy{{}, {Static: true, LeastLoaded: true}},
+		LengthMixes: []LengthMix{{Input: 128, Output: 48}, {Input: 8, Output: 64}, {Input: 512, Output: 96}},
+	}
+	type run struct {
+		lean bool
+		par  int
+	}
+	// Lean runs go first, so the non-lean runs draw arenas holding
+	// recycled ledgers.
+	runs := []run{{true, 1}, {true, 4}, {false, 1}, {false, 4}}
+	var ref []ServeSweepPoint
+	for _, r := range runs {
+		cfg := serveSweepCfg
+		cfg.LeanStats = r.lean
+		grid.Parallelism = r.par
+		pts, err := ServeSweep(cfg, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != 2*2*3*2 {
+			t.Fatalf("lean %v parallelism %d: got %d points, want 24", r.lean, r.par, len(pts))
+		}
+		for i, p := range pts {
+			rejected := p.Mix.Input == 8
+			if rejected != (p.Err != nil) || rejected && !strings.Contains(p.Err.Error(), "medians") {
+				t.Errorf("lean %v parallelism %d point %d (mix %+v): error %v", r.lean, r.par, i, p.Mix, p.Err)
+			}
+			switch {
+			case r.lean && p.Stats.Requests != nil:
+				t.Errorf("lean point %d kept a ledger", i)
+			case !r.lean && !rejected && len(p.Stats.Requests) != cfg.Requests:
+				t.Errorf("point %d: ledger of %d entries, want %d", i, len(p.Stats.Requests), cfg.Requests)
+			}
+		}
+		if !r.lean {
+			// Stamp every entry of each ledger with its point's index:
+			// a ledger sharing memory with another loses its stamps.
+			for i := range pts {
+				for j := range pts[i].Stats.Requests {
+					pts[i].Stats.Requests[j].ID = i
+				}
+			}
+			for i := range pts {
+				for _, rs := range pts[i].Stats.Requests {
+					if rs.ID != i {
+						t.Fatalf("parallelism %d: point %d's ledger shares memory with point %d's", r.par, i, rs.ID)
+					}
+				}
+				pts[i].Stats.Requests = nil
+			}
+		}
+		if ref == nil {
+			ref = pts
+			continue
+		}
+		for i := range pts {
+			if !reflect.DeepEqual(pts[i], ref[i]) {
+				t.Errorf("lean %v parallelism %d: point %d differs from the lean serial run", r.lean, r.par, i)
+			}
+		}
+	}
+}
+
 // TestServeSweepLeanStats: LeanStats drops only the per-request
 // ledger — every aggregate (percentiles, means, throughput,
 // per-replica shares, peaks) is byte-identical to the full run.
